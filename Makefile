@@ -21,7 +21,7 @@ COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
 	bce bench-schedule chaos fuzz cert serve-soak bench-serve contend epoch-stress \
-	extsort-battery extsort-fuzz bench-extsort
+	extsort-battery extsort-fuzz bench-extsort perfbench
 
 ci: vet build test race fmtcheck lint cover bce
 
@@ -179,8 +179,9 @@ extsort-battery:
 	$(GO) test -race -count=1 \
 		-run 'TestSortStream|TestServerSubmitStreamRoot' .
 
-# Bounded streaming-sort fuzz: SortStream vs sort.Slice over
-# fuzz-chosen lengths, run sizes, fan-ins and spill budgets. The pinned
+# Bounded streaming-sort fuzz: SortStream vs slices.Sort over
+# fuzz-chosen lengths, run sizes, fan-ins, pre-merge batch sizes and
+# spill budgets. The pinned
 # short budget keeps it a smoke pass in CI; crank -fuzztime locally for
 # a real hunt.
 EXTSORT_FUZZTIME ?= 20s
@@ -188,7 +189,18 @@ extsort-fuzz:
 	$(GO) test ./internal/extsort/ -run=^$$ \
 		-fuzz=FuzzSortStreamEquivalence -fuzztime=$(EXTSORT_FUZZTIME)
 
-# Streaming tier vs sort.Slice: throughput over the size sweep plus the
-# merge fan-in sweep; writes BENCH_extsort.json.
+# Streaming tier vs slices.Sort: throughput over the size sweep plus
+# the merge fan-in sweep; writes BENCH_extsort.json.
 bench-extsort:
 	$(GO) run ./cmd/bench -extsort
+
+# The repository benchmark (BENCHMARK.json): build perfbench/ from this
+# checkout and run one workload. The build cache, spill files and traces
+# stay under the ignored .bench_build/.
+PERFBENCH_WORKLOAD ?= stream-1e7
+PERFBENCH_SEED ?= 1
+PERFBENCH_SECONDS ?= 30
+PERFBENCH_TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(PERFBENCH_WORKLOAD) --seed $(PERFBENCH_SEED) \
+		--seconds $(PERFBENCH_SECONDS) --trace $(PERFBENCH_TRACE)

@@ -3,8 +3,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -13,7 +14,7 @@ import (
 )
 
 // extsortEntry is one (input size, fan-in) cell: the streaming tier's
-// wall clock and throughput next to a sort.Slice baseline over the
+// wall clock and throughput next to a slices.Sort baseline over the
 // same keys.
 type extsortEntry struct {
 	Keys    int `json:"keys"`
@@ -24,12 +25,12 @@ type extsortEntry struct {
 	Runs         int64 `json:"runs"`
 	MergePasses  int   `json:"mergePasses"`
 	SpilledBytes int64 `json:"spilledBytes"`
-	// StreamNs is SortStream end to end; BaselineNs is sort.Slice on a
+	// StreamNs is SortStream end to end; BaselineNs is slices.Sort on a
 	// copy of the same input.
 	StreamNs   int64 `json:"streamNs"`
 	BaselineNs int64 `json:"baselineNs"`
 	// StreamKeysPerSec and BaselineKeysPerSec are the derived
-	// throughputs; Ratio is baseline/stream (>1 means sort.Slice wins).
+	// throughputs; Ratio is baseline/stream (>1 means slices.Sort wins).
 	StreamKeysPerSec   float64 `json:"streamKeysPerSec"`
 	BaselineKeysPerSec float64 `json:"baselineKeysPerSec"`
 	Ratio              float64 `json:"ratio"`
@@ -46,7 +47,7 @@ type extsortReport struct {
 }
 
 // runExtsortBench measures the streaming external sort tier (certified
-// run formation + loser-tree merge) against sort.Slice and writes the
+// run formation + loser-tree merge) against slices.Sort and writes the
 // report to path. Every streamed output is verified sorted with the
 // right key count before its numbers are recorded.
 func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
@@ -79,7 +80,7 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 			return err
 		}
 		rep.SizeSweep = append(rep.SizeSweep, e)
-		fmt.Printf("  size %9d: stream %8.0f keys/s, sort.Slice %8.0f keys/s (x%.2f), %d runs, %d merge passes\n",
+		fmt.Printf("  size %9d: stream %8.0f keys/s, slices.Sort %8.0f keys/s (x%.2f), %d runs, %d merge passes\n",
 			n, e.StreamKeysPerSec, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.MergePasses)
 	}
 	// The fan-in sweep holds the input fixed at the second-largest size
@@ -101,16 +102,12 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 }
 
 // extsortCell runs one measurement: n keys through SortStream with the
-// given fan-in (0 = tier default), then sort.Slice over a copy.
+// given fan-in (0 = tier default), then slices.Sort over a copy.
 func extsortCell(c *productsort.CompiledNetwork, n, fanIn int, seed int64) (extsortEntry, error) {
 	if n < 1 {
 		return extsortEntry{}, fmt.Errorf("extsort bench: size %d < 1", n)
 	}
-	rng := rand.New(rand.NewSource(seed + int64(n) + int64(fanIn)<<32))
-	keys := make([]productsort.Key, n)
-	for i := range keys {
-		keys[i] = productsort.Key(rng.Int63() - 1<<62)
-	}
+	keys := extsortKeys(rand.New(rand.NewSource(seed+int64(n)+int64(fanIn)<<32)), n)
 
 	start := time.Now()
 	got, stats, err := c.SortStreamKeys(context.Background(), keys, productsort.StreamConfig{FanIn: fanIn})
@@ -118,14 +115,13 @@ func extsortCell(c *productsort.CompiledNetwork, n, fanIn int, seed int64) (exts
 	if err != nil {
 		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d): %w", n, fanIn, err)
 	}
-	if len(got) != n || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d) output unsorted or truncated (%d keys)", n, fanIn, len(got))
-	}
-
-	base := append([]productsort.Key(nil), keys...)
+	base := slices.Clone(keys)
 	start = time.Now()
-	sort.Slice(base, func(i, j int) bool { return base[i] < base[j] })
+	slices.Sort(base)
 	baseNs := time.Since(start).Nanoseconds()
+	if !slices.Equal(got, base) {
+		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d) output differs from slices.Sort (%d keys)", n, fanIn, len(got))
+	}
 
 	return extsortEntry{
 		Keys:               n,
@@ -140,6 +136,29 @@ func extsortCell(c *productsort.CompiledNetwork, n, fanIn int, seed int64) (exts
 		BaselineKeysPerSec: float64(n) / (float64(baseNs) / 1e9),
 		Ratio:              float64(baseNs) / float64(streamNs),
 	}, nil
+}
+
+// extsortKeys draws n keys over the whole int64 range with duplicates
+// and the extremes: about one key in 64 is each of MinInt64, MaxInt64
+// (the padding sentinel) and 0, and another one in 16 comes from a
+// five-value alphabet.
+func extsortKeys(rng *rand.Rand, n int) []productsort.Key {
+	keys := make([]productsort.Key, n)
+	for i := range keys {
+		switch r := rng.Intn(64); {
+		case r == 0:
+			keys[i] = math.MinInt64
+		case r == 1:
+			keys[i] = math.MaxInt64
+		case r == 2:
+			keys[i] = 0
+		case r < 7:
+			keys[i] = productsort.Key(r - 5)
+		default:
+			keys[i] = productsort.Key(rng.Uint64())
+		}
+	}
+	return keys
 }
 
 // parseInts parses a comma-separated list of positive integers.

@@ -11,7 +11,7 @@
 //	bench -chaos           # resilient sorts under injected faults
 //	bench -contend         # plan-store contention sweep across GOMAXPROCS
 //	bench -cert            # bitsliced 0-1 certification of compiled programs
-//	bench -extsort         # streaming external sort tier vs sort.Slice
+//	bench -extsort         # streaming external sort tier vs slices.Sort
 //	bench -mode extsort    # same modes by name; unknown names fail the run
 //
 // Profiling flags (-cpuprofile, -memprofile) apply to every mode, so a
@@ -65,7 +65,7 @@ func run() int {
 	certOut := flag.String("certout", "BENCH_cert.json", "output path for -cert")
 	certMax := flag.Int("certmax", 20, "largest key count certified exhaustively for -cert")
 	certSample := flag.Int("certsample", 1<<16, "sampled-mode vector count for -cert")
-	extsortMode := flag.Bool("extsort", false, "benchmark the streaming external sort tier against sort.Slice and exit")
+	extsortMode := flag.Bool("extsort", false, "benchmark the streaming external sort tier against slices.Sort and exit")
 	extsortOut := flag.String("extsortout", "BENCH_extsort.json", "output path for -extsort")
 	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -extsort's size sweep")
 	extsortFanins := flag.String("fanins", "2,4,8,16,32,64", "comma-separated merge fan-ins for -extsort's fan-in sweep")

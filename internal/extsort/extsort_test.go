@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -104,15 +106,20 @@ func adversarialShapes(runSize int) map[string][]Key {
 }
 
 // TestSortStreamOracleNetwork: the full battery through the certified
-// network run sorter, at fan-in 2 (maximum merge depth) and a fan-in
-// wide enough for a single merge pass.
+// network run sorter, at fan-in 2 with one run per leaf (maximum merge
+// depth) and at the default pre-merge batch with a fan-in wide enough
+// for a single merge pass.
 func TestSortStreamOracleNetwork(t *testing.T) {
 	sorter := compiledSorter(t)
 	runSize := sorter.MaxRun() // 16
 	for _, fanIn := range []int{2, 64} {
+		runBatch := 0
+		if fanIn == 2 {
+			runBatch = 1
+		}
 		for name, keys := range adversarialShapes(runSize) {
 			t.Run(fmt.Sprintf("fanin%d/%s", fanIn, name), func(t *testing.T) {
-				got, stats := runSort(t, keys, sorter, Config{RunSize: runSize, FanIn: fanIn})
+				got, stats := runSort(t, keys, sorter, Config{RunSize: runSize, FanIn: fanIn, RunBatch: runBatch})
 				checkEqual(t, keys, got, name)
 				if want := int64(len(keys)); stats.Keys != want {
 					t.Fatalf("stats.Keys = %d, want %d", stats.Keys, want)
@@ -126,10 +133,11 @@ func TestSortStreamOracleNetwork(t *testing.T) {
 }
 
 // TestSortStreamSingleKeyRuns: RunSize 1 degenerates run formation to
-// per-key runs — the merge does all the sorting.
+// per-key runs, and RunBatch 1 makes every run its own merge leaf —
+// the merge passes do all the sorting.
 func TestSortStreamSingleKeyRuns(t *testing.T) {
 	keys := []Key{5, -2, 9, 0, 0, -2, 7, 3, 3, 1}
-	got, stats := runSort(t, keys, SliceSorter{}, Config{RunSize: 1, FanIn: 2})
+	got, stats := runSort(t, keys, SliceSorter{}, Config{RunSize: 1, FanIn: 2, RunBatch: 1})
 	checkEqual(t, keys, got, "single-key runs")
 	if stats.Runs != int64(len(keys)) {
 		t.Fatalf("Runs = %d, want %d", stats.Runs, len(keys))
@@ -294,11 +302,29 @@ func TestSortEmptyStream(t *testing.T) {
 	}
 }
 
+// blockStream hands out a sorted run in blocks of random sizes, so the
+// tree's refill path runs at every position of a block.
+type blockStream struct {
+	keys []Key
+	rng  *rand.Rand
+}
+
+func (s *blockStream) next() []Key {
+	n := min(len(s.keys), 1+s.rng.Intn(5))
+	b := s.keys[:n]
+	s.keys = s.keys[n:]
+	return b
+}
+
+func (s *blockStream) fail() error { return nil }
+
 // TestLoserTreeMerge: the tree against a heap-free reference across
 // widths 1..33, including exhausted-at-start and duplicate-heavy
-// streams.
+// streams, the extreme keys (MaxInt64 is also the exhausted-leaf key),
+// multi-block cursors, and output blocks of every small size.
 func TestLoserTreeMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	alphabet := []Key{math.MinInt64, -1, 0, 1, math.MaxInt64}
 	for k := 1; k <= 33; k++ {
 		var all []Key
 		streams := make([]keyStream, k)
@@ -306,23 +332,34 @@ func TestLoserTreeMerge(t *testing.T) {
 			n := rng.Intn(20) // sometimes zero: exhausted before the first pop
 			run := make([]Key, n)
 			for j := range run {
-				run[j] = Key(rng.Intn(50))
+				run[j] = alphabet[rng.Intn(len(alphabet))]
+				if rng.Intn(2) == 0 {
+					run[j] = Key(rng.Intn(50))
+				}
 			}
-			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
+			slices.Sort(run)
 			all = append(all, run...)
-			streams[i] = &memStream{keys: run}
+			if i%2 == 0 {
+				streams[i] = &memStream{keys: run}
+			} else {
+				streams[i] = &blockStream{keys: run, rng: rng}
+			}
 		}
-		lt := newLoserTree(streams)
+		lt := newLoserTree(streams, len(all))
+		out := make([]Key, 1+k%7)
 		var got []Key
 		for {
-			v, ok := lt.pop()
-			if !ok {
+			n := lt.fill(out)
+			got = append(got, out[:n]...)
+			if n < len(out) {
 				break
 			}
-			got = append(got, v)
 		}
 		if err := lt.fail(); err != nil {
 			t.Fatal(err)
+		}
+		if n := lt.fill(out); n != 0 {
+			t.Fatalf("k=%d: drained tree produced %d more keys", k, n)
 		}
 		checkEqual(t, all, got, fmt.Sprintf("k=%d", k))
 	}

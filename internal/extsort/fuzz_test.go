@@ -2,14 +2,15 @@ package extsort
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"testing"
 )
 
 // FuzzSortStreamEquivalence: for fuzz-chosen input lengths, run sizes,
-// fan-ins and memory budgets, the streaming tier through the certified
-// network run sorter must agree with sort.Slice exactly. Wired into
-// `make fuzz` and `make extsort-fuzz`.
+// fan-ins, pre-merge batch sizes (drawn from the seed) and memory
+// budgets, the streaming tier through the certified network run sorter
+// must agree with slices.Sort exactly. Wired into `make fuzz` and
+// `make extsort-fuzz`.
 func FuzzSortStreamEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(7), uint8(3), false)
 	f.Add(int64(2), uint16(4096), uint8(16), uint8(2), true)
@@ -19,8 +20,9 @@ func FuzzSortStreamEquivalence(f *testing.F) {
 	maxRun := sorter.MaxRun()
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, runSize, fanIn uint8, spill bool) {
 		cfg := Config{
-			RunSize: 1 + int(runSize)%maxRun,
-			FanIn:   2 + int(fanIn)%31,
+			RunSize:  1 + int(runSize)%maxRun,
+			FanIn:    2 + int(fanIn)%31,
+			RunBatch: 1 + int(uint64(seed)%16),
 		}
 		if spill {
 			cfg.MemoryKeys = 1 // clamped to the merge floor; forces spilling past it
@@ -41,8 +43,8 @@ func FuzzSortStreamEquivalence(f *testing.F) {
 			t.Fatalf("stats.Keys = %d, want %d", stats.Keys, len(keys))
 		}
 		got := out.Keys()
-		want := append([]Key(nil), keys...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		want := slices.Clone(keys)
+		slices.Sort(want)
 		if len(got) != len(want) {
 			t.Fatalf("%d keys out, want %d", len(got), len(want))
 		}

@@ -25,15 +25,15 @@ type Writer interface {
 // errEOF is the sentinel readRun reports a clean end of stream with.
 var errEOF = io.EOF
 
-// readRun fills one run of up to runSize keys from src. It returns the
-// keys read (possibly empty at the end of the stream) and io.EOF once
-// the source is exhausted.
-func readRun(src Reader, runSize int) ([]Key, error) {
-	run := make([]Key, runSize)
+// readRun fills the run buffer buf from src. It returns the keys read,
+// a prefix of buf (possibly empty at the end of the stream), and io.EOF
+// once the source is exhausted.
+func readRun(src Reader, buf []Key) ([]Key, error) {
+	run := buf
 	fill := 0
-	for fill < runSize {
+	for fill < len(run) {
 		n, err := src.Read(run[fill:])
-		if n < 0 || n > runSize-fill {
+		if n < 0 || n > len(run)-fill {
 			return run[:fill], &ConfigError{Field: "Reader", Reason: "Read returned an out-of-range count"}
 		}
 		fill += n

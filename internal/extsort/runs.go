@@ -1,9 +1,14 @@
-// Run storage: sorted runs live in memory up to the resident-key
+// Run storage: sorted leaves live in memory up to the resident-key
 // budget; beyond it they spill to one temp file as contiguous
 // fixed-width segments (8 bytes per key, little endian). A single file
-// holds every spilled run — sequential appends on the write side,
-// positional buffered reads on the merge side — so a ten-thousand-run
-// input costs one descriptor, not ten thousand.
+// holds every spilled leaf — positional writes into segments reserved
+// in input order, positional buffered reads on the merge side — so a
+// ten-thousand-run input costs one descriptor, not ten thousand.
+//
+// Placement (resident or which segment) is decided on Sort's own
+// goroutine in input order, so the spill layout and the accounting are
+// deterministic; the encoding and the WriteAt of a reserved segment may
+// then run on any goroutine, because reserved segments never overlap.
 
 package extsort
 
@@ -11,6 +16,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // spillBufKeys is the per-stream read buffer and the spill write
@@ -20,7 +28,7 @@ const spillBufKeys = 4096
 // keyBytes is the on-disk key width.
 const keyBytes = 8
 
-// runHandle is one sorted run: resident (mem != nil) or a spill-file
+// runHandle is one sorted leaf: resident (mem != nil) or a spill-file
 // segment [off, off+count·keyBytes).
 type runHandle struct {
 	mem   []Key
@@ -34,39 +42,54 @@ type runStore struct {
 	budget   int // MemoryKeys
 	resident int
 	runs     []runHandle
+	fileEnd  int64 // end of the reserved segments
 
+	// The spill file is created on first write, by whichever goroutine
+	// gets there first; a creation failure is sticky.
+	fileMu  sync.Mutex
 	file    *os.File
-	fileEnd int64
-	wbuf    []byte // spill encode buffer, spillBufKeys wide
+	fileErr error
 
-	stats *Stats
-	met   *metrics
+	// Spill accounting and I/O busy time, summed across goroutines and
+	// folded into Stats by foldStats.
+	spilledRuns, spilledBytes atomic.Int64
+	writeNs, readNs           atomic.Int64
+
+	met *metrics
 }
 
-func newRunStore(dir string, budget int, stats *Stats, met *metrics) *runStore {
-	return &runStore{dir: dir, budget: budget, stats: stats, met: met}
+func newRunStore(dir string, budget int, met *metrics) *runStore {
+	return &runStore{dir: dir, budget: budget, met: met}
 }
 
-// add takes ownership of one sorted run, keeping it resident when the
-// budget allows and spilling it otherwise.
-func (st *runStore) add(run []Key) error {
-	if st.resident+len(run) <= st.budget {
-		st.resident += len(run)
-		st.runs = append(st.runs, runHandle{mem: run})
-		return nil
-	}
-	h, err := st.spill(run)
-	if err != nil {
-		return err
+// place gives the next leaf of n keys its home, in input order: a
+// fresh resident buffer while the budget allows, a reserved spill
+// segment otherwise. The caller fills the buffer or writes the segment.
+func (st *runStore) place(n int) runHandle {
+	var h runHandle
+	if st.resident+n <= st.budget {
+		st.resident += n
+		h = runHandle{mem: make([]Key, n), count: n}
+	} else {
+		h = runHandle{off: st.reserve(n), count: n}
 	}
 	st.runs = append(st.runs, h)
-	return nil
+	return h
 }
 
-// ensureFile lazily creates the spill file.
-func (st *runStore) ensureFile() error {
-	if st.file != nil {
-		return nil
+// reserve claims a segment of n keys at the end of the spill file.
+func (st *runStore) reserve(n int) int64 {
+	off := st.fileEnd
+	st.fileEnd += int64(n) * keyBytes
+	return off
+}
+
+// spillFile returns the spill file, creating it on first use.
+func (st *runStore) spillFile() (*os.File, error) {
+	st.fileMu.Lock()
+	defer st.fileMu.Unlock()
+	if st.file != nil || st.fileErr != nil {
+		return st.file, st.fileErr
 	}
 	dir := st.dir
 	if dir == "" {
@@ -74,7 +97,8 @@ func (st *runStore) ensureFile() error {
 	}
 	f, err := os.CreateTemp(dir, "extsort-spill-*")
 	if err != nil {
-		return fmt.Errorf("extsort: creating spill file: %w", err)
+		st.fileErr = fmt.Errorf("extsort: creating spill file: %w", err)
+		return nil, st.fileErr
 	}
 	// Unlinking immediately keeps the cleanup contract trivial: the
 	// segments stay readable through the descriptor, and the kernel
@@ -82,104 +106,72 @@ func (st *runStore) ensureFile() error {
 	// the process dies mid-sort.
 	if err := os.Remove(f.Name()); err != nil {
 		f.Close()
-		return fmt.Errorf("extsort: unlinking spill file: %w", err)
+		st.fileErr = fmt.Errorf("extsort: unlinking spill file: %w", err)
+		return nil, st.fileErr
 	}
 	st.file = f
-	st.wbuf = make([]byte, spillBufKeys*keyBytes)
-	return nil
+	return f, nil
 }
 
-// spill appends run to the spill file and returns its segment handle.
-func (st *runStore) spill(run []Key) (runHandle, error) {
-	w, err := st.beginSegment()
+// writeAt encodes keys through buf (a whole number of keys wide) and
+// writes them at byte offset off. Safe on any goroutine: every caller
+// writes inside its own reserved segment.
+func (st *runStore) writeAt(keys []Key, off int64, buf []byte) error {
+	f, err := st.spillFile()
 	if err != nil {
-		return runHandle{}, err
+		return err
 	}
-	if err := w.write(run); err != nil {
-		return runHandle{}, err
-	}
-	return w.finish()
-}
-
-// segmentWriter streams one run (or one intermediate merged run) into
-// the spill file through the store's encode buffer.
-type segmentWriter struct {
-	st    *runStore
-	off   int64
-	count int
-	fill  int // keys buffered in st.wbuf
-}
-
-// beginSegment opens a writer at the current end of the spill file.
-// Segments are written one at a time (the pipeline is sequential), so
-// the single encode buffer is safe to share.
-func (st *runStore) beginSegment() (*segmentWriter, error) {
-	if err := st.ensureFile(); err != nil {
-		return nil, err
-	}
-	return &segmentWriter{st: st, off: st.fileEnd}, nil
-}
-
-// write appends keys to the segment.
-func (w *segmentWriter) write(keys []Key) error {
-	st := w.st
+	defer st.timeWrite(time.Now())
 	for len(keys) > 0 {
-		space := spillBufKeys - w.fill
-		if space == 0 {
-			if err := w.flush(); err != nil {
-				return err
-			}
-			space = spillBufKeys
+		n := min(len(keys), len(buf)/keyBytes)
+		for i, k := range keys[:n] {
+			binary.LittleEndian.PutUint64(buf[i*keyBytes:], uint64(k))
 		}
-		if space > len(keys) {
-			space = len(keys)
+		if _, err := f.WriteAt(buf[:n*keyBytes], off); err != nil {
+			return fmt.Errorf("extsort: spill write: %w", err)
 		}
-		base := w.fill * keyBytes
-		for i, k := range keys[:space] {
-			binary.LittleEndian.PutUint64(st.wbuf[base+i*keyBytes:], uint64(k))
-		}
-		w.fill += space
-		w.count += space
-		keys = keys[space:]
+		off += int64(n) * keyBytes
+		keys = keys[n:]
 	}
 	return nil
 }
 
-// flush writes the buffered keys to the file.
-func (w *segmentWriter) flush() error {
-	if w.fill == 0 {
-		return nil
-	}
-	st := w.st
-	if _, err := st.file.WriteAt(st.wbuf[:w.fill*keyBytes], st.fileEnd); err != nil {
-		return fmt.Errorf("extsort: spill write: %w", err)
-	}
-	st.fileEnd += int64(w.fill * keyBytes)
-	w.fill = 0
-	return nil
-}
-
-// finish flushes, accounts the spill, and returns the segment handle.
-func (w *segmentWriter) finish() (runHandle, error) {
-	if err := w.flush(); err != nil {
-		return runHandle{}, err
-	}
-	st := w.st
-	bytes := int64(w.count) * keyBytes
-	st.stats.SpilledRuns++
-	st.stats.SpilledBytes += bytes
+// spilled accounts one fully written segment of n keys.
+func (st *runStore) spilled(n int) {
+	bytes := int64(n) * keyBytes
+	st.spilledRuns.Add(1)
+	st.spilledBytes.Add(bytes)
 	if st.met != nil {
 		st.met.spillRuns.Inc()
 		st.met.spillBytes.Add(bytes)
 	}
-	return runHandle{off: w.off, count: w.count}, nil
 }
 
-// release returns a consumed handle's residency to the budget.
-func (st *runStore) release(h runHandle) {
-	if h.mem != nil {
-		st.resident -= len(h.mem)
+// timeWrite and timeRead add the time since t0 to the spill write or
+// read busy time and its histogram.
+func (st *runStore) timeWrite(t0 time.Time) {
+	d := time.Since(t0).Nanoseconds()
+	st.writeNs.Add(d)
+	if st.met != nil {
+		st.met.spillWriteNs.Observe(d)
 	}
+}
+
+func (st *runStore) timeRead(t0 time.Time) {
+	d := time.Since(t0).Nanoseconds()
+	st.readNs.Add(d)
+	if st.met != nil {
+		st.met.spillReadNs.Observe(d)
+	}
+}
+
+// foldStats copies the spill accounting into stats. Call it once every
+// goroutine that writes has been joined.
+func (st *runStore) foldStats(stats *Stats) {
+	stats.SpilledRuns = st.spilledRuns.Load()
+	stats.SpilledBytes = st.spilledBytes.Load()
+	stats.SpillWriteNs = st.writeNs.Load()
+	stats.SpillReadNs = st.readNs.Load()
 }
 
 // close releases the spill file (and with it, by the unlink above, the
@@ -191,93 +183,80 @@ func (st *runStore) close() {
 	}
 }
 
-// stream opens a cursor over one run.
-func (st *runStore) stream(h runHandle) keyStream {
-	if h.mem != nil {
-		return &memStream{keys: h.mem}
+// streams opens a cursor per handle. The spill cursors of one merge
+// share a single raw read buffer: the merge refills one stream at a
+// time.
+func (st *runStore) streams(handles []runHandle) []keyStream {
+	out := make([]keyStream, len(handles))
+	var raw []byte
+	for i, h := range handles {
+		if h.mem != nil {
+			out[i] = &memStream{keys: h.mem}
+			continue
+		}
+		if raw == nil {
+			raw = make([]byte, spillBufKeys*keyBytes)
+		}
+		out[i] = &spillStream{st: st, off: h.off, remaining: h.count, buf: make([]Key, spillBufKeys), raw: raw}
 	}
-	return &spillStream{
-		file:      st.file,
-		off:       h.off,
-		remaining: h.count,
-		buf:       make([]Key, 0, spillBufKeys),
-		raw:       make([]byte, spillBufKeys*keyBytes),
-	}
+	return out
 }
 
-// keyStream is a pull cursor over one sorted run.
+// keyStream is a pull cursor over one sorted run, a block at a time.
 type keyStream interface {
-	// next returns the stream's head and advances; ok=false at the end
-	// — or on a read error, which fail() then reports, so an exhausted
-	// stream is never conflated with a failed one.
-	next() (Key, bool)
+	// next returns the stream's next block, valid until the following
+	// call; an empty block marks the end — or a read error, which fail()
+	// then reports, so an exhausted stream is never conflated with a
+	// failed one.
+	next() []Key
 	// fail returns the first read error, nil on a clean stream.
 	fail() error
 }
 
-// memStream cursors a resident run.
+// memStream cursors a resident run: the whole run is one block.
 type memStream struct {
 	keys []Key
-	pos  int
 }
 
-func (s *memStream) next() (Key, bool) {
-	if s.pos == len(s.keys) {
-		return 0, false
-	}
-	k := s.keys[s.pos]
-	s.pos++
-	return k, true
+func (s *memStream) next() []Key {
+	b := s.keys
+	s.keys = nil
+	return b
 }
 
 func (s *memStream) fail() error { return nil }
 
-// spillStream cursors a spill segment through a positional read buffer;
-// multiple spill streams share the file descriptor safely because every
-// read is an offset ReadAt.
+// spillStream cursors a spill segment through positional reads; every
+// stream shares the file descriptor safely because every read is an
+// offset ReadAt.
 type spillStream struct {
-	file      *os.File
+	st        *runStore
 	off       int64
 	remaining int
 	buf       []Key
-	raw       []byte
-	pos       int
+	raw       []byte // shared by the merge's spill streams
 	err       error
 }
 
 func (s *spillStream) fail() error { return s.err }
 
-func (s *spillStream) next() (Key, bool) {
-	if s.pos == len(s.buf) {
-		if !s.refill() {
-			return 0, false
-		}
-	}
-	k := s.buf[s.pos]
-	s.pos++
-	return k, true
-}
-
-// refill reads the next block of the segment.
-func (s *spillStream) refill() bool {
+// next reads and decodes the next block of the segment.
+func (s *spillStream) next() []Key {
 	if s.remaining == 0 || s.err != nil {
-		return false
+		return nil
 	}
-	n := spillBufKeys
-	if n > s.remaining {
-		n = s.remaining
-	}
+	defer s.st.timeRead(time.Now())
+	n := min(s.remaining, len(s.buf))
 	raw := s.raw[:n*keyBytes]
-	if _, err := s.file.ReadAt(raw, s.off); err != nil {
+	if _, err := s.st.file.ReadAt(raw, s.off); err != nil {
 		s.err = fmt.Errorf("extsort: spill read: %w", err)
-		return false
+		return nil
 	}
-	s.buf = s.buf[:n]
-	for i := range s.buf {
-		s.buf[i] = Key(binary.LittleEndian.Uint64(raw[i*keyBytes:]))
+	buf := s.buf[:n]
+	for i := range buf {
+		buf[i] = Key(binary.LittleEndian.Uint64(raw[i*keyBytes:]))
 	}
-	s.off += int64(n * keyBytes)
+	s.off += int64(n) * keyBytes
 	s.remaining -= n
-	s.pos = 0
-	return true
+	return buf
 }

@@ -5,7 +5,7 @@ package extsort
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"productsort/internal/schedule"
 )
@@ -38,7 +38,7 @@ func (ns *NetworkSorter) SortRuns(ctx context.Context, runs [][]Key) error {
 	return schedule.RunBatchColumnar(ns.prog, runs, ns.workers, ns.buf)
 }
 
-// SliceSorter is the stdlib oracle run sorter: sort.Slice per run. Max
+// SliceSorter is the stdlib oracle run sorter: slices.Sort per run. Max
 // bounds the run size it accepts (<= 0 means unbounded); it exists for
 // baselines and for exercising the merge independently of the
 // network machinery.
@@ -60,7 +60,7 @@ func (s SliceSorter) SortRuns(ctx context.Context, runs [][]Key) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
+		slices.Sort(run)
 	}
 	return nil
 }

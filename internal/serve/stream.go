@@ -29,7 +29,8 @@ type StreamConfig struct {
 	// RunSize is the keys per run (default min(1024, MaxKeys); must
 	// not exceed MaxKeys — runs are single requests).
 	RunSize int
-	// FanIn bounds the merge fan-in (default 16).
+	// FanIn bounds the merge fan-in (default derived from MemoryKeys:
+	// 511 at the default budget).
 	FanIn int
 	// RunBatch is how many runs are in flight through the server at
 	// once (default 16): the window the server's own size-bucket

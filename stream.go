@@ -47,10 +47,13 @@ type StreamConfig struct {
 	// sorter's ceiling — the network's node count for SortStream, the
 	// largest serving network for SubmitStream)).
 	RunSize int
-	// FanIn bounds the k-way merge's fan-in (default 16, min 2).
+	// FanIn bounds the k-way merge's fan-in (default: the largest F
+	// with (F+1)·4096 ≤ MemoryKeys, at least 16 — 511 at the default
+	// budget; min 2).
 	FanIn int
 	// RunBatch is how many runs sort together per batch replay (or, on
-	// the serve path, how many are in flight at once; default 16).
+	// the serve path, how many are in flight at once) and then pre-merge
+	// into one merge leaf on a background worker (default 16).
 	RunBatch int
 	// MemoryKeys bounds resident sorted keys; runs beyond it spill to
 	// disk (default 1<<21 keys = 16 MiB).
@@ -66,10 +69,13 @@ type StreamConfig struct {
 
 // SortStream sorts the key stream src into dst through this compiled
 // network: runs of up to RunSize keys (at most the network's node
-// count) are sorted by the network's certified batch replay and merged
-// with a loser-tree k-way merge. Cancellable via ctx between stages;
-// on error dst may hold a sorted prefix. Safe for concurrent use —
-// each call owns its run and merge state.
+// count) are sorted by the network's certified batch replay,
+// pre-merged a batch at a time by background workers, and merged with
+// a loser-tree k-way merge. src.Read and dst.Write are called only from
+// the calling goroutine, one at a time, and every background worker
+// has exited when SortStream returns. Cancellable via ctx; on error dst
+// may hold a sorted prefix. Safe for concurrent use — each call owns
+// its run and merge state.
 func (c *CompiledNetwork) SortStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {
 	sorter := extsort.NewNetworkSorter(c.prog, 0)
 	return extsort.Sort(ctx, src, dst, sorter, extsort.Config{
