@@ -20,7 +20,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
-	bce bench-schedule chaos fuzz cert serve-soak bench-serve contend epoch-stress \
+	bce bench-schedule chaos fuzz cert serve-soak bench-serve \
 	extsort-battery extsort-fuzz bench-extsort perfbench
 
 ci: vet build test race fmtcheck lint cover bce
@@ -147,27 +147,6 @@ serve-soak:
 # prints the throughput/latency table and writes BENCH_serve.json.
 bench-serve:
 	$(GO) run ./cmd/bench -serve
-
-# Plan-store contention sweep: the old mutex LRU vs the lock-free
-# versioned-read store across GOMAXPROCS {1, 4, all}, writing
-# BENCH_contend.json. CONTEND_MINGAIN > 0 arms the lock-plateau gate:
-# the run fails unless the lock-free store's all-core throughput is at
-# least that multiple of its own single-core figure (the gate auto-
-# skips, recording why, on hosts with fewer CPUs than the sweep). CI's
-# contend job runs this with CONTEND_MINGAIN=2.
-CONTEND_MINGAIN ?= 0
-contend:
-	$(GO) run ./cmd/bench -contend -mingain $(CONTEND_MINGAIN)
-
-# Epoch-reclamation stress: the store's memory-lifecycle invariants
-# (pinned readers never observe a freed program; every retired program
-# is freed exactly once; the sharded admission bound is exact) hammered
-# under the race detector for STRESS_MS milliseconds. Plain `go test`
-# runs the same tests at 200ms; this target is the extended CI leg.
-STRESS_MS ?= 2000
-epoch-stress:
-	STRESS_MS=$(STRESS_MS) $(GO) test -race -count=1 \
-		-run 'TestEpochReclaimStress|TestShardedLimiter' ./internal/serve/
 
 # Streaming external sort battery, race-enabled: the extsort package's
 # oracle/property/cancel tests, the serve large-request lane, and the

@@ -9,7 +9,6 @@
 //	bench -trace t.json    # trace one sort, write a Chrome trace
 //	bench -schedule        # cold-vs-warm schedule benchmark
 //	bench -chaos           # resilient sorts under injected faults
-//	bench -contend         # plan-store contention sweep across GOMAXPROCS
 //	bench -cert            # bitsliced 0-1 certification of compiled programs
 //	bench -extsort         # streaming external sort tier vs slices.Sort
 //	bench -mode extsort    # same modes by name; unknown names fail the run
@@ -56,11 +55,6 @@ func run() int {
 	serveLoads := flag.String("loads", "2000,5000,10000,15000,20000,30000", "comma-separated offered loads (requests/sec) for -serve")
 	serveSizes := flag.Int("servesizes", 64, "largest request size for -serve (Zipf sizes in 1..this)")
 	serveSeed := flag.Int64("serveseed", 1, "arrival/size seed for -serve")
-	contendMode := flag.Bool("contend", false, "sweep plan-store contention across GOMAXPROCS (old vs new store) and exit")
-	contendOut := flag.String("contendout", "BENCH_contend.json", "output path for -contend")
-	contendDur := flag.Duration("contenddur", 400*time.Millisecond, "measurement time per (store, procs) cell for -contend")
-	contendProcs := flag.String("contendprocs", "1,4,0", "comma-separated GOMAXPROCS values for -contend (0 = all CPUs)")
-	contendMinGain := flag.Float64("mingain", 0, "fail -contend unless the lock-free store's max-proc throughput is >= this multiple of its single-proc throughput (0 disables; auto-skips when the host has fewer CPUs than the sweep)")
 	certMode := flag.Bool("cert", false, "certify built-in family/engine programs with the bitsliced 0-1 engine and exit")
 	certOut := flag.String("certout", "BENCH_cert.json", "output path for -cert")
 	certMax := flag.Int("certmax", 20, "largest key count certified exhaustively for -cert")
@@ -70,7 +64,7 @@ func run() int {
 	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -extsort's size sweep")
 	extsortFanins := flag.String("fanins", "2,4,8,16,32,64", "comma-separated merge fan-ins for -extsort's fan-in sweep")
 	extsortSeed := flag.Int64("extsortseed", 1, "workload seed for -extsort")
-	mode := flag.String("mode", "", "select a mode by name (exp, schedule, chaos, serve, contend, cert, extsort) instead of the boolean flags; unknown names fail the run")
+	mode := flag.String("mode", "", "select a mode by name (exp, schedule, chaos, serve, cert, extsort) instead of the boolean flags; unknown names fail the run")
 	tracePath := flag.String("trace", "", "trace one sort on the selected network (-network/-n/-r), write Chrome trace_event JSON to this path, and exit")
 	metricsPath := flag.String("metricsout", "", "with -trace: also write the metrics registry snapshot as JSON to this path")
 	traceSeed := flag.Int64("traceseed", 1, "workload seed for -trace")
@@ -128,14 +122,12 @@ func run() int {
 			*chaosMode = true
 		case "serve":
 			*serveMode = true
-		case "contend":
-			*contendMode = true
 		case "cert":
 			*certMode = true
 		case "extsort":
 			*extsortMode = true
 		default:
-			fmt.Fprintf(os.Stderr, "bench: unknown -mode %q (valid: exp, schedule, chaos, serve, contend, cert, extsort)\n", *mode)
+			fmt.Fprintf(os.Stderr, "bench: unknown -mode %q (valid: exp, schedule, chaos, serve, cert, extsort)\n", *mode)
 			return 2
 		}
 	}
@@ -161,12 +153,6 @@ func run() int {
 		return 0
 	case *serveMode:
 		if err := runServeBench(*serveOut, *serveLoads, *serveDur, *serveSizes, *serveSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	case *contendMode:
-		if err := runContendBench(*contendOut, *contendProcs, *contendDur, *contendMinGain); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

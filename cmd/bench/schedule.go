@@ -28,15 +28,10 @@ type scheduleEntry struct {
 	WarmPerSetNs int64 `json:"warmPerSetNs"`
 	// Speedup is ColdNs / WarmPerSetNs.
 	Speedup float64 `json:"speedup"`
-	// RowsPerSetNs and ColsPerSetNs are the single-worker rows-vs-
-	// columns head-to-head: the same full-size batch replayed through
-	// the row-at-a-time snake path (RunBatchSnake) and the columnar
-	// kernel (RunBatchColumnar), best of 3, per set.
-	RowsPerSetNs int64 `json:"rowsPerSetNs"`
+	// ColsPerSetNs is the single-worker kernel time: the same
+	// full-size batch replayed through the columnar kernel
+	// (RunBatchColumnar), best of 3, per set.
 	ColsPerSetNs int64 `json:"colsPerSetNs"`
-	// ColSpeedup is RowsPerSetNs / ColsPerSetNs — the factor the
-	// struct-of-arrays transform buys on this topology.
-	ColSpeedup float64 `json:"colSpeedup"`
 }
 
 // familyEntry is one cell of the cross-family head-to-head: the same
@@ -97,8 +92,8 @@ func runScheduleBench(path string, sets, workers int) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// Each topology pairs the root network (for the public-API cold/warm
-	// measurement) with its factor graph + dimension (so the kernel
-	// head-to-head can reach the internal compiled program directly).
+	// measurement) with its factor graph + dimension (so the columnar
+	// kernel timing can reach the internal compiled program directly).
 	type topo struct {
 		nw     *productsort.Network
 		factor *graph.Graph
@@ -189,19 +184,15 @@ func runScheduleBench(path string, sets, workers int) error {
 		if perSet > 0 {
 			e.Speedup = float64(e.ColdNs) / float64(perSet)
 		}
-		rowsNs, colsNs, err := rowsVsColumns(tp.factor, tp.r, sets, gen)
+		e.ColsPerSetNs, err = columnsPerSet(tp.factor, tp.r, sets, gen)
 		if err != nil {
 			return err
 		}
-		e.RowsPerSetNs, e.ColsPerSetNs = rowsNs, colsNs
-		if e.ColsPerSetNs > 0 {
-			e.ColSpeedup = float64(e.RowsPerSetNs) / float64(e.ColsPerSetNs)
-		}
 		report.Entries = append(report.Entries, e)
-		fmt.Printf("%-22s nodes=%-5d cold=%-12v warm/set=%-12v speedup=%-8.1fx rows/set=%-10v cols/set=%-10v cols-speedup=%.1fx\n",
+		fmt.Printf("%-22s nodes=%-5d cold=%-12v warm/set=%-12v speedup=%-8.1fx cols/set=%v\n",
 			nw.Name(), nw.Nodes(), cold.Round(time.Microsecond),
 			time.Duration(perSet).Round(time.Microsecond), e.Speedup,
-			time.Duration(e.RowsPerSetNs), time.Duration(e.ColsPerSetNs), e.ColSpeedup)
+			time.Duration(e.ColsPerSetNs))
 	}
 	report.Compiles = schedule.Stats().Compiles
 
@@ -342,15 +333,14 @@ func plannerSelections() ([]plannerPick, error) {
 	return picks, nil
 }
 
-// rowsVsColumns times the same full-size batch through the row-at-a-
-// time snake replay (RunBatchSnake) and the columnar kernel
-// (RunBatchColumnar), single worker so the numbers compare kernels and
-// not scheduling. Best of 3 runs each, per-set nanoseconds.
-func rowsVsColumns(factor *graph.Graph, r, sets int, gen workload.Gen) (rowsNs, colsNs int64, err error) {
+// columnsPerSet times a full-size batch through the columnar kernel
+// (RunBatchColumnar), single worker so the number measures the kernel
+// and not scheduling. Best of 3 runs, per-set nanoseconds.
+func columnsPerSet(factor *graph.Graph, r, sets int, gen workload.Gen) (int64, error) {
 	net := product.MustNew(factor, r)
 	prog, err := schedule.Compile(net, nil)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	nodes := net.Nodes()
 	pristine := make([][]productsort.Key, sets)
@@ -367,42 +357,27 @@ func rowsVsColumns(factor *graph.Graph, r, sets int, gen workload.Gen) (rowsNs, 
 		}
 	}
 
-	rowBuf := schedule.NewBatchBuffer()
-	colBuf := schedule.NewColumnBuffer()
-	// Warm both pools so the timed runs see the steady-state path.
+	buf := schedule.NewColumnBuffer()
+	// Warm the pool so the timed runs see the steady-state path.
 	reload()
-	if err := schedule.RunBatchSnake(prog, batch, 1, rowBuf); err != nil {
-		return 0, 0, err
+	if err := schedule.RunBatchColumnar(prog, batch, 1, buf); err != nil {
+		return 0, err
 	}
-	reload()
-	if err := schedule.RunBatchColumnar(prog, batch, 1, colBuf); err != nil {
-		return 0, 0, err
-	}
-
-	var rows, cols time.Duration
+	var best time.Duration
 	for rep := 0; rep < 3; rep++ {
 		reload()
 		start := time.Now()
-		if err := schedule.RunBatchSnake(prog, batch, 1, rowBuf); err != nil {
-			return 0, 0, err
+		if err := schedule.RunBatchColumnar(prog, batch, 1, buf); err != nil {
+			return 0, err
 		}
-		if d := time.Since(start); rep == 0 || d < rows {
-			rows = d
-		}
-
-		reload()
-		start = time.Now()
-		if err := schedule.RunBatchColumnar(prog, batch, 1, colBuf); err != nil {
-			return 0, 0, err
-		}
-		if d := time.Since(start); rep == 0 || d < cols {
-			cols = d
+		if d := time.Since(start); rep == 0 || d < best {
+			best = d
 		}
 	}
 	for i, set := range batch {
 		if !productsort.IsSorted(set) {
-			return 0, 0, fmt.Errorf("rows-vs-columns: set %d not sorted after columnar replay", i)
+			return 0, fmt.Errorf("columnar replay: set %d not sorted", i)
 		}
 	}
-	return rows.Nanoseconds() / int64(sets), cols.Nanoseconds() / int64(sets), nil
+	return best.Nanoseconds() / int64(sets), nil
 }

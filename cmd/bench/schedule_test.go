@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"productsort"
@@ -64,5 +67,35 @@ func TestPlannerSelections(t *testing.T) {
 	}
 	if nonProduct == 0 {
 		t.Fatal("no non-product selection (the helper should have errored)")
+	}
+}
+
+// TestRunScheduleBench runs the -schedule mode end to end at a small
+// set count and checks the artifact it writes: every topology entry
+// carries a cold time, a warm time and the columnar per-set time, and
+// the batch phase compiled nothing beyond the cold builds.
+func TestRunScheduleBench(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "schedule.json")
+	if err := runScheduleBench(path, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep scheduleReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sets != 4 || rep.Workers != 1 || len(rep.Entries) != 5 {
+		t.Fatalf("report header: sets %d workers %d entries %d, want 4/1/5", rep.Sets, rep.Workers, len(rep.Entries))
+	}
+	for _, e := range rep.Entries {
+		if e.ColdNs <= 0 || e.WarmPerSetNs <= 0 || e.ColsPerSetNs <= 0 || e.Rounds < 1 {
+			t.Fatalf("degenerate entry: %+v", e)
+		}
+	}
+	if len(rep.Families) != 6 || len(rep.PlannerSelections) != 7 {
+		t.Fatalf("%d family rows and %d planner picks, want 6 and 7", len(rep.Families), len(rep.PlannerSelections))
 	}
 }

@@ -91,9 +91,9 @@ func runServeBench(outPath, loadsCSV string, dur time.Duration, sizeMax int, see
 		"offered/s", "requests", "completed", "shed", "through/s", "p50 ms", "p95 ms", "p99 ms", "meanbatch")
 
 	for li, load := range loads {
-		// A fresh server per level: no warm plan cache leaking batch
-		// state between levels (programs still share the process-wide
-		// compile cache, which is the point of the compile/replay split).
+		// A fresh server per level: no batch state or compiled program
+		// leaks between levels (each server's buckets compile their own
+		// programs on their first flush).
 		srv, err := productsort.NewServer(productsort.ServerConfig{MaxKeys: sizeMax})
 		if err != nil {
 			return err

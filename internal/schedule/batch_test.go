@@ -32,136 +32,27 @@ func mixedBatch(sizes []int, seed int64) [][]simnet.Key {
 	return batch
 }
 
-// TestRunBatchSnakeMixedSizes checks the padded batch replay against
-// the reference sort for items spanning every admissible length,
-// sequentially and with a worker pool, with and without a shared
-// buffer.
-func TestRunBatchSnakeMixedSizes(t *testing.T) {
-	net := product.MustNew(graph.Path(4), 2) // 16 nodes
-	prog, err := Compile(net, nil)
-	if err != nil {
+// scalarSnake is the per-item oracle for batch replay: one snake-order
+// item through the scalar ExecBackend, via its own transpose and
+// sentinel padding. It returns the sorted copy; keys is untouched.
+func scalarSnake(t testing.TB, prog *Program, keys []simnet.Key) []simnet.Key {
+	t.Helper()
+	perm := prog.SnakePerm()
+	scratch := make([]simnet.Key, len(perm))
+	for pos, k := range keys {
+		scratch[perm[pos]] = k
+	}
+	for pos := len(keys); pos < len(scratch); pos++ {
+		scratch[perm[pos]] = Sentinel
+	}
+	if _, err := (ExecBackend{}).Run(prog, scratch); err != nil {
 		t.Fatal(err)
 	}
-	sizes := []int{1, 5, 16, 9, 16, 2, 13, 7, 16, 3, 11}
-	for _, workers := range []int{1, 4, 0} {
-		for _, buf := range []*BatchBuffer{nil, NewBatchBuffer()} {
-			batch := mixedBatch(sizes, int64(workers)+7)
-			want := make([][]simnet.Key, len(batch))
-			for i, keys := range batch {
-				want[i] = sortedCopy(keys)
-			}
-			if err := RunBatchSnake(prog, batch, workers, buf); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			for i, keys := range batch {
-				if len(keys) != sizes[i] {
-					t.Fatalf("workers=%d: item %d resized to %d", workers, i, len(keys))
-				}
-				for j := range keys {
-					if keys[j] != want[i][j] {
-						t.Fatalf("workers=%d item %d: got %v want %v", workers, i, keys, want[i])
-					}
-				}
-			}
-		}
+	out := make([]simnet.Key, len(keys))
+	for pos := range out {
+		out[pos] = scratch[perm[pos]]
 	}
-}
-
-// TestRunBatchSnakeRejectsBadSizes: empty and oversized items are
-// admission errors, not padding candidates.
-func TestRunBatchSnakeRejectsBadSizes(t *testing.T) {
-	net := product.MustNew(graph.K2(), 3) // 8 nodes
-	prog, err := Compile(net, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RunBatchSnake(prog, [][]simnet.Key{make([]simnet.Key, 9)}, 1, nil); err == nil {
-		t.Fatal("oversized item accepted")
-	}
-	if err := RunBatchSnake(prog, [][]simnet.Key{{}}, 1, nil); err == nil {
-		t.Fatal("empty item accepted")
-	}
-	if err := RunBatchSnake(prog, nil, 1, nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-}
-
-// TestRunBatchSnakeZeroAlloc pins the satellite's point: with a warmed
-// BatchBuffer the single-worker replay path allocates nothing per item
-// (the occasional sync.Pool refill after a GC is the only tolerated
-// noise).
-func TestRunBatchSnakeZeroAlloc(t *testing.T) {
-	net := product.MustNew(graph.K2(), 4) // 16 nodes
-	prog, err := Compile(net, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := NewBatchBuffer()
-	const items = 8
-	batch := mixedBatch([]int{16, 12, 16, 9, 16, 16, 5, 16}[:items], 3)
-	// Warm the pool and the program's snake permutation.
-	if err := RunBatchSnake(prog, batch, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := RunBatchSnake(prog, batch, 1, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perItem := allocs / items; perItem > 0.25 {
-		t.Fatalf("warm RunBatchSnake allocates %.2f objects/item (%.1f/call); want ~0", perItem, allocs)
-	}
-}
-
-// BenchmarkRunBatchSnake contrasts the pooled transpose path with the
-// pre-satellite behaviour (a fresh node-indexed slice per item per
-// call, as CompiledNetwork.SortBatch used to build).
-func BenchmarkRunBatchSnake(b *testing.B) {
-	net := product.MustNew(graph.Path(8), 2) // 64 nodes
-	prog, err := Compile(net, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const items = 32
-	sizes := make([]int, items)
-	for i := range sizes {
-		sizes[i] = 64
-	}
-
-	b.Run("pooled", func(b *testing.B) {
-		buf := NewBatchBuffer()
-		batch := mixedBatch(sizes, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := RunBatchSnake(prog, batch, 1, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("fresh-bynode", func(b *testing.B) {
-		batch := mixedBatch(sizes, 1)
-		perm := prog.SnakePerm()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			byNode := make([][]simnet.Key, len(batch))
-			for j, keys := range batch {
-				bn := make([]simnet.Key, len(perm))
-				for pos, k := range keys {
-					bn[perm[pos]] = k
-				}
-				byNode[j] = bn
-			}
-			if err := RunBatch(prog, byNode, 1); err != nil {
-				b.Fatal(err)
-			}
-			for j, keys := range batch {
-				for pos := range keys {
-					keys[pos] = byNode[j][perm[pos]]
-				}
-			}
-		}
-	})
+	return out
 }
 
 // TestCompileUncachedBypassesCache: CompileUncached must build every

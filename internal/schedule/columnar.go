@@ -1,6 +1,6 @@
-// Columnar batch replay: the struct-of-arrays dual of RunBatchSnake.
+// Columnar batch replay: the one batch path.
 //
-// RunBatchSnake walks the program once per key set; RunBatchColumnar
+// ExecBackend walks the program once per key set; RunBatchColumnar
 // walks it once per *batch*. The batch is transposed into a ColumnBatch
 // — one contiguous column per snake position, holding that position's
 // key from every set — and the program's pre-lowered comparator stream
@@ -26,7 +26,7 @@ import (
 // of nodes × width keys in which column pos — slab[pos*width :
 // (pos+1)*width] — holds snake position pos of every set. Sets shorter
 // than the network occupy a prefix of the columns they reach and
-// Sentinel elsewhere, exactly mirroring RunBatchSnake's padding.
+// Sentinel elsewhere.
 type ColumnBatch struct {
 	slab  []simnet.Key
 	nodes int
@@ -118,9 +118,10 @@ func (bb *ColumnBuffer) put(cb *ColumnBatch) { bb.pool.Put(cb) }
 const minColumnarTile = 8
 
 // RunBatchColumnar sorts every key set of batch through one compiled
-// program — the same contract as RunBatchSnake (snake order, in place,
-// items of any length 1..nodes padded with Sentinel in scratch, never
-// in the caller's slice) — but columnar: the batch is transposed into
+// program: each set is given and returned in snake order, sorted in
+// place, and may be shorter than the network (1..nodes keys, padded
+// with Sentinel in scratch, never in the caller's slice), so one
+// program serves every request size it covers. The batch is transposed into
 // per-position columns and the program is walked once, each comparator
 // sweeping all sets in a branchless min/max loop. workers < 1 selects
 // GOMAXPROCS capped so every worker keeps at least minColumnarTile
@@ -129,12 +130,6 @@ const minColumnarTile = 8
 // share cache lines). buf (nil for a call-private one) recycles slabs
 // across calls; the warm single-worker path allocates nothing per item.
 func RunBatchColumnar(prog *Program, batch [][]simnet.Key, workers int, buf *ColumnBuffer) error {
-	if prog.Freed() {
-		// A freed program's lowered stream is gone; replaying it would
-		// silently leave every set unsorted. Fail loudly instead — this
-		// is the backstop behind the serving store's epoch grace period.
-		return ErrProgramFreed
-	}
 	nodes := prog.net.Nodes()
 	for i, keys := range batch {
 		if len(keys) == 0 || len(keys) > nodes {

@@ -71,26 +71,10 @@ func FuzzColumnarEquivalence(f *testing.F) {
 			return
 		}
 
-		// Oracle: scalar ExecBackend replay, one item at a time, through
-		// its own transpose + sentinel padding.
-		perm := prog.SnakePerm()
+		// Oracle: scalar ExecBackend replay, one item at a time.
 		want := make([][]simnet.Key, len(batch))
-		scratch := make([]simnet.Key, nodes)
 		for i, keys := range batch {
-			for pos, k := range keys {
-				scratch[perm[pos]] = k
-			}
-			for pos := len(keys); pos < nodes; pos++ {
-				scratch[perm[pos]] = Sentinel
-			}
-			if _, err := (ExecBackend{}).Run(prog, scratch); err != nil {
-				t.Fatal(err)
-			}
-			out := make([]simnet.Key, len(keys))
-			for pos := range out {
-				out[pos] = scratch[perm[pos]]
-			}
-			want[i] = out
+			want[i] = scalarSnake(t, prog, keys)
 		}
 
 		// Columnar replay, single tile and tiled across workers.

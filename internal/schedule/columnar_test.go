@@ -54,7 +54,7 @@ func TestLoweredComparatorsEquivalence(t *testing.T) {
 // TestRunBatchColumnarMixedSizes checks the columnar replay against the
 // reference sort for items spanning every admissible length,
 // sequentially and tiled across workers, with and without a shared
-// buffer — the columnar mirror of TestRunBatchSnakeMixedSizes.
+// buffer.
 func TestRunBatchColumnarMixedSizes(t *testing.T) {
 	net := product.MustNew(graph.Path(4), 2) // 16 nodes
 	prog, err := Compile(net, nil)
@@ -86,9 +86,10 @@ func TestRunBatchColumnarMixedSizes(t *testing.T) {
 	}
 }
 
-// TestRunBatchColumnarMatchesSnake: both batch paths are replays of the
-// same program, so on identical input batches they must produce
-// identical output — not merely both sorted.
+// TestRunBatchColumnarMatchesSnake: the columnar batch and the
+// per-item scalar snake replay (ExecBackend) run the same program, so
+// on identical input they must produce identical output — not merely
+// both sorted.
 func TestRunBatchColumnarMatchesSnake(t *testing.T) {
 	net := product.MustNew(graph.K2(), 4) // 16 nodes
 	prog, err := Compile(net, nil)
@@ -96,26 +97,25 @@ func TestRunBatchColumnarMatchesSnake(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{16, 1, 9, 16, 3, 12, 16, 7}
-	rows := mixedBatch(sizes, 29)
 	cols := mixedBatch(sizes, 29)
-	if err := RunBatchSnake(prog, rows, 1, nil); err != nil {
-		t.Fatal(err)
+	want := make([][]simnet.Key, len(cols))
+	for i, keys := range cols {
+		want[i] = scalarSnake(t, prog, keys)
 	}
 	if err := RunBatchColumnar(prog, cols, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			if rows[i][j] != cols[i][j] {
-				t.Fatalf("item %d pos %d: snake %d, columnar %d", i, j, rows[i][j], cols[i][j])
+	for i := range want {
+		for j := range want[i] {
+			if want[i][j] != cols[i][j] {
+				t.Fatalf("item %d pos %d: scalar %d, columnar %d", i, j, want[i][j], cols[i][j])
 			}
 		}
 	}
 }
 
-// TestRunBatchColumnarRejectsBadSizes: same admission contract as
-// RunBatchSnake — empty and oversized items are errors, an empty batch
-// is a no-op.
+// TestRunBatchColumnarRejectsBadSizes: empty and oversized items are
+// admission errors, not padding candidates; an empty batch is a no-op.
 func TestRunBatchColumnarRejectsBadSizes(t *testing.T) {
 	net := product.MustNew(graph.K2(), 3) // 8 nodes
 	prog, err := Compile(net, nil)
@@ -238,11 +238,10 @@ func TestRunBatchColumnarWorkersClamp(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchRowsVsColumns is the kernel head-to-head behind the
-// BENCH_schedule.json rows-vs-columns columns: the same 32-set batch on
-// a 64-node network through the row-at-a-time snake replay and the
-// columnar kernel.
-func BenchmarkBatchRowsVsColumns(b *testing.B) {
+// BenchmarkBatchColumns is the kernel timing behind the
+// BENCH_schedule.json colsPerSetNs column: a 32-set batch on a 64-node
+// network through the columnar kernel.
+func BenchmarkBatchColumns(b *testing.B) {
 	net := product.MustNew(graph.Path(8), 2) // 64 nodes
 	prog, err := Compile(net, nil)
 	if err != nil {
@@ -252,26 +251,12 @@ func BenchmarkBatchRowsVsColumns(b *testing.B) {
 	for i := range sizes {
 		sizes[i] = 64
 	}
-
-	b.Run("rows", func(b *testing.B) {
-		buf := NewBatchBuffer()
-		batch := mixedBatch(sizes, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := RunBatchSnake(prog, batch, 1, buf); err != nil {
-				b.Fatal(err)
-			}
+	buf := NewColumnBuffer()
+	batch := mixedBatch(sizes, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := RunBatchColumnar(prog, batch, 1, buf); err != nil {
+			b.Fatal(err)
 		}
-	})
-
-	b.Run("columns", func(b *testing.B) {
-		buf := NewColumnBuffer()
-		batch := mixedBatch(sizes, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := RunBatchColumnar(prog, batch, 1, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

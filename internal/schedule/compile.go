@@ -139,9 +139,9 @@ func Compile(net *product.Network, engine sort2d.Engine) (*Program, error) {
 
 // CompileUncached builds the full-sort program for net without
 // consulting or populating the process-wide cache. It exists for
-// callers that manage their own bounded caches — e.g. the serving
-// layer's LRU plan cache — where evicting an entry must actually
-// release the program's memory instead of leaving it pinned here.
+// callers that own their programs — e.g. each serving bucket — so a
+// program's memory goes with its owner instead of staying pinned here
+// for the life of the process.
 func CompileUncached(net *product.Network, engine sort2d.Engine) (*Program, error) {
 	if engine == nil {
 		engine = sort2d.Auto{}

@@ -23,7 +23,6 @@ package schedule
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"productsort/internal/product"
 	"productsort/internal/simnet"
@@ -110,12 +109,6 @@ type Program struct {
 
 	lowOnce sync.Once
 	lowered []Comparator // flat snake-space comparator stream, built on first use
-
-	// state and freeHook implement the retire/free lifecycle bounded
-	// caches use to reclaim evicted programs safely (lifecycle.go). A
-	// program held only by the process-wide cache never leaves progLive.
-	state    atomic.Uint32
-	freeHook atomic.Pointer[func()]
 }
 
 // Comparator is one lowered compare-exchange in snake-position space:

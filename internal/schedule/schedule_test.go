@@ -311,30 +311,3 @@ func TestProgramTheorem1Counts(t *testing.T) {
 		t.Errorf("rounds %d, want %d", got, want)
 	}
 }
-
-// TestRunBatch sorts many key sets through one program with a worker
-// pool and verifies every set.
-func TestRunBatch(t *testing.T) {
-	net := product.MustNew(graph.Path(4), 2)
-	prog, err := Compile(net, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const m = 23
-	batch := make([][]simnet.Key, m)
-	for i := range batch {
-		batch[i] = randomKeys(net.Nodes(), int64(i))
-	}
-	if err := RunBatch(prog, batch, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i, keys := range batch {
-		if !isSorted(net, keys) {
-			t.Errorf("batch %d not sorted", i)
-		}
-	}
-	// Bad shape surfaces as an error.
-	if err := RunBatch(prog, [][]simnet.Key{make([]simnet.Key, 3)}, 2); err == nil {
-		t.Error("want error for wrong key count")
-	}
-}

@@ -37,7 +37,6 @@ func FamilyCandidates(families []string, maxKeys int) ([]Candidate, error) {
 					Name:   fmt.Sprintf("%s[%d]", multiway.Engine(multiway.DefaultSorter), n),
 					Nodes:  n,
 					Rounds: multiway.Rounds(n, multiway.DefaultSorter),
-					Sig:    multiway.Signature(n, multiway.DefaultSorter),
 					Emit:   func() (*schedule.Program, error) { return multiway.Emit(n) },
 				})
 			}
@@ -49,7 +48,6 @@ func FamilyCandidates(families []string, maxKeys int) ([]Candidate, error) {
 					Name:   fmt.Sprintf("%s[%d]", periodic.EngineName, n),
 					Nodes:  n,
 					Rounds: periodic.Rounds(n),
-					Sig:    periodic.Signature(n),
 					Emit:   func() (*schedule.Program, error) { return periodic.Emit(n) },
 				})
 			}

@@ -128,7 +128,7 @@ func TestCandidateValidation(t *testing.T) {
 		func() Candidate { c := emitOK(); c.Family = ""; return c }(),
 		func() Candidate { c := emitOK(); c.Family = emit.FamilyProduct; return c }(),
 		func() Candidate { c := emitOK(); c.Rounds = 0; return c }(),
-		func() Candidate { c := emitOK(); c.Sig = ""; return c }(),
+		func() Candidate { c := emitOK(); c.Name = ""; return c }(),
 		{Net: product.MustNew(graph.K2(), 1), Family: emit.FamilyPeriodic}, // family without emitter
 	}
 	for i, c := range bad {

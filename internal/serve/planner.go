@@ -1,13 +1,14 @@
 // Package serve turns compiled networks into a request-driven sorting
 // service. A planner maps each requested key count to the cheapest
 // covering network (candidates ranked by Theorem 1's predicted round
-// count), a sharded lock-free plan store holds the compiled programs
-// (versioned reads, epoch-based reclamation of evictions), and
-// size-bucketed dynamic batching accumulates admitted requests per plan
-// until MaxBatch or MaxLinger, then flushes them through the columnar
-// batch replay (schedule.RunBatchColumnar: one program walk per flush,
-// every set advancing through each comparator together) on a bounded
-// worker pool. This is Schiller's
+// count). The schedule is oblivious, so the plan set is fixed when the
+// server is built: it keeps one size bucket per plan the planner can
+// return, and each bucket compiles its plan's program once, on its
+// first flush. A bucket accumulates admitted requests until MaxBatch
+// or MaxLinger, then flushes them through the columnar batch replay
+// (schedule.RunBatchColumnar: one program walk per flush, every set
+// advancing through each comparator together) on a bounded worker
+// pool. This is Schiller's
 // agglomeration argument — merge many independent sorting-network
 // invocations into one larger network execution — applied to the
 // arrival-driven, multi-tenant setting: requests of heterogeneous sizes
@@ -49,8 +50,7 @@ type Plan struct {
 	Family string
 
 	name string // display name; Net.Name() for product plans
-	sig  string // schedule cache signature; the bucket and plan-store key
-	idx  int    // position in the planner's sorted plans; the server's dense bucket index
+	idx  int    // position in the planner's sorted plans; the server's bucket index
 
 	// emit builds the plan's program for emitted families; nil selects
 	// schedule.CompileUncached on Net (the product path).
@@ -65,7 +65,7 @@ func (p *Plan) Name() string { return p.name }
 
 // compileProgram builds the plan's phase program: the emitter for
 // emitted families, the paper's generalized construction otherwise.
-// The plan store's compile seam routes through it.
+// Each bucket calls it once, on its first flush.
 func (p *Plan) compileProgram(engine sort2d.Engine) (*schedule.Program, error) {
 	if p.emit != nil {
 		return p.emit()
@@ -75,8 +75,8 @@ func (p *Plan) compileProgram(engine sort2d.Engine) (*schedule.Program, error) {
 
 // Candidate is one network family member offered to the planner.
 // Product candidates carry just Net; emitted candidates carry the
-// family metadata plus an Emit constructor, because their cost and
-// signature are properties of the emitter, not of an engine.
+// family metadata plus an Emit constructor, because their cost is a
+// property of the emitter, not of an engine.
 type Candidate struct {
 	// Net is the product network of a FamilyProduct candidate; nil for
 	// emitted families.
@@ -93,9 +93,6 @@ type Candidate struct {
 	// Rounds is the emitted network's column depth (product candidates
 	// are priced by core.PredictedRounds at planner build).
 	Rounds int
-	// Sig is the emitted program's canonical signature — the plan-store
-	// key (product candidates derive it from Net and the engine).
-	Sig string
 	// Emit builds the emitted program; nil for product candidates.
 	Emit func() (*schedule.Program, error)
 }
@@ -139,7 +136,7 @@ func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, er
 			if c.Family == "" || c.Family == emit.FamilyProduct {
 				return nil, fmt.Errorf("serve: emitted candidate %d needs a non-product family", i)
 			}
-			if c.Name == "" || c.Sig == "" || c.Nodes < 1 || c.Rounds < 1 {
+			if c.Name == "" || c.Nodes < 1 || c.Rounds < 1 {
 				return nil, fmt.Errorf("serve: emitted candidate %d (%s) incomplete", i, c.Family)
 			}
 			plans[i] = &Plan{
@@ -147,7 +144,6 @@ func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, er
 				Rounds: c.Rounds,
 				Family: c.Family,
 				name:   c.Name,
-				sig:    c.Sig,
 				emit:   c.Emit,
 			}
 		case c.Net != nil:
@@ -159,7 +155,6 @@ func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, er
 				Rounds: core.PredictedRounds(c.Net, engine),
 				Family: emit.FamilyProduct,
 				name:   c.Net.Name(),
-				sig:    schedule.Signature(c.Net, engine.Name()),
 			}
 		default:
 			return nil, fmt.Errorf("serve: candidate %d is nil", i)

@@ -1,21 +1,21 @@
 // The server: admission control, bucket dispatch, graceful drain.
 //
-// The submit path is lock-free end to end: the planner lookup is a
-// binary search over immutable plans, the bucket table is a dense
-// immutable slice indexed by plan (buckets and their loops are built
-// eagerly at New), admission is a sharded per-CPU counter
-// (admission.go), and the compiled program is acquired per flush from
-// the versioned-read plan store (store.go). No Submit ever takes a
-// mutex the Server owns.
+// The plan set is fixed at New. The paper's schedule is oblivious, so
+// the programs a server can ever run are determined by its candidate
+// networks alone: New builds one bucket (queue, batching loop, linger
+// timer) for each plan the planner can actually return, and each
+// bucket compiles its own program once, on its first flush. The submit
+// path is a binary search over immutable plans, an index into the
+// immutable bucket table, and one atomic admission counter; no Submit
+// takes a mutex the Server owns.
 //
-// The drain handshake that used to lean on the server RWMutex is now
-// an ordering argument: Submit reserves its admission slot *before*
-// loading the closed flag, and each bucket's drain sweep exits only
-// once its limiter folds to zero. A submitter that observed
-// closed=false has its reservation visible to every later fold
-// (sequentially consistent atomics), so the sweep cannot conclude
+// The drain handshake is an ordering argument: Submit reserves its
+// admission slot *before* loading the closed flag, and each bucket's
+// drain sweep exits only once its counter reads zero. A submitter that
+// observed closed=false has its reservation visible to every later
+// load (sequentially consistent atomics), so the sweep cannot conclude
 // while an admitted request has yet to enqueue — every admitted
-// request is drained, exactly as before.
+// request is drained.
 
 package serve
 
@@ -92,10 +92,6 @@ type Config struct {
 	// Workers bounds concurrently running flushes across all buckets
 	// (default GOMAXPROCS).
 	Workers int
-	// PlanCacheSize bounds resident compiled programs in the plan
-	// store; evicted programs are reclaimed through the epoch domain
-	// and recompiled on demand (default 16).
-	PlanCacheSize int
 	// Metrics receives serve.* instruments; nil creates a private
 	// registry (reachable via Server.Metrics).
 	Metrics *obs.Metrics
@@ -107,7 +103,6 @@ type request struct {
 	ctx  context.Context
 	out  chan Reply // buffered 1: the single reply send never blocks
 	t0   time.Time
-	lsh  *limiterShard // the admission shard charged; released on reply
 }
 
 // Server is the multi-tenant batching sort service. Safe for concurrent
@@ -115,7 +110,6 @@ type request struct {
 type Server struct {
 	cfg     Config
 	planner *Planner
-	store   *PlanStore
 	met     *obs.Metrics
 
 	submitted *obs.Counter
@@ -126,7 +120,7 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	closed  atomic.Bool
-	buckets []*bucket // dense, indexed by Plan.idx; immutable after New
+	buckets []*bucket // indexed by Plan.idx; nil for unreachable plans; immutable after New
 
 	// flushGate, when non-nil, makes every flush block here between
 	// binding its batch and sorting it — a test hook for pinning the
@@ -135,8 +129,10 @@ type Server struct {
 }
 
 // New builds a Server from cfg. The planner is required; everything
-// else defaults. Every plan's bucket and batching loop starts here, so
-// the submit path never creates state — it only indexes.
+// else defaults. The bucket and batching loop of every plan the planner
+// can return start here, so the submit path never creates state — it
+// only indexes. A plan is reachable iff it is the planner's pick for
+// its own node count; the planner's other candidates get no bucket.
 func New(cfg Config) (*Server, error) {
 	if cfg.Planner == nil {
 		return nil, errors.New("serve: config needs a planner")
@@ -153,9 +149,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.PlanCacheSize < 1 {
-		cfg.PlanCacheSize = 16
-	}
 	met := cfg.Metrics
 	if met == nil {
 		met = obs.NewMetrics()
@@ -163,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		planner:   cfg.Planner,
-		store:     NewPlanStore(cfg.PlanCacheSize, met),
 		met:       met,
 		submitted: met.Counter("serve.submitted"),
 		shed:      met.Counter("serve.shed"),
@@ -173,10 +165,12 @@ func New(cfg Config) (*Server, error) {
 	plans := cfg.Planner.Plans()
 	s.buckets = make([]*bucket, len(plans))
 	for i, plan := range plans {
-		s.buckets[i] = newBucket(s, plan)
-	}
-	s.wg.Add(len(s.buckets))
-	for _, b := range s.buckets {
+		if pick, _ := cfg.Planner.For(plan.Nodes()); pick != plan {
+			continue
+		}
+		b := newBucket(s, plan)
+		s.buckets[i] = b
+		s.wg.Add(1)
 		go b.loop()
 	}
 	return s, nil
@@ -187,10 +181,6 @@ func (s *Server) Metrics() *obs.Metrics { return s.met }
 
 // MaxKeys returns the largest request size the planner covers.
 func (s *Server) MaxKeys() int { return s.planner.MaxKeys() }
-
-// StoreStats snapshots the plan store's counters: lookup outcomes,
-// versioned-read retries, evictions and the epoch-reclamation ledger.
-func (s *Server) StoreStats() StoreStats { return s.store.Stats() }
 
 // Submit admits keys for sorting and returns the channel the single
 // Reply will arrive on. The keys slice is copied — the caller's slice
@@ -222,9 +212,9 @@ func (s *Server) Submit(ctx context.Context, keys []Key) (<-chan Reply, error) {
 		t0:   time.Now(),
 	}
 	// Reservation before closed-check is the drain handshake: an
-	// admitted request's slot is visible to every limiter fold that
+	// admitted request's slot is visible to every counter load that
 	// runs after Close stores the flag, so the bucket's drain sweep
-	// (which exits only at fold zero) always outlasts the enqueue.
+	// (which exits only at zero) always outlasts the enqueue.
 	if err := b.admit(req); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.shed.Inc()
@@ -255,10 +245,9 @@ func (s *Server) SortKeys(ctx context.Context, keys []Key) ([]Key, error) {
 }
 
 // Close seals admission and drains gracefully: every admitted request
-// receives its reply, then all bucket loops and flushes exit and the
-// epoch domain reclaims every retired program. ctx (nil means
-// Background) bounds the wait; on expiry the drain continues in the
-// background and Close returns ctx.Err(). Close is idempotent and
+// receives its reply, then all bucket loops and flushes exit. ctx (nil
+// means Background) bounds the wait; on expiry the drain continues in
+// the background and Close returns ctx.Err(). Close is idempotent and
 // safe to call concurrently.
 func (s *Server) Close(ctx context.Context) error {
 	if ctx == nil {
@@ -270,9 +259,6 @@ func (s *Server) Close(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		// Every reader pin is released once the loops and flushes are
-		// gone, so one reclaim empties the whole retirement list.
-		s.store.Reclaim()
 		close(done)
 	}()
 	select {

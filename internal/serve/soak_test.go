@@ -43,12 +43,11 @@ func TestServerSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Planner:       pl,
-		MaxBatch:      16,
-		MaxLinger:     200 * time.Microsecond,
-		QueueDepth:    256,
-		Workers:       4,
-		PlanCacheSize: 4,
+		Planner:    pl,
+		MaxBatch:   16,
+		MaxLinger:  200 * time.Microsecond,
+		QueueDepth: 256,
+		Workers:    4,
 	})
 	if err != nil {
 		t.Fatal(err)

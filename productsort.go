@@ -19,10 +19,10 @@
 //	fmt.Println(res.Rounds)                    // parallel time
 //
 // For request-driven workloads, NewServer wraps the same compiled
-// programs in a batching sort service whose submit path is lock-free
-// end to end — plans resolve through an epoch-managed versioned-read
-// store and admission through sharded per-CPU counters (see server.go
-// and Server.StoreStats for the observability surface).
+// programs in a batching sort service: one size bucket per network the
+// planner can pick, each compiling its program once and batching the
+// requests it covers into one replay (see server.go, and
+// Server.Metrics for the observability surface).
 package productsort
 
 import (

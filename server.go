@@ -6,10 +6,11 @@
 // idiom: many logical sorts, one network execution. Admission is
 // bounded (overload sheds with ErrQueueFull), per-request contexts are
 // honored until a request is bound into a flush, and Close drains
-// gracefully. The submit path is lock-free: plans resolve through an
-// epoch-managed versioned-read store and admission through sharded
-// per-CPU counters. See internal/serve for the machinery, DESIGN.md
-// S27 for the serving architecture and S30 for the lock-free store.
+// gracefully. The plan set is fixed when the server is built: one size
+// bucket per network the planner can pick, each compiling its program
+// once on its first flush and bounding its queue with one admission
+// counter. See internal/serve for the machinery, DESIGN.md S27 for the
+// serving architecture and S30 for the fixed plan set.
 
 package productsort
 
@@ -25,11 +26,6 @@ import (
 // SortedReply is the terminal answer to one Server.Submit: the sorted
 // keys (or the request's error) plus batch and plan accounting.
 type SortedReply = serve.Reply
-
-// ServerStoreStats is a point-in-time snapshot of the server's plan
-// store: lookup outcomes (Hits/Misses), versioned-read Retries,
-// Evictions, and the epoch-reclamation ledger (Retired/Freed/Pending).
-type ServerStoreStats = serve.StoreStats
 
 // Typed serving errors; branch with errors.Is.
 var (
@@ -78,11 +74,6 @@ type ServerConfig struct {
 	// Workers bounds concurrently running batch flushes (default
 	// GOMAXPROCS).
 	Workers int
-	// PlanCacheSize bounds resident compiled programs in the plan
-	// store; least recently served networks are evicted (reclaimed
-	// safely through epoch grace periods) and recompiled on demand
-	// (default 16).
-	PlanCacheSize int
 	// Metrics receives the serve.* instruments; nil creates a private
 	// registry, reachable via Server.Metrics.
 	Metrics *Metrics
@@ -173,13 +164,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s, err := serve.New(serve.Config{
-		Planner:       planner,
-		MaxBatch:      cfg.MaxBatch,
-		MaxLinger:     cfg.MaxLinger,
-		QueueDepth:    cfg.QueueDepth,
-		Workers:       cfg.Workers,
-		PlanCacheSize: cfg.PlanCacheSize,
-		Metrics:       cfg.Metrics,
+		Planner:    planner,
+		MaxBatch:   cfg.MaxBatch,
+		MaxLinger:  cfg.MaxLinger,
+		QueueDepth: cfg.QueueDepth,
+		Workers:    cfg.Workers,
+		Metrics:    cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -216,12 +206,7 @@ func (s *Server) SortKeys(ctx context.Context, keys []Key) ([]Key, error) {
 func (s *Server) Close(ctx context.Context) error { return s.s.Close(ctx) }
 
 // Metrics returns the registry the server reports into: admission and
-// shed counters, plan-store hit/miss/retry/eviction counts, epoch
-// retirement/reclamation counts, and per-bucket occupancy gauges plus
-// latency and batch-size histograms.
+// shed counters, per-family flush counters, and for every size bucket
+// its flush and shed counters, occupancy gauge, and latency,
+// batch-size and column-width histograms (serve.bucket.<network>.*).
 func (s *Server) Metrics() *Metrics { return s.s.Metrics() }
-
-// StoreStats snapshots the plan store's counters — the lock-free read
-// path's health surface: hit/miss ratio, torn-read retries, evictions
-// and the epoch ledger proving reclamation keeps pace.
-func (s *Server) StoreStats() ServerStoreStats { return s.s.StoreStats() }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,15 +129,36 @@ func TestServerMetricsSnapshot(t *testing.T) {
 	if got := snap.Counters["serve.submitted"]; got != 4 {
 		t.Fatalf("serve.submitted = %d, want 4", got)
 	}
-	if got := snap.Counters["serve.planstore.misses"]; got < 1 {
-		t.Fatalf("planstore misses = %d, want >= 1", got)
-	}
-	stats := s.StoreStats()
-	if stats.Misses < 1 || stats.Hits < 1 {
-		t.Fatalf("store stats = %+v, want at least one miss and one hit", stats)
+	if got := snap.Counters["serve.bucket.K2^3.flushes"]; got < 1 {
+		t.Fatalf("serve.bucket.K2^3.flushes = %d, want >= 1", got)
 	}
 	if _, err := s.SortKeys(context.Background(), serverKeys(8, 9)); !errors.Is(err, productsort.ErrServerClosed) {
 		t.Fatalf("post-close sort = %v, want ErrServerClosed", err)
+	}
+}
+
+// TestServerBucketsPerReachablePlan: the default server, with or
+// without the emitted families, builds one size bucket (one set of
+// serve.bucket.<network>.* instruments) per network its planner can
+// pick — 12 over 1..4096 keys either way, not one per candidate.
+func TestServerBucketsPerReachablePlan(t *testing.T) {
+	for _, fams := range [][]string{nil, {productsort.FamilyMultiway, productsort.FamilyPeriodic}} {
+		s, err := productsort.NewServer(productsort.ServerConfig{Families: fams})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buckets := 0
+		for name := range s.Metrics().Snapshot().Counters {
+			if strings.HasPrefix(name, "serve.bucket.") && strings.HasSuffix(name, ".flushes") {
+				buckets++
+			}
+		}
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if buckets != 12 {
+			t.Fatalf("families %v: %d buckets, want 12", fams, buckets)
+		}
 	}
 }
 
