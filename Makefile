@@ -139,9 +139,14 @@ cert:
 
 # Serving soak: the batching sort server hammered from many goroutines
 # under the race detector for a few seconds — deadlines, cancellations,
-# shedding and graceful drain all exercised concurrently.
+# shedding and graceful drain all exercised concurrently. Then the
+# tests that pin batching, cancellation and drain on a held worker
+# (a flush parked at the flushGate hook) run twenty times each, so a
+# timing-dependent version of any of them fails here.
+SERVE_GATE_TESTS = TestServerSharedBatch|TestServerBatchesWhileWorkersBusy|TestServerQueueFullSheds|TestServerDeadlineWhileEnqueued|TestServerMidFlushCancel|TestServerEnqueuedCancelSparesBatchmates|TestServerGracefulDrain|TestServerCompileErrorReply|TestServerCloseDuringBlockedFlush
 serve-soak:
 	SOAK_MS=3000 $(GO) test -race -run TestServerSoak -count=1 ./internal/serve/
+	$(GO) test -race -count=20 -run '^($(SERVE_GATE_TESTS))$$' ./internal/serve/
 
 # Serving saturation curve: open-loop offered load against the server;
 # prints the throughput/latency table and writes BENCH_serve.json.

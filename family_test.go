@@ -148,7 +148,6 @@ func TestEmittedFamilyGuards(t *testing.T) {
 func TestServerFamilies(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		MaxKeys:  16,
-		MaxBatch: 2,
 		Families: []string{FamilyMultiway, FamilyPeriodic},
 	})
 	if err != nil {

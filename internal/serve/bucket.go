@@ -1,8 +1,10 @@
-// Buckets: per-plan dynamic batching with bounded occupancy.
+// Buckets: per-plan batching from backpressure with bounded occupancy.
 //
 // Each bucket owns its plan's compiled program, built once on the
 // first flush (a server never pays for a plan no request rides), and
-// bounds its admitted-but-unreplied requests with one counter.
+// bounds its admitted-but-unreplied requests with one counter. A flush
+// starts as soon as a worker slot is free and takes every request that
+// queued while the bucket waited for one.
 
 package serve
 
@@ -17,6 +19,9 @@ import (
 
 // BatchSizeBuckets is the histogram layout for flushed batch sizes.
 var BatchSizeBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+
+// maxBatch caps the requests one flush takes from its queue.
+const maxBatch = 64
 
 // drainPoll is how often a draining bucket loop re-reads its counter
 // while waiting for in-flight submissions and flushes to settle.
@@ -41,7 +46,6 @@ type bucket struct {
 	occupancy *obs.Gauge
 	latency   *obs.Histogram
 	batchSize *obs.Histogram
-	colWidth  *obs.Histogram
 	flushes   *obs.Counter
 	shed      *obs.Counter
 	familyC   *obs.Counter // serve.planner.family.<family>, shared across same-family buckets
@@ -66,7 +70,6 @@ func newBucket(s *Server, plan *Plan) *bucket {
 		occupancy: s.met.Gauge(prefix + ".occupancy"),
 		latency:   s.met.Histogram(prefix+".latency_ns", obs.DurationBucketsNs),
 		batchSize: s.met.Histogram(prefix+".batchsize", BatchSizeBuckets),
-		colWidth:  s.met.Histogram(prefix+".colwidth", BatchSizeBuckets),
 		flushes:   s.met.Counter(prefix + ".flushes"),
 		shed:      s.met.Counter(prefix + ".shed"),
 		familyC:   s.met.Counter("serve.planner.family." + plan.Family),
@@ -116,84 +119,51 @@ func (b *bucket) admit(req *request) error {
 	}
 }
 
-// loop is the bucket's batching goroutine: accumulate until MaxBatch or
-// MaxLinger after the first pending request, then hand the batch to a
-// flush. On drain it sweeps the sealed queue and flushes the remainder,
-// repeating until the admission counter reads zero — no admitted request,
-// however racy its enqueue, is left behind — then exits.
+// loop is the bucket's batching goroutine. Batching comes from
+// backpressure alone: the loop waits for a request, then for a worker
+// slot, and only then takes whatever queued meanwhile into the flush.
+// An idle server flushes every request at once; a batch grows exactly
+// while every worker is busy. On drain it keeps flushing until the
+// admission counter reads zero — no admitted request, however racy its
+// enqueue, is left behind — then exits.
 func (b *bucket) loop() {
 	defer b.srv.wg.Done()
-	maxBatch := b.srv.cfg.MaxBatch
-	pending := make([]*request, 0, maxBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timerLive = false
-		}
-	}
-	flush := func() {
-		stopTimer()
-		if len(pending) == 0 {
-			return
-		}
-		batch := pending
-		pending = make([]*request, 0, maxBatch)
-		b.startFlush(batch)
-	}
 	for {
 		select {
 		case req := <-b.queue:
-			pending = append(pending, req)
-			if len(pending) >= maxBatch {
-				flush()
-			} else if !timerLive {
-				timer.Reset(b.srv.cfg.MaxLinger)
-				timerLive = true
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
+			b.flush(req)
 		case <-b.srv.drain:
-			for {
-				swept := false
-				for !swept {
-					select {
-					case req := <-b.queue:
-						pending = append(pending, req)
-						if len(pending) >= maxBatch {
-							flush()
-						}
-					default:
-						swept = true
-					}
+			// Zero admitted means every admitted request has been
+			// replied — none is latent between its reservation and its
+			// enqueue, none is queued, none is mid-flush.
+			for b.admitted.Load() != 0 {
+				select {
+				case req := <-b.queue:
+					b.flush(req)
+				default:
+					time.Sleep(drainPoll)
 				}
-				flush()
-				// Zero admitted means every admitted request has been
-				// replied — none is latent between its reservation and
-				// its enqueue, none is queued, none is mid-flush.
-				if b.admitted.Load() == 0 && len(b.queue) == 0 {
-					b.occupancy.Set(0)
-					return
-				}
-				time.Sleep(drainPoll)
 			}
+			b.occupancy.Set(0)
+			return
 		}
 	}
 }
 
-// startFlush runs one batch on the server's bounded worker pool.
-func (b *bucket) startFlush(batch []*request) {
+// flush takes a worker slot, batches first with the requests queued
+// while it waited (at most maxBatch in all), and runs the batch on that
+// slot. The loop is the queue's only receiver, so every request the
+// length read counts is there to take.
+func (b *bucket) flush(first *request) {
+	b.srv.sem <- struct{}{}
+	batch := make([]*request, min(1+len(b.queue), maxBatch))
+	batch[0] = first
+	for i := 1; i < len(batch); i++ {
+		batch[i] = <-b.queue
+	}
 	b.srv.wg.Add(1)
 	go func() {
 		defer b.srv.wg.Done()
-		b.srv.sem <- struct{}{}
 		defer func() { <-b.srv.sem }()
 		b.runFlush(batch)
 	}()
@@ -238,7 +208,6 @@ func (b *bucket) runFlush(batch []*request) {
 	b.flushes.Inc()
 	b.familyC.Inc()
 	b.batchSize.Observe(int64(len(live)))
-	b.colWidth.Observe(int64(len(live)))
 	for _, req := range live {
 		if err != nil {
 			b.reply(req, Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family, BatchSize: len(live)})

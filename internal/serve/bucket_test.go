@@ -167,7 +167,7 @@ func TestBucketCompilesOnce(t *testing.T) {
 		time.Sleep(2 * time.Millisecond) // widen the race for the first compile
 		return periodic.Emit(8)
 	})
-	s := testServer(t, Config{Planner: pl, MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 8})
+	s := testServer(t, Config{Planner: pl, Workers: 8})
 	if got := emits.Load(); got != 0 {
 		t.Fatalf("New compiled %d programs, want 0 before the first flush", got)
 	}
@@ -204,9 +204,10 @@ func TestBucketCompilesOnce(t *testing.T) {
 func TestServerCompileErrorReply(t *testing.T) {
 	errEmit := errors.New("test: emit failed")
 	pl := emittedPlanner(t, func() (*schedule.Program, error) { return nil, errEmit })
-	s := testServer(t, Config{Planner: pl, MaxBatch: 3, MaxLinger: time.Minute})
+	s, gate := gatedServer(t, Config{Planner: pl})
 
 	for flush := 0; flush < 2; flush++ {
+		blocker := holdWorker(t, s, 9) // K2^4
 		var chans []<-chan Reply
 		for _, n := range []int{3, 5, 8} {
 			ch, err := s.Submit(context.Background(), randKeys(n, int64(n)))
@@ -214,6 +215,11 @@ func TestServerCompileErrorReply(t *testing.T) {
 				t.Fatal(err)
 			}
 			chans = append(chans, ch)
+		}
+		gate <- struct{}{} // releases the blocker's flush
+		gate <- struct{}{} // releases the flush of all three
+		if rep := awaitReply(t, blocker); rep.Err != nil {
+			t.Fatal(rep.Err)
 		}
 		for i, ch := range chans {
 			rep := awaitReply(t, ch)
@@ -226,8 +232,9 @@ func TestServerCompileErrorReply(t *testing.T) {
 		}
 	}
 
-	// The other buckets keep serving. MaxBatch 3 and a one-minute
-	// linger leave these pairs pending, so the drain flushes them.
+	// The other buckets keep serving. A held worker leaves these pairs
+	// queued, so the drain flushes them.
+	blocker := holdWorker(t, s, 3) // test[8]: answers with the compile error
 	inputs := [][]Key{randKeys(1, 1), randKeys(2, 2), randKeys(9, 9), randKeys(16, 16)}
 	chans := make([]<-chan Reply, len(inputs))
 	for i, in := range inputs {
@@ -237,8 +244,9 @@ func TestServerCompileErrorReply(t *testing.T) {
 		}
 		chans[i] = ch
 	}
-	if err := s.Close(context.Background()); err != nil {
-		t.Fatal(err)
+	closeHeld(t, s, gate)
+	if rep := awaitReply(t, blocker); !errors.Is(rep.Err, errEmit) {
+		t.Fatalf("blocker error %v, want the compile error", rep.Err)
 	}
 	for i, ch := range chans {
 		rep := awaitReply(t, ch)

@@ -18,9 +18,7 @@ import (
 // bound request still gets its sorted reply, the semaphore slot is
 // returned, and later submissions are refused with ErrClosed.
 func TestServerCloseDuringBlockedFlush(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 1, MaxLinger: time.Minute, Workers: 1})
-	gate := make(chan struct{})
-	s.flushGate = gate
+	s, gate := gatedServer(t, Config{})
 
 	in := randKeys(5, 1)
 	ch, err := s.Submit(context.Background(), in)
@@ -29,13 +27,7 @@ func TestServerCloseDuringBlockedFlush(t *testing.T) {
 	}
 	// Wait until the flush holds its worker slot; it is then wedged
 	// between binding the batch and sorting it.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(s.sem) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flush never acquired a worker slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSem(t, s, 1)
 
 	// Close with a deadline while the flush is wedged: the drain cannot
 	// finish, so Close must give up with ctx.Err — not deadlock.

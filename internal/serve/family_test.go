@@ -151,7 +151,7 @@ func TestCandidateValidation(t *testing.T) {
 // family wins must report product.
 func TestServedFamilyMetadataAndCounter(t *testing.T) {
 	met := obs.NewMetrics()
-	srv, err := New(Config{Planner: mixedPlanner(t, 4), MaxBatch: 4, Metrics: met})
+	srv, err := New(Config{Planner: mixedPlanner(t, 4), Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}

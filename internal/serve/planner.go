@@ -4,11 +4,11 @@
 // count). The schedule is oblivious, so the plan set is fixed when the
 // server is built: it keeps one size bucket per plan the planner can
 // return, and each bucket compiles its plan's program once, on its
-// first flush. A bucket accumulates admitted requests until MaxBatch
-// or MaxLinger, then flushes them through the columnar batch replay
-// (schedule.RunBatchColumnar: one program walk per flush, every set
-// advancing through each comparator together) on a bounded worker
-// pool. This is Schiller's
+// first flush. A bucket flushes as soon as a worker of the bounded
+// pool is free, taking every request that queued while it waited,
+// through the columnar batch replay (schedule.RunBatchColumnar: one
+// program walk per flush, every set advancing through each comparator
+// together), so batches grow only under backpressure. This is Schiller's
 // agglomeration argument — merge many independent sorting-network
 // invocations into one larger network execution — applied to the
 // arrival-driven, multi-tenant setting: requests of heterogeneous sizes

@@ -2,9 +2,11 @@
 //
 // The plan set is fixed at New. The paper's schedule is oblivious, so
 // the programs a server can ever run are determined by its candidate
-// networks alone: New builds one bucket (queue, batching loop, linger
-// timer) for each plan the planner can actually return, and each
-// bucket compiles its own program once, on its first flush. The submit
+// networks alone: New builds one bucket (queue and batching loop) for
+// each plan the planner can actually return, and each bucket compiles
+// its own program once, on its first flush. A bucket flushes as soon as
+// a worker slot is free, so requests share a flush only when they
+// would otherwise have waited for a worker. The submit
 // path is a binary search over immutable plans, an index into the
 // immutable bucket table, and one atomic admission counter; no Submit
 // takes a mutex the Server owns.
@@ -69,8 +71,8 @@ type Reply struct {
 	Family string
 	// BatchSize is the number of requests that shared the flush.
 	BatchSize int
-	// Wait is submit-to-reply wall time: queueing, lingering and the
-	// sort itself.
+	// Wait is submit-to-reply wall time: queueing, waiting for a worker
+	// and the sort itself.
 	Wait time.Duration
 }
 
@@ -79,18 +81,12 @@ type Reply struct {
 type Config struct {
 	// Planner maps request sizes to covering plans. Required.
 	Planner *Planner
-	// MaxBatch flushes a bucket when this many requests have
-	// accumulated (default 64).
-	MaxBatch int
-	// MaxLinger flushes a non-empty bucket this long after its first
-	// pending request arrived, bounding the latency cost of batching
-	// (default 2ms).
-	MaxLinger time.Duration
 	// QueueDepth bounds each bucket's admitted-but-unreplied requests;
 	// submissions beyond it shed with ErrQueueFull (default 1024).
 	QueueDepth int
 	// Workers bounds concurrently running flushes across all buckets
-	// (default GOMAXPROCS).
+	// (default GOMAXPROCS). A bucket batches only the requests that
+	// queue while every worker is busy.
 	Workers int
 	// Metrics receives serve.* instruments; nil creates a private
 	// registry (reachable via Server.Metrics).
@@ -124,7 +120,9 @@ type Server struct {
 
 	// flushGate, when non-nil, makes every flush block here between
 	// binding its batch and sorting it — a test hook for pinning the
-	// enqueued/mid-flush boundary and for holding queue occupancy.
+	// enqueued/mid-flush boundary and for holding queue occupancy. A
+	// parked flush keeps its worker slot, so with Workers 1 it holds
+	// every other request queued.
 	flushGate chan struct{}
 }
 
@@ -136,12 +134,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Planner == nil {
 		return nil, errors.New("serve: config needs a planner")
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxLinger <= 0 {
-		cfg.MaxLinger = 2 * time.Millisecond
 	}
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 1024

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,6 +46,62 @@ func testServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// gatedServer builds a one-worker server whose flushes park at the
+// returned gate between binding their batch and sorting it.
+func gatedServer(t *testing.T, cfg Config) (*Server, chan struct{}) {
+	t.Helper()
+	cfg.Workers = 1
+	s := testServer(t, cfg)
+	gate := make(chan struct{})
+	s.flushGate = gate
+	return s, gate
+}
+
+// waitSem waits until want worker slots of s are taken.
+func waitSem(t *testing.T, s *Server, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.sem) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker slots taken, want %d", len(s.sem), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// holdWorker submits n keys to a gated server and returns the reply
+// channel once that request's flush holds the only worker slot, parked
+// at the gate. Until the gate opens, requests to every other bucket
+// stay queued. Every earlier request must have been replied.
+func holdWorker(t *testing.T, s *Server, n int) <-chan Reply {
+	t.Helper()
+	waitSem(t, s, 0) // a replied flush may still be returning its slot
+	ch, err := s.Submit(context.Background(), randKeys(n, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSem(t, s, 1)
+	return ch
+}
+
+// closeHeld runs Close while a held worker keeps requests pending: once
+// Close has sealed admission it opens the gate, then waits for the
+// drain.
+func closeHeld(t *testing.T, s *Server, gate chan struct{}) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close(ctx) }()
+	for !s.closed.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 func randKeys(n int, seed int64) []Key {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]Key, n)
@@ -82,7 +139,7 @@ func awaitReply(t *testing.T, ch <-chan Reply) Reply {
 // TestServerSortsAcrossSizes: the synchronous helper sorts every
 // admissible size correctly, padding and slicing transparently.
 func TestServerSortsAcrossSizes(t *testing.T) {
-	s := testServer(t, Config{MaxLinger: 100 * time.Microsecond})
+	s := testServer(t, Config{})
 	for n := 1; n <= 32; n++ {
 		in := randKeys(n, int64(n))
 		got, err := s.SortKeys(context.Background(), in)
@@ -94,9 +151,11 @@ func TestServerSortsAcrossSizes(t *testing.T) {
 }
 
 // TestServerSharedBatch: requests of different sizes that map to the
-// same plan ride one flush, and every reply reports the shared batch.
+// same plan and queue while the worker is busy ride one flush, and
+// every reply reports the shared batch.
 func TestServerSharedBatch(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 4, MaxLinger: time.Minute})
+	s, gate := gatedServer(t, Config{})
+	blocker := holdWorker(t, s, 8) // K2^3, a bucket of its own
 	inputs := [][]Key{randKeys(3, 1), randKeys(4, 2), randKeys(3, 3), randKeys(4, 4)}
 	chans := make([]<-chan Reply, len(inputs))
 	for i, in := range inputs {
@@ -105,6 +164,10 @@ func TestServerSharedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		chans[i] = ch
+	}
+	close(gate)
+	if rep := awaitReply(t, blocker); rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
 	for i, ch := range chans {
 		rep := awaitReply(t, ch)
@@ -124,23 +187,73 @@ func TestServerSharedBatch(t *testing.T) {
 	}
 }
 
+// TestServerBatchesWhileWorkersBusy: batching comes from backpressure.
+// Requests that arrive while the only worker is busy all ride its next
+// flush, however far apart they arrive.
+func TestServerBatchesWhileWorkersBusy(t *testing.T) {
+	s, gate := gatedServer(t, Config{})
+	blocker := holdWorker(t, s, 8) // K2^3, a bucket of its own
+	inputs := make([][]Key, 4)
+	chans := make([]<-chan Reply, len(inputs))
+	for i := range inputs {
+		if i > 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		inputs[i] = randKeys(3+i%2, int64(i))
+		ch, err := s.Submit(context.Background(), inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	close(gate)
+	if rep := awaitReply(t, blocker); rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	for i, ch := range chans {
+		rep := awaitReply(t, ch)
+		if rep.Err != nil {
+			t.Fatalf("request %d: %v", i, rep.Err)
+		}
+		checkSorted(t, rep.Keys, inputs[i])
+		if rep.BatchSize != 4 {
+			t.Fatalf("request %d: BatchSize = %d, want 4", i, rep.BatchSize)
+		}
+	}
+	if got := s.met.Snapshot().Counters["serve.bucket.K2^2.flushes"]; got != 1 {
+		t.Fatalf("K2^2 flushes = %d, want 1", got)
+	}
+}
+
+// TestServerIdleFlushesAtOnce: an idle server sorts a request as soon
+// as it arrives; nothing holds it back to wait for batchmates.
+func TestServerIdleFlushesAtOnce(t *testing.T) {
+	s := testServer(t, Config{})
+	minWait := time.Duration(math.MaxInt64)
+	for i := 0; i < 20; i++ {
+		in := randKeys(4, int64(i))
+		ch, err := s.Submit(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := awaitReply(t, ch)
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		checkSorted(t, rep.Keys, in)
+		minWait = min(minWait, rep.Wait)
+	}
+	if minWait >= time.Millisecond {
+		t.Fatalf("fastest of 20 idle requests waited %v, want under 1ms", minWait)
+	}
+}
+
 // TestServerQueueFullSheds: with the worker pool held, admitted
 // requests pin their occupancy slots until replied, and the bounded
 // queue sheds exactly past QueueDepth with the typed error.
 func TestServerQueueFullSheds(t *testing.T) {
-	s := testServer(t, Config{
-		MaxBatch:   1,
-		MaxLinger:  time.Microsecond,
-		QueueDepth: 2,
-		Workers:    1,
-	})
-	gate := make(chan struct{})
-	s.flushGate = gate
-
-	chA, err := s.Submit(context.Background(), randKeys(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, gate := gatedServer(t, Config{QueueDepth: 2})
+	chA := holdWorker(t, s, 4)
 	chB, err := s.Submit(context.Background(), randKeys(4, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -148,39 +261,21 @@ func TestServerQueueFullSheds(t *testing.T) {
 	if _, err := s.Submit(context.Background(), randKeys(4, 3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
-	// Release exactly one flush (whichever of A/B won the worker slot);
-	// its reply frees an occupancy slot and admission resumes.
+	// Release A's flush: its reply frees an occupancy slot and
+	// admission resumes.
 	gate <- struct{}{}
-	var first Reply
-	select {
-	case first = <-chA:
-		chA = nil
-	case first = <-chB:
-		chB = nil
-	case <-time.After(10 * time.Second):
-		t.Fatal("no reply after releasing one flush")
-	}
-	if first.Err != nil {
-		t.Fatal(first.Err)
+	if rep := awaitReply(t, chA); rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
 	chD, err := s.Submit(context.Background(), randKeys(4, 4))
 	if err != nil {
 		t.Fatalf("post-release submit: %v", err)
 	}
-	gate <- struct{}{}
-	gate <- struct{}{}
-	remaining := chD
-	if chA != nil {
-		remaining = chA
-	}
-	if chB != nil {
-		remaining = chB
-	}
-	if rep := awaitReply(t, remaining); rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep := awaitReply(t, chD); rep.Err != nil {
-		t.Fatal(rep.Err)
+	close(gate)
+	for _, ch := range []<-chan Reply{chB, chD} {
+		if rep := awaitReply(t, ch); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
 	}
 	if got := s.met.Snapshot().Counters["serve.shed"]; got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
@@ -188,15 +283,21 @@ func TestServerQueueFullSheds(t *testing.T) {
 }
 
 // TestServerDeadlineWhileEnqueued: a context that expires while the
-// request lingers in the bucket is honored at binding time — the
-// request is dropped from the flush with its context error.
+// request waits for a worker is honored at binding time — the request
+// is dropped from the flush with its context error.
 func TestServerDeadlineWhileEnqueued(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 8, MaxLinger: 150 * time.Millisecond})
+	s, gate := gatedServer(t, Config{})
+	blocker := holdWorker(t, s, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	ch, err := s.Submit(ctx, randKeys(4, 1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	<-ctx.Done()
+	close(gate)
+	if rep := awaitReply(t, blocker); rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
 	rep := awaitReply(t, ch)
 	if !errors.Is(rep.Err, context.DeadlineExceeded) {
@@ -211,9 +312,8 @@ func TestServerDeadlineWhileEnqueued(t *testing.T) {
 // cancelling it neither aborts the sort nor poisons batchmates — both
 // replies arrive sorted.
 func TestServerMidFlushCancel(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 2, MaxLinger: time.Minute})
-	gate := make(chan struct{})
-	s.flushGate = gate
+	s, gate := gatedServer(t, Config{})
+	blocker := holdWorker(t, s, 8)
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
@@ -226,8 +326,12 @@ func TestServerMidFlushCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate <- struct{}{} // returns once the flush has bound both requests
+	gate <- struct{}{} // releases the blocker's flush
+	gate <- struct{}{} // returns once the next flush has bound both requests
 	cancelA()          // strictly mid-flush
+	if rep := awaitReply(t, blocker); rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
 	repA, repB := awaitReply(t, chA), awaitReply(t, chB)
 	if repA.Err != nil {
 		t.Fatalf("bound request dropped by cancellation: %v", repA.Err)
@@ -246,7 +350,8 @@ func TestServerMidFlushCancel(t *testing.T) {
 // binding is dropped with its context error, while its batchmate sorts
 // normally in a now-smaller flush.
 func TestServerEnqueuedCancelSparesBatchmates(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 2, MaxLinger: time.Minute})
+	s, gate := gatedServer(t, Config{})
+	blocker := holdWorker(t, s, 8)
 	ctxA, cancelA := context.WithCancel(context.Background())
 	chA, err := s.Submit(ctxA, randKeys(3, 1))
 	if err != nil {
@@ -254,9 +359,13 @@ func TestServerEnqueuedCancelSparesBatchmates(t *testing.T) {
 	}
 	cancelA() // cancelled while enqueued: the flush has not started
 	inB := randKeys(4, 2)
-	chB, err := s.Submit(context.Background(), inB) // completes the batch
+	chB, err := s.Submit(context.Background(), inB) // queues behind A
 	if err != nil {
 		t.Fatal(err)
+	}
+	close(gate)
+	if rep := awaitReply(t, blocker); rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
 	repA := awaitReply(t, chA)
 	if !errors.Is(repA.Err, context.Canceled) {
@@ -272,12 +381,14 @@ func TestServerEnqueuedCancelSparesBatchmates(t *testing.T) {
 	}
 }
 
-// TestServerGracefulDrain: Close seals admission, every admitted
-// request still gets its sorted reply (across multiple buckets), and
-// the server is idempotently closed afterwards.
+// TestServerGracefulDrain: Close seals admission while requests are
+// still queued, every admitted request still gets its sorted reply
+// (across multiple buckets), and the server is idempotently closed
+// afterwards.
 func TestServerGracefulDrain(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 100, MaxLinger: time.Hour})
-	sizes := []int{3, 4, 3, 7, 8} // two buckets: hypercube^2 and ^3
+	s, gate := gatedServer(t, Config{})
+	blocker := holdWorker(t, s, 16) // K2^4, a bucket of its own
+	sizes := []int{3, 4, 3, 7, 8}   // two buckets: hypercube^2 and ^3
 	inputs := make([][]Key, len(sizes))
 	chans := make([]<-chan Reply, len(sizes))
 	for i, n := range sizes {
@@ -288,8 +399,9 @@ func TestServerGracefulDrain(t *testing.T) {
 		}
 		chans[i] = ch
 	}
-	if err := s.Close(context.Background()); err != nil {
-		t.Fatalf("close: %v", err)
+	closeHeld(t, s, gate)
+	if rep := awaitReply(t, blocker); rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
 	for i, ch := range chans {
 		rep := awaitReply(t, ch)
@@ -325,7 +437,7 @@ func TestServerSubmitValidation(t *testing.T) {
 // TestServerSubmitCopiesKeys: mutating the caller's slice after Submit
 // cannot corrupt the in-flight request.
 func TestServerSubmitCopiesKeys(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 1, MaxLinger: time.Microsecond})
+	s := testServer(t, Config{})
 	in := []Key{5, 1, 4, 2}
 	ch, err := s.Submit(context.Background(), in)
 	if err != nil {
@@ -343,7 +455,7 @@ func TestServerSubmitCopiesKeys(t *testing.T) {
 // under stable names and settle at zero occupancy after the drain, and
 // every bucket that answered a request counts at least one flush.
 func TestServerMetrics(t *testing.T) {
-	s := testServer(t, Config{MaxLinger: 100 * time.Microsecond})
+	s := testServer(t, Config{})
 	for i := 0; i < 8; i++ {
 		if _, err := s.SortKeys(context.Background(), randKeys(4, int64(i))); err != nil {
 			t.Fatal(err)

@@ -44,8 +44,6 @@ func TestServerSoak(t *testing.T) {
 	}
 	s, err := New(Config{
 		Planner:    pl,
-		MaxBatch:   16,
-		MaxLinger:  200 * time.Microsecond,
 		QueueDepth: 256,
 		Workers:    4,
 	})

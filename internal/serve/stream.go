@@ -5,7 +5,7 @@
 // the planner maps it to the cheapest covering certified network, it
 // batches with whatever other traffic shares that bucket, and the
 // columnar replay sorts it — and the extsort tier k-way merges the
-// sorted runs. Where a oversized Submit would shed with ErrTooLarge,
+// sorted runs. Where an oversized Submit would shed with ErrTooLarge,
 // SubmitStream degrades gracefully: any input length is admitted, one
 // run at a time, and bucket overload is absorbed by backing off and
 // resubmitting the run instead of surfacing ErrQueueFull to the
@@ -82,7 +82,7 @@ func (s *Server) SubmitStream(ctx context.Context, src extsort.Reader, dst extso
 }
 
 // streamRunSorter sorts runs by submitting each as a normal request:
-// run-at-a-time admission through the same planner, store, buckets and
+// run-at-a-time admission through the same planner, buckets and
 // worker pool as every other tenant, so streaming traffic batches with
 // (and is bounded like) point traffic.
 type streamRunSorter struct {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"productsort/internal/extsort"
 	"productsort/internal/graph"
@@ -29,7 +28,6 @@ func streamServer(t *testing.T, queueDepth int) *Server {
 	s, err := New(Config{
 		Planner:    pl,
 		QueueDepth: queueDepth,
-		MaxLinger:  200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

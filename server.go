@@ -1,9 +1,11 @@
 // Serving: the multi-tenant batching sort service. A Server accepts
 // sort requests of any admissible size, maps each to the cheapest
 // covering compiled network (by predicted rounds), pads it with +inf
-// sentinels, batches it with size-compatible neighbours, and replays
-// the shared phase program once for the whole batch — the agglomeration
-// idiom: many logical sorts, one network execution. Admission is
+// sentinels, batches it with size-compatible neighbours that queued
+// while every worker was busy, and replays the shared phase program
+// once for the whole batch — the agglomeration idiom: many logical
+// sorts, one network execution. An idle server sorts each request at
+// once. Admission is
 // bounded (overload sheds with ErrQueueFull), per-request contexts are
 // honored until a request is bound into a flush, and Close drains
 // gracefully. The plan set is fixed when the server is built: one size
@@ -17,7 +19,6 @@ package productsort
 import (
 	"context"
 	"errors"
-	"time"
 
 	"productsort/internal/serve"
 	"productsort/internal/sort2d"
@@ -62,17 +63,12 @@ type ServerConfig struct {
 	// MaxKeys sizes the default network set when Networks is empty
 	// (default 4096). Ignored when Networks is given.
 	MaxKeys int
-	// MaxBatch flushes a size bucket when this many requests have
-	// accumulated (default 64).
-	MaxBatch int
-	// MaxLinger flushes a non-empty bucket this long after its first
-	// pending request arrived (default 2ms).
-	MaxLinger time.Duration
 	// QueueDepth bounds each bucket's admitted-but-unreplied requests
 	// (default 1024); submissions beyond it shed with ErrQueueFull.
 	QueueDepth int
 	// Workers bounds concurrently running batch flushes (default
-	// GOMAXPROCS).
+	// GOMAXPROCS). Requests share a flush only while every worker is
+	// busy.
 	Workers int
 	// Metrics receives the serve.* instruments; nil creates a private
 	// registry, reachable via Server.Metrics.
@@ -165,8 +161,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s, err := serve.New(serve.Config{
 		Planner:    planner,
-		MaxBatch:   cfg.MaxBatch,
-		MaxLinger:  cfg.MaxLinger,
 		QueueDepth: cfg.QueueDepth,
 		Workers:    cfg.Workers,
 		Metrics:    cfg.Metrics,
@@ -207,6 +201,6 @@ func (s *Server) Close(ctx context.Context) error { return s.s.Close(ctx) }
 
 // Metrics returns the registry the server reports into: admission and
 // shed counters, per-family flush counters, and for every size bucket
-// its flush and shed counters, occupancy gauge, and latency,
-// batch-size and column-width histograms (serve.bucket.<network>.*).
+// its flush and shed counters, occupancy gauge, and latency and
+// batch-size histograms (serve.bucket.<network>.*).
 func (s *Server) Metrics() *Metrics { return s.s.Metrics() }

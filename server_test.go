@@ -25,8 +25,7 @@ func serverKeys(n int, seed int64) []productsort.Key {
 // to a few hundred keys, agreeing with the reference sort.
 func TestServerSortsArbitrarySizes(t *testing.T) {
 	s, err := productsort.NewServer(productsort.ServerConfig{
-		MaxKeys:   256,
-		MaxLinger: 100 * time.Microsecond,
+		MaxKeys: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +70,7 @@ func TestServerDefaults(t *testing.T) {
 // accounting on every reply.
 func TestServerReplyFields(t *testing.T) {
 	s, err := productsort.NewServer(productsort.ServerConfig{
-		MaxKeys:   64,
-		MaxLinger: 100 * time.Microsecond,
+		MaxKeys: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +105,8 @@ func TestServerReplyFields(t *testing.T) {
 func TestServerMetricsSnapshot(t *testing.T) {
 	m := productsort.NewMetrics()
 	s, err := productsort.NewServer(productsort.ServerConfig{
-		MaxKeys:   64,
-		MaxLinger: 100 * time.Microsecond,
-		Metrics:   m,
+		MaxKeys: 64,
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +175,7 @@ func TestServerCustomNetworks(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := productsort.NewServer(productsort.ServerConfig{
-		Networks:  []*productsort.Network{cube},
-		MaxLinger: 100 * time.Microsecond,
+		Networks: []*productsort.Network{cube},
 	})
 	if err != nil {
 		t.Fatal(err)
