@@ -131,11 +131,17 @@ fuzz:
 	$(GO) test ./internal/extsort/ -run=^$$ -fuzz=FuzzSortStreamEquivalence -fuzztime=15s
 
 # Certification gate: machine-check (0-1 principle, bitsliced) that the
-# compiled phase program of every built-in family/engine pair sorts —
-# exhaustively up to 16 keys in CI, sampled with coverage lint above.
-# Fails on any counterexample. Writes BENCH_cert.json.
+# executed comparator stream of every built-in family/engine pair sorts
+# and drops only comparators that never swap — exhaustively up to 16
+# keys in CI, sampled with coverage lint above. Fails on any
+# counterexample. Writes BENCH_cert.json. Then the certifier's own
+# checks: every mutant (broken-prune included: intact ops, one live
+# comparator missing from the executed stream) must be rejected, and
+# every exhaustive-envelope program may drop only comparators in its
+# unpruned exhaustive dead set, per an independent scalar oracle.
 cert:
 	$(GO) run ./cmd/bench -cert -certmax 16
+	$(GO) test -count=1 -run '^(TestMutationHarness|TestEmittedMutationHarness|TestDroppedComparatorsAreExhaustivelyDead)$$' ./internal/cert/
 
 # Serving soak: the batching sort server hammered from many goroutines
 # under the race detector for a few seconds — deadlines, cancellations,

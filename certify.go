@@ -57,6 +57,10 @@ type CertWitness struct {
 	// Minimal reports 1-minimality: clearing any single 1 yields an
 	// input the program sorts.
 	Minimal bool
+	// LiveDrop, when set, names the first comparator the executed
+	// stream drops although it exchanges on Vector in the unpruned
+	// program: the pruning, not the schedule, is wrong.
+	LiveDrop *DeadComparator
 }
 
 // Certificate reports one certification run over a compiled network's
@@ -76,8 +80,12 @@ type Certificate struct {
 	// Ops and Comparators describe the program: exchange phases and
 	// total comparator count.
 	Ops, Comparators int
-	// Dead lists comparators never observed exchanging (nil after a
-	// failed run).
+	// Executed is how many of the comparators the lowered stream runs —
+	// what SortBatch, SortStream and the server execute; the known-order
+	// pass proved the rest never swap.
+	Executed int
+	// Dead lists comparators never observed exchanging, the dropped
+	// ones included (nil after a failed run).
 	Dead []DeadComparator
 	// Elapsed is the wall time of the run.
 	Elapsed time.Duration
@@ -86,7 +94,8 @@ type Certificate struct {
 }
 
 // Certify machine-checks that the network's compiled phase program
-// sorts. Inside the exhaustive envelope (Keys ≤ 24 by default) it
+// sorts, replaying the comparator stream the batch paths execute and
+// proving that every comparator it drops never swaps. Inside the exhaustive envelope (Keys ≤ 24 by default) it
 // replays all 2^n 0-1 vectors — by the 0-1 principle a full proof that
 // every input sorts — using the bitsliced engine (64 vectors per word,
 // parallel workers). Above the envelope it replays a seeded random
@@ -119,6 +128,7 @@ func (c *CompiledNetwork) Certify(opts *CertifyOptions) (*Certificate, error) {
 		WordOps:     res.WordOps,
 		Ops:         res.Ops,
 		Comparators: res.Comparators,
+		Executed:    res.Executed,
 		Elapsed:     res.Elapsed,
 	}
 	for _, d := range res.Dead {
@@ -131,6 +141,9 @@ func (c *CompiledNetwork) Certify(opts *CertifyOptions) (*Certificate, error) {
 			FailPos: w.FailPos,
 			BreakOp: w.BreakOp,
 			Minimal: w.Minimal,
+		}
+		if d := w.LiveDrop; d != nil {
+			out.Witness.LiveDrop = &DeadComparator{Op: d.Op, Pair: d.Pair, Lo: d.Lo, Hi: d.Hi}
 		}
 	}
 	return out, nil

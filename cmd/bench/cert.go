@@ -23,6 +23,7 @@ type certEntry struct {
 	WordOps     uint64  `json:"wordOps"`
 	Ops         int     `json:"ops"`
 	Comparators int     `json:"comparators"`
+	Executed    int     `json:"executed"`
 	Dead        int     `json:"deadComparators"`
 	ElapsedMs   float64 `json:"elapsedMs"`
 	Witness     string  `json:"witness,omitempty"`
@@ -92,7 +93,7 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 		SampleVectors:     sample,
 	}
 	table := stats.NewTable("Certification: bitsliced 0-1 proof per (network, engine)",
-		"network", "family", "engine", "keys", "mode", "vectors", "comparators", "dead", "verdict", "wall")
+		"network", "family", "engine", "keys", "mode", "vectors", "comparators", "executed", "dead", "verdict", "wall")
 	failures := 0
 
 	record := func(c *productsort.CompiledNetwork, name, engine string, nodes int, forceSampled bool) error {
@@ -114,6 +115,7 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 			Network: name, Engine: engine, Family: c.Family(), Nodes: nodes, Mode: mode,
 			Certified: crt.Certified, Vectors: crt.Vectors, Words: crt.Words,
 			WordOps: crt.WordOps, Ops: crt.Ops, Comparators: crt.Comparators,
+			Executed:  crt.Executed,
 			Dead:      len(crt.Dead),
 			ElapsedMs: float64(crt.Elapsed) / float64(time.Millisecond),
 		}
@@ -129,7 +131,7 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 			}
 		}
 		report.Entries = append(report.Entries, e)
-		table.Add(name, e.Family, engine, nodes, mode, e.Vectors, e.Comparators, e.Dead,
+		table.Add(name, e.Family, engine, nodes, mode, e.Vectors, e.Comparators, e.Executed, e.Dead,
 			verdict, fmt.Sprintf("%.1fms", e.ElapsedMs))
 		return nil
 	}

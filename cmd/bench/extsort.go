@@ -17,9 +17,10 @@ import (
 // wall clock and throughput next to a slices.Sort baseline over the
 // same keys.
 type extsortEntry struct {
-	Keys    int `json:"keys"`
-	FanIn   int `json:"fanIn"`
-	RunSize int `json:"runSize"`
+	Keys     int `json:"keys"`
+	FanIn    int `json:"fanIn"`
+	RunSize  int `json:"runSize"`
+	RunBatch int `json:"runBatch"`
 	// Runs, MergePasses and SpilledBytes come from the tier's own
 	// accounting (extsort.Stats).
 	Runs         int64 `json:"runs"`
@@ -30,21 +31,32 @@ type extsortEntry struct {
 	StreamNs   int64 `json:"streamNs"`
 	BaselineNs int64 `json:"baselineNs"`
 	// StreamKeysPerSec and BaselineKeysPerSec are the derived
-	// throughputs; Ratio is baseline/stream (>1 means slices.Sort wins).
+	// throughputs; Ratio is baseline/stream time (>1 means the stream
+	// wins).
 	StreamKeysPerSec   float64 `json:"streamKeysPerSec"`
 	BaselineKeysPerSec float64 `json:"baselineKeysPerSec"`
 	Ratio              float64 `json:"ratio"`
 }
 
 // extsortReport is the BENCH_extsort.json document: a size sweep at
-// the default fan-in followed by a fan-in sweep at a fixed size.
+// the default configuration, a fan-in sweep at a fixed size, and a run
+// batch sweep at 1e7 keys.
 type extsortReport struct {
 	Generated string         `json:"generated"`
 	Network   string         `json:"network"`
 	Nodes     int            `json:"nodes"`
 	SizeSweep []extsortEntry `json:"sizeSweep"`
 	FanSweep  []extsortEntry `json:"fanSweep"`
+	// RunBatchSweep holds 1e7 keys at RunBatch 16, 32, 64, 128 and the
+	// budget-derived default (the last entry).
+	RunBatchSweep []extsortEntry `json:"runBatchSweep"`
 }
+
+// runBatchSweep is the fixed RunBatch sweep at runBatchSweepKeys keys;
+// 0 selects the budget-derived default.
+var runBatchSweep = []int{16, 32, 64, 128, 0}
+
+const runBatchSweepKeys = 10_000_000
 
 // runExtsortBench measures the streaming external sort tier (certified
 // run formation + loser-tree merge) against slices.Sort and writes the
@@ -73,9 +85,14 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 		Nodes:     nw.Nodes(),
 	}
 	fmt.Printf("extsort bench: %s (%d nodes)\n", rep.Network, rep.Nodes)
+	// The first batch replay lowers the program once (about 50 ms at
+	// K2^10, BENCH_schedule.json's pruneNs); keep it out of the cells.
+	if _, _, err := c.SortStreamKeys(context.Background(), []productsort.Key{1}, productsort.StreamConfig{}); err != nil {
+		return err
+	}
 
 	for _, n := range sizes {
-		e, err := extsortCell(c, n, 0, seed)
+		e, err := extsortCell(c, n, productsort.StreamConfig{}, seed)
 		if err != nil {
 			return err
 		}
@@ -90,7 +107,7 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 		fanN = sizes[len(sizes)-2]
 	}
 	for _, k := range fanins {
-		e, err := extsortCell(c, fanN, k, seed)
+		e, err := extsortCell(c, fanN, productsort.StreamConfig{FanIn: k}, seed)
 		if err != nil {
 			return err
 		}
@@ -98,35 +115,46 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 		fmt.Printf("  fan-in %4d (n=%d): stream %8.0f keys/s, %d merge passes\n",
 			k, fanN, e.StreamKeysPerSec, e.MergePasses)
 	}
+	for _, b := range runBatchSweep {
+		e, err := extsortCell(c, runBatchSweepKeys, productsort.StreamConfig{RunBatch: b}, seed)
+		if err != nil {
+			return err
+		}
+		rep.RunBatchSweep = append(rep.RunBatchSweep, e)
+		fmt.Printf("  run batch %4d (n=%d): stream %8.0f keys/s (x%.2f), %d merge passes, %d spilled bytes\n",
+			e.RunBatch, runBatchSweepKeys, e.StreamKeysPerSec, e.Ratio, e.MergePasses, e.SpilledBytes)
+	}
 	return writeJSONArtifact(path, &rep)
 }
 
 // extsortCell runs one measurement: n keys through SortStream with the
-// given fan-in (0 = tier default), then slices.Sort over a copy.
-func extsortCell(c *productsort.CompiledNetwork, n, fanIn int, seed int64) (extsortEntry, error) {
+// given configuration (zero fields = tier defaults), then slices.Sort
+// over a copy.
+func extsortCell(c *productsort.CompiledNetwork, n int, cfg productsort.StreamConfig, seed int64) (extsortEntry, error) {
 	if n < 1 {
 		return extsortEntry{}, fmt.Errorf("extsort bench: size %d < 1", n)
 	}
-	keys := extsortKeys(rand.New(rand.NewSource(seed+int64(n)+int64(fanIn)<<32)), n)
+	keys := extsortKeys(rand.New(rand.NewSource(seed+int64(n)+int64(cfg.FanIn)<<32)), n)
 
 	start := time.Now()
-	got, stats, err := c.SortStreamKeys(context.Background(), keys, productsort.StreamConfig{FanIn: fanIn})
+	got, stats, err := c.SortStreamKeys(context.Background(), keys, cfg)
 	streamNs := time.Since(start).Nanoseconds()
 	if err != nil {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d): %w", n, fanIn, err)
+		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, %+v): %w", n, cfg, err)
 	}
 	base := slices.Clone(keys)
 	start = time.Now()
 	slices.Sort(base)
 	baseNs := time.Since(start).Nanoseconds()
 	if !slices.Equal(got, base) {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d) output differs from slices.Sort (%d keys)", n, fanIn, len(got))
+		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, %+v) output differs from slices.Sort (%d keys)", n, cfg, len(got))
 	}
 
 	return extsortEntry{
 		Keys:               n,
 		FanIn:              stats.MaxFanIn,
 		RunSize:            stats.RunSize,
+		RunBatch:           stats.RunBatch,
 		Runs:               stats.Runs,
 		MergePasses:        stats.MergePasses,
 		SpilledBytes:       stats.SpilledBytes,

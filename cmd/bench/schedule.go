@@ -2,10 +2,13 @@ package main
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
 	"productsort"
+	"productsort/internal/emit/multiway"
+	"productsort/internal/emit/periodic"
 	"productsort/internal/graph"
 	"productsort/internal/product"
 	"productsort/internal/schedule"
@@ -24,7 +27,9 @@ type scheduleEntry struct {
 	// (the pre-refactor per-sort cost; best of 3).
 	ColdNs int64 `json:"coldNs"`
 	// WarmPerSetNs is the wall-clock per key set when Sets sets are
-	// replayed through the cached program by the worker pool.
+	// replayed through the cached program by the worker pool, after a
+	// one-set batch has built the program's lowered stream (whose
+	// one-time cost is PruneNs).
 	WarmPerSetNs int64 `json:"warmPerSetNs"`
 	// Speedup is ColdNs / WarmPerSetNs.
 	Speedup float64 `json:"speedup"`
@@ -32,6 +37,11 @@ type scheduleEntry struct {
 	// full-size batch replayed through the columnar kernel
 	// (RunBatchColumnar), best of 3, per set.
 	ColsPerSetNs int64 `json:"colsPerSetNs"`
+	// Executed is how many of the program's comparators the columnar
+	// kernel runs after the known-order pass; PruneNs is what lowering
+	// plus the pass cost, once per program (best of 3, fresh programs).
+	Executed int   `json:"executed"`
+	PruneNs  int64 `json:"pruneNs"`
 }
 
 // familyEntry is one cell of the cross-family head-to-head: the same
@@ -53,6 +63,9 @@ type familyEntry struct {
 	// the emitted families run through the exact same kernel as the
 	// product programs.
 	ColsPerSetNs int64 `json:"colsPerSetNs"`
+	// Executed and PruneNs are as in scheduleEntry.
+	Executed int   `json:"executed"`
+	PruneNs  int64 `json:"pruneNs"`
 }
 
 // plannerPick records which family the cross-family serve planner
@@ -153,6 +166,9 @@ func runScheduleBench(path string, sets, workers int) error {
 		if err != nil {
 			return err
 		}
+		if err := c.SortBatch([][]productsort.Key{gen(nw.Nodes(), 99)}, 1); err != nil {
+			return err
+		}
 		before := schedule.Stats().Compiles
 		batch := make([][]productsort.Key, sets)
 		for i := range batch {
@@ -188,11 +204,17 @@ func runScheduleBench(path string, sets, workers int) error {
 		if err != nil {
 			return err
 		}
+		e.Executed, e.PruneNs, err = pruneCost(func() (*schedule.Program, error) {
+			return schedule.CompileUncached(product.MustNew(tp.factor, tp.r), nil)
+		})
+		if err != nil {
+			return err
+		}
 		report.Entries = append(report.Entries, e)
-		fmt.Printf("%-22s nodes=%-5d cold=%-12v warm/set=%-12v speedup=%-8.1fx cols/set=%v\n",
+		fmt.Printf("%-22s nodes=%-5d cold=%-12v warm/set=%-12v speedup=%-8.1fx cols/set=%-10v executed=%d/%d prune=%v\n",
 			nw.Name(), nw.Nodes(), cold.Round(time.Microsecond),
 			time.Duration(perSet).Round(time.Microsecond), e.Speedup,
-			time.Duration(e.ColsPerSetNs))
+			time.Duration(e.ColsPerSetNs), e.Executed, c.Size(), time.Duration(e.PruneNs))
 	}
 	report.Compiles = schedule.Stats().Compiles
 
@@ -280,9 +302,12 @@ func familyHeadToHead(sets int, gen workload.Gen) ([]familyEntry, error) {
 				CertifiedMs:  float64(crt.Elapsed) / float64(time.Millisecond),
 				ColsPerSetNs: cols.Nanoseconds() / int64(sets),
 			}
+			if e.Executed, e.PruneNs, err = pruneCost(familyProgram(family, size)); err != nil {
+				return nil, err
+			}
 			out = append(out, e)
-			fmt.Printf("family %-9s n=%-4d net=%-14s rounds=%-4d comparators=%-6d cert=%-10s %-8.1fms cols/set=%v\n",
-				family, size, e.Network, e.Rounds, e.Comparators, mode, e.CertifiedMs,
+			fmt.Printf("family %-9s n=%-4d net=%-14s rounds=%-4d comparators=%-6d executed=%-6d cert=%-10s %-8.1fms cols/set=%v\n",
+				family, size, e.Network, e.Rounds, e.Comparators, e.Executed, mode, e.CertifiedMs,
 				time.Duration(e.ColsPerSetNs))
 		}
 	}
@@ -331,6 +356,40 @@ func plannerSelections() ([]plannerPick, error) {
 		return nil, fmt.Errorf("planner selections: no request size picked a non-product family")
 	}
 	return picks, nil
+}
+
+// familyProgram builds a fresh, unlowered program of the family at size
+// keys — the same program CompileFamily serves.
+func familyProgram(family string, size int) func() (*schedule.Program, error) {
+	return func() (*schedule.Program, error) {
+		switch family {
+		case productsort.FamilyMultiway:
+			return multiway.Emit(size)
+		case productsort.FamilyPeriodic:
+			return periodic.Emit(size)
+		}
+		r := bits.Len(uint(size)) - 1
+		return schedule.CompileUncached(product.MustNew(graph.K2(), r), nil)
+	}
+}
+
+// pruneCost lowers fresh programs from build, timing lowering plus the
+// known-order pass (best of 3), and returns the executed comparator
+// count with that time.
+func pruneCost(build func() (*schedule.Program, error)) (executed int, ns int64, err error) {
+	var best time.Duration
+	for rep := 0; rep < 3; rep++ {
+		prog, err := build()
+		if err != nil {
+			return 0, 0, err
+		}
+		start := time.Now()
+		executed = prog.Executed()
+		if d := time.Since(start); rep == 0 || d < best {
+			best = d
+		}
+	}
+	return executed, best.Nanoseconds(), nil
 }
 
 // columnsPerSet times a full-size batch through the columnar kernel

@@ -26,22 +26,26 @@ var lowPat = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
-// exOp is one flattened exchange op: its index in the program stream
-// and its pairs.
-type exOp struct {
-	index int
-	pairs [][2]int
+// comparator is one exchange pair of the program, flattened in
+// execution order: the op index and pair index it came from, its node
+// ids, and whether the program's executed stream drops it.
+type comparator struct {
+	op, pair int
+	lo, hi   int
+	dropped  bool
 }
 
 // layout caches the program geometry every evaluation needs: the snake
-// order (sortedness is judged along it), its inverse, and the flattened
-// exchange ops.
+// order (sortedness is judged along it), its inverse, and every
+// exchange pair of the ops, each marked executed or dropped by the
+// program's lowered stream (schedule.Program.ExecutedIndex).
 type layout struct {
-	n           int
-	snake       []int // snake[p] = node id at snake position p
-	pos         []int // pos[node] = snake position
-	exOps       []exOp
-	comparators int
+	n        int
+	snake    []int // snake[p] = node id at snake position p
+	pos      []int // pos[node] = snake position
+	comps    []comparator
+	ops      int // exchange ops
+	executed int
 }
 
 func newLayout(prog *schedule.Program) *layout {
@@ -57,30 +61,42 @@ func newLayout(prog *schedule.Program) *layout {
 	for i := range ops {
 		switch ops[i].Kind {
 		case schedule.OpCompareExchange, schedule.OpRoutedExchange:
-			lay.exOps = append(lay.exOps, exOp{index: i, pairs: ops[i].Pairs})
-			lay.comparators += len(ops[i].Pairs)
+			lay.ops++
+			for j, pr := range ops[i].Pairs {
+				lay.comps = append(lay.comps, comparator{op: i, pair: j, lo: pr[0], hi: pr[1], dropped: true})
+			}
 		}
 	}
+	executed := prog.ExecutedIndex()
+	for _, f := range executed {
+		lay.comps[f].dropped = false
+	}
+	lay.executed = len(executed)
 	return lay
 }
 
-// replayWord runs every comparator over one 64-vector word block:
+// replayWord runs the executed stream over one 64-vector word block:
 // min = AND, max = OR. cov[k] is set when flattened comparator k was
 // observed exchanging (lo carried a 1 while hi carried a 0) in any
-// lane.
-func (lay *layout) replayWord(words []uint64, cov []bool) {
-	k := 0
-	for _, op := range lay.exOps {
-		for _, pr := range op.pairs {
-			wa, wb := words[pr[0]], words[pr[1]]
-			if wa&^wb != 0 {
-				cov[k] = true
-			}
-			words[pr[0]] = wa & wb
-			words[pr[1]] = wa | wb
-			k++
+// lane. A dropped comparator is only probed, never applied: the lanes
+// in which it would have exchanged are returned, because there the
+// executed stream departs from the unpruned ops (THEORY.md §17).
+func (lay *layout) replayWord(words []uint64, cov []bool) (liveDrops uint64) {
+	for k := range lay.comps {
+		c := &lay.comps[k]
+		wa, wb := words[c.lo], words[c.hi]
+		x := wa &^ wb
+		if x != 0 {
+			cov[k] = true
 		}
+		if c.dropped {
+			liveDrops |= x
+			continue
+		}
+		words[c.lo] = wa & wb
+		words[c.hi] = wa | wb
 	}
+	return liveDrops
 }
 
 // violations returns the lanes whose output is not sorted along the
@@ -98,15 +114,13 @@ func (lay *layout) violations(words []uint64) uint64 {
 }
 
 // deadComparators converts merged coverage into the lint report.
+// Dropped comparators of a certified run never exchange, so they are
+// reported dead like every other comparator coverage never saw swap.
 func (lay *layout) deadComparators(cov []bool) []DeadComparator {
 	var dead []DeadComparator
-	k := 0
-	for _, op := range lay.exOps {
-		for j, pr := range op.pairs {
-			if !cov[k] {
-				dead = append(dead, DeadComparator{Op: op.index, Pair: j, Lo: pr[0], Hi: pr[1]})
-			}
-			k++
+	for k, c := range lay.comps {
+		if !cov[k] {
+			dead = append(dead, DeadComparator{Op: c.op, Pair: c.pair, Lo: c.lo, Hi: c.hi})
 		}
 	}
 	return dead
@@ -138,7 +152,7 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 		go func(w int) {
 			defer wg.Done()
 			words := make([]uint64, n)
-			cov := make([]bool, lay.comparators)
+			cov := make([]bool, len(lay.comps))
 			covs[w] = cov
 			var done uint64
 			for blk := uint64(w); blk < blocks; blk += uint64(workers) {
@@ -156,9 +170,9 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 						words[node] = 0
 					}
 				}
-				lay.replayWord(words, cov)
+				liveDrops := lay.replayWord(words, cov)
 				done++
-				if bad := lay.violations(words); bad != 0 {
+				if bad := lay.violations(words) | liveDrops; bad != 0 {
 					vec := base + uint64(bits.TrailingZeros64(bad))
 					for {
 						cur := earliest.Load()
@@ -178,9 +192,10 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 		Keys:        n,
 		Vectors:     totalVecs,
 		Words:       wordsDone.Load(),
-		WordOps:     wordsDone.Load() * uint64(lay.comparators),
-		Ops:         len(lay.exOps),
-		Comparators: lay.comparators,
+		WordOps:     wordsDone.Load() * uint64(lay.executed),
+		Ops:         lay.ops,
+		Comparators: len(lay.comps),
+		Executed:    lay.executed,
 		Elapsed:     time.Since(start),
 	}
 	if fail := earliest.Load(); fail != math.MaxUint64 {
@@ -193,7 +208,7 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 		return res, nil
 	}
 	res.Certified = true
-	res.Dead = lay.deadComparators(mergeCov(covs, lay.comparators))
+	res.Dead = lay.deadComparators(mergeCov(covs, len(lay.comps)))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -226,7 +241,7 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 			defer wg.Done()
 			words := make([]uint64, n)
 			initial := make([]uint64, n)
-			cov := make([]bool, lay.comparators)
+			cov := make([]bool, len(lay.comps))
 			covs[w] = cov
 			var done uint64
 			for blk := uint64(w); blk < blocks; blk += uint64(workers) {
@@ -239,9 +254,9 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 					words[node] = x
 					initial[node] = x
 				}
-				lay.replayWord(words, cov)
+				liveDrops := lay.replayWord(words, cov)
 				done++
-				if bad := lay.violations(words); bad != 0 {
+				if bad := lay.violations(words) | liveDrops; bad != 0 {
 					lane := bits.TrailingZeros64(bad)
 					for {
 						cur := bestBlock.Load()
@@ -273,9 +288,10 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 		Keys:        n,
 		Vectors:     wordsDone.Load() * 64,
 		Words:       wordsDone.Load(),
-		WordOps:     wordsDone.Load() * uint64(lay.comparators),
-		Ops:         len(lay.exOps),
-		Comparators: lay.comparators,
+		WordOps:     wordsDone.Load() * uint64(lay.executed),
+		Ops:         lay.ops,
+		Comparators: len(lay.comps),
+		Executed:    lay.executed,
 		Elapsed:     time.Since(start),
 	}
 	if bestVec != nil {
@@ -284,7 +300,7 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 		return res, nil
 	}
 	res.Certified = true
-	res.Dead = lay.deadComparators(mergeCov(covs, lay.comparators))
+	res.Dead = lay.deadComparators(mergeCov(covs, len(lay.comps)))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

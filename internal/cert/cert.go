@@ -12,7 +12,13 @@
 //
 // so the certifier packs 64 input vectors into one machine word per
 // node and replays the program once per word: each exchange pair costs
-// two word operations and certifies 64 inputs at a time. Word blocks
+// two word operations and certifies 64 inputs at a time. What it
+// replays is the program's executed stream — the comparators the
+// known-order pass kept (schedule.Program.LoweredComparators) — so the
+// proof covers exactly what the columnar kernel runs. Each dropped
+// comparator is probed, not applied: if it would exchange on some
+// input, the executed stream departs from the ops there, and the run
+// fails with a witness naming that comparator (THEORY.md §17). Word blocks
 // are spread over parallel workers, and the exhaustive sweep over all
 // 2^n vectors is feasible for every built-in factor family with
 // n = N^r ≤ ~24 keys in well under a minute.
@@ -134,6 +140,11 @@ type Witness struct {
 	// Minimal reports 1-minimality: clearing any single 1 of Vector
 	// yields an input the program sorts correctly.
 	Minimal bool `json:"minimal"`
+	// LiveDrop, when set, is the first comparator the program's
+	// executed stream drops although it exchanges on Vector in the
+	// unpruned ops: the pruning, not the schedule, is wrong (FailPos is
+	// then -1 if the output still sorts).
+	LiveDrop *DeadComparator `json:"liveDrop,omitempty"`
 }
 
 // String renders the witness vector most-significant-last, matching
@@ -160,12 +171,17 @@ type Result struct {
 	// Words is the number of 64-vector word blocks replayed.
 	Words uint64 `json:"words"`
 	// WordOps is the number of comparator word operations executed —
-	// the work the bitsliced engine actually did.
+	// the work the bitsliced engine actually did (executed comparators
+	// times words; dropped comparators are only probed).
 	WordOps uint64 `json:"wordOps"`
 	// Ops is the number of round-consuming exchange ops in the program.
 	Ops int `json:"ops"`
 	// Comparators is the program's total pair count.
 	Comparators int `json:"comparators"`
+	// Executed is the number of comparators the program's lowered
+	// stream executes (schedule.Program.Executed); the rest are dropped
+	// by the known-order pass and reported in Dead.
+	Executed int `json:"executed"`
 	// Dead lists comparators never observed exchanging; nil when the
 	// run aborted on a failure (coverage would be incomplete).
 	Dead []DeadComparator `json:"dead,omitempty"`

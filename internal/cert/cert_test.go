@@ -82,8 +82,14 @@ func TestExhaustiveCertifiesBuiltinFamilies(t *testing.T) {
 				if res.Words != wantWords {
 					t.Fatalf("words=%d, want %d", res.Words, wantWords)
 				}
-				if res.WordOps != res.Words*uint64(res.Comparators) {
-					t.Fatalf("wordOps=%d, want words*comparators=%d", res.WordOps, res.Words*uint64(res.Comparators))
+				if res.Executed != prog.Executed() || res.Executed > res.Comparators {
+					t.Fatalf("executed=%d, program executes %d of %d", res.Executed, prog.Executed(), res.Comparators)
+				}
+				if res.WordOps != res.Words*uint64(res.Executed) {
+					t.Fatalf("wordOps=%d, want words*executed=%d", res.WordOps, res.Words*uint64(res.Executed))
+				}
+				if len(res.Dead) < res.Comparators-res.Executed {
+					t.Fatalf("%d dead, but %d comparators are dropped", len(res.Dead), res.Comparators-res.Executed)
 				}
 				if res.Comparators != prog.Clock().CompareOps {
 					t.Fatalf("comparators=%d, clock says %d", res.Comparators, prog.Clock().CompareOps)

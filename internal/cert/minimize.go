@@ -4,34 +4,45 @@
 
 package cert
 
-// sortsVector replays the program over one 0-1 vector (scalar replay,
-// one byte per node) and reports whether the output is sorted along
-// the snake; when it is not, failPos is the first snake position p with
-// output[p] = 1 and output[p+1] = 0.
-func (lay *layout) sortsVector(vec []byte) (sorted bool, failPos int) {
+// sortsVector replays the program's executed stream over one 0-1
+// vector (scalar replay, one byte per node) and reports whether the
+// output is sorted along the snake and the executed stream agreed with
+// the unpruned ops. failPos is the first snake position p with
+// output[p] = 1 and output[p+1] = 0 (-1 when sorted); liveDrop is the
+// flattened index of the first dropped comparator that would have
+// exchanged (-1 when none did).
+func (lay *layout) sortsVector(vec []byte) (ok bool, failPos, liveDrop int) {
 	state := make([]byte, lay.n)
 	for p, node := range lay.snake {
 		state[node] = vec[p]
 	}
-	for _, op := range lay.exOps {
-		for _, pr := range op.pairs {
-			a, b := state[pr[0]], state[pr[1]]
-			state[pr[0]] = a & b
-			state[pr[1]] = a | b
+	liveDrop = -1
+	for k := range lay.comps {
+		c := &lay.comps[k]
+		a, b := state[c.lo], state[c.hi]
+		if c.dropped {
+			if a > b && liveDrop < 0 {
+				liveDrop = k
+			}
+			continue
 		}
+		state[c.lo] = a & b
+		state[c.hi] = a | b
 	}
+	failPos = -1
 	for p := 0; p+1 < lay.n; p++ {
 		if state[lay.snake[p]] > state[lay.snake[p+1]] {
-			return false, p
+			failPos = p
+			break
 		}
 	}
-	return true, -1
+	return failPos < 0 && liveDrop < 0, failPos, liveDrop
 }
 
 // fails is the minimizer's predicate.
 func (lay *layout) fails(vec []byte) bool {
-	sorted, _ := lay.sortsVector(vec)
-	return !sorted
+	ok, _, _ := lay.sortsVector(vec)
+	return !ok
 }
 
 // minimize shrinks a failing vector in place to a 1-minimal witness:
@@ -87,7 +98,7 @@ func (lay *layout) minimize(vec []byte) []byte {
 // buildWitness minimizes vec and assembles the full witness report.
 func buildWitness(lay *layout, vec []byte) *Witness {
 	vec = lay.minimize(vec)
-	_, failPos := lay.sortsVector(vec)
+	_, failPos, liveDrop := lay.sortsVector(vec)
 	ones := 0
 	for _, v := range vec {
 		ones += int(v)
@@ -105,20 +116,26 @@ func buildWitness(lay *layout, vec []byte) *Witness {
 		}
 		vec[p] = 1
 	}
-	return &Witness{
+	w := &Witness{
 		Vector:  vec,
 		Ones:    ones,
 		FailPos: failPos,
 		BreakOp: lay.breakOp(vec),
 		Minimal: minimal,
 	}
+	if liveDrop >= 0 {
+		c := lay.comps[liveDrop]
+		w.LiveDrop = &DeadComparator{Op: c.op, Pair: c.pair, Lo: c.lo, Hi: c.hi}
+	}
+	return w
 }
 
-// breakOp replays vec and returns the first op index (round-consuming
-// exchange ops only) at which the sorted-prefix metric — the length of
-// the longest output prefix, in snake order, already holding its final
-// sorted value — strictly decreases, or -1 when the metric never
-// decreases (the replay then merely stalls short of a full prefix).
+// breakOp replays vec through the executed stream and returns the
+// first op index (round-consuming exchange ops only) at which the
+// sorted-prefix metric — the length of the longest output prefix, in
+// snake order, already holding its final sorted value — strictly
+// decreases, or -1 when the metric never decreases (the replay then
+// merely stalls short of a full prefix).
 func (lay *layout) breakOp(vec []byte) int {
 	n := lay.n
 	ones := 0
@@ -143,15 +160,17 @@ func (lay *layout) breakOp(vec []byte) int {
 		return n
 	}
 	prev := prefix()
-	for _, op := range lay.exOps {
-		for _, pr := range op.pairs {
-			a, b := state[pr[0]], state[pr[1]]
-			state[pr[0]] = a & b
-			state[pr[1]] = a | b
+	for k := range lay.comps {
+		c := &lay.comps[k]
+		if c.dropped {
+			continue
 		}
+		a, b := state[c.lo], state[c.hi]
+		state[c.lo] = a & b
+		state[c.hi] = a | b
 		cur := prefix()
 		if cur < prev {
-			return op.index
+			return c.op
 		}
 		prev = cur
 	}

@@ -23,8 +23,12 @@ type Mutant struct {
 	Prog *schedule.Program
 }
 
-// Operators names the mutation operators Mutants applies.
-var Operators = []string{"drop-op", "swap-lohi", "perturb-endpoint", "reorder-phases", "drop-pair"}
+// Operators names the mutation operators Mutants applies. All but
+// broken-prune corrupt the ops; broken-prune keeps the ops intact and
+// drops one live comparator from the executed stream — a wrong
+// known-order pass, which the certifier must reject even when the
+// shortened stream still happens to sort.
+var Operators = []string{"drop-op", "swap-lohi", "perturb-endpoint", "reorder-phases", "drop-pair", "broken-prune"}
 
 // Mutants generates up to perOp deterministic mutants per operator from
 // prog, using a seeded PRNG to pick mutation sites. Every returned
@@ -116,7 +120,49 @@ func Mutants(prog *schedule.Program, perOp int, seed int64) []Mutant {
 			})
 		}
 	}
+	out = append(out, brokenPrunes(prog, perOp, seed)...)
 	return dedupeMutants(out)
+}
+
+// brokenPrunes returns up to n programs with prog's ops whose executed
+// stream additionally drops one comparator observed exchanging in a
+// certified run of prog. It draws from its own PRNG so the other
+// operators' sites do not depend on it; a program that does not
+// certify yields none (its live set is unknown).
+func brokenPrunes(prog *schedule.Program, n int, seed int64) []Mutant {
+	res, err := Run(prog, Options{Workers: 1, SampleVectors: 1 << 12, Seed: seed})
+	if err != nil || !res.Certified {
+		return nil
+	}
+	dead := make(map[[2]int]bool, len(res.Dead))
+	for _, d := range res.Dead {
+		dead[[2]int{d.Op, d.Pair}] = true
+	}
+	lay := newLayout(prog)
+	index := prog.ExecutedIndex()
+	var live []int // positions in index of live executed comparators
+	for k, f := range index {
+		if c := lay.comps[f]; !dead[[2]int{c.op, c.pair}] {
+			live = append(live, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5EED))
+	var out []Mutant
+	for m := 0; m < n && len(live) > 0; m++ {
+		k := live[rng.Intn(len(live))]
+		keep := append(append([]int32(nil), index[:k]...), index[k+1:]...)
+		mp, err := prog.WithExecuted(keep)
+		if err != nil {
+			panic(fmt.Sprintf("cert: broken-prune mutant invalid: %v", err))
+		}
+		c := lay.comps[index[k]]
+		out = append(out, Mutant{
+			Name:     fmt.Sprintf("broken-prune@op%d.%d", c.op, c.pair),
+			Operator: "broken-prune",
+			Prog:     mp,
+		})
+	}
+	return out
 }
 
 // cloneOps deep-copies an op list (ops and their pair slices) so a

@@ -57,6 +57,9 @@ func TestMutationHarness(t *testing.T) {
 				t.Errorf("%s/%s: rejected without witness", b.name, m.Name)
 				continue
 			}
+			if m.Operator == "broken-prune" && w.LiveDrop == nil {
+				t.Errorf("%s/%s: witness %v does not name the dropped live comparator", b.name, m.Name, w)
+			}
 			if oracleSorts(m.Prog, w.Vector) {
 				t.Errorf("%s/%s: witness %v is not a counterexample", b.name, m.Name, w)
 			}

@@ -24,7 +24,8 @@
 // spill to a temp file (segments reserved in input order, positional
 // reads) and an intermediate merge pass streams spill-to-spill, so peak
 // residency is O(MemoryKeys + FanIn·buffer + workers·RunBatch·RunSize)
-// regardless of input length. The whole pipeline is cancellable via
+// regardless of input length; the default RunBatch keeps the last term
+// within MemoryKeys/2. The whole pipeline is cancellable via
 // context and instrumented with extsort.* counters and per-stage
 // latency histograms.
 //
@@ -39,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"productsort/internal/obs"
@@ -99,7 +101,11 @@ type Config struct {
 	// RunBatch is how many formed runs accumulate before one SortRuns
 	// call — the batch the columnar replay amortizes its program walk
 	// over, and the batch a background worker then pre-merges into one
-	// merge leaf (default 16).
+	// merge leaf. The default is derived from the budget like FanIn:
+	// the largest B with (2·GOMAXPROCS+2)·B·RunSize ≤ MemoryKeys/2, so
+	// the batches in flight plus the workers' spill-leaf buffers hold at
+	// most half the budget, but at least 16: 170 at the default budget
+	// and RunSize on 2 CPUs. Min 1.
 	RunBatch int
 	// MemoryKeys bounds resident sorted keys: leaves beyond it spill to
 	// disk (default 1<<21 keys = 16 MiB; raised to (FanIn+1)·4096 so the
@@ -124,9 +130,10 @@ type Stats struct {
 	// Runs is the number of runs the run sorter formed. Each batch of
 	// up to RunBatch of them is pre-merged into one merge leaf.
 	Runs int64 `json:"runs"`
-	// RunSize and FanIn echo the effective configuration.
-	RunSize int `json:"runSize"`
-	FanIn   int `json:"fanIn"`
+	// RunSize, FanIn and RunBatch echo the effective configuration.
+	RunSize  int `json:"runSize"`
+	FanIn    int `json:"fanIn"`
+	RunBatch int `json:"runBatch"`
 	// MergePasses counts merge passes over the leaves (1 when the leaves
 	// number at most FanIn); pre-merging is not a pass.
 	MergePasses int `json:"mergePasses"`
@@ -203,6 +210,10 @@ const defaultRunSize = 1024
 // MemoryKeys would buy many cheap passes instead of a few buffers.
 const minDerivedFanIn = 16
 
+// minDerivedRunBatch is the floor of the default run batch: wide hosts
+// and small budgets still amortize the program walk over 16 runs.
+const minDerivedRunBatch = 16
+
 // normalize validates cfg against the sorter and fills defaults.
 func (cfg Config) normalize(sorter RunSorter) (Config, error) {
 	if sorter == nil {
@@ -236,9 +247,6 @@ func (cfg Config) normalize(sorter RunSorter) (Config, error) {
 	if cfg.RunBatch < 0 {
 		return cfg, &ConfigError{Field: "RunBatch", Reason: fmt.Sprintf("negative value %d", cfg.RunBatch)}
 	}
-	if cfg.RunBatch == 0 {
-		cfg.RunBatch = 16
-	}
 	if cfg.MemoryKeys < 0 {
 		return cfg, &ConfigError{Field: "MemoryKeys", Reason: fmt.Sprintf("negative value %d", cfg.MemoryKeys)}
 	}
@@ -252,6 +260,12 @@ func (cfg Config) normalize(sorter RunSorter) (Config, error) {
 	// block; below this floor spilling would thrash.
 	if floor := (cfg.FanIn + 1) * spillBufKeys; cfg.MemoryKeys < floor {
 		cfg.MemoryKeys = floor
+	}
+	if cfg.RunBatch == 0 {
+		// formRuns keeps GOMAXPROCS+2 batches in flight, and each of its
+		// GOMAXPROCS workers may hold one spilled leaf of a batch's keys.
+		perBatch := (2*runtime.GOMAXPROCS(0) + 2) * cfg.RunSize
+		cfg.RunBatch = max(cfg.MemoryKeys/2/perBatch, minDerivedRunBatch)
 	}
 	return cfg, nil
 }
@@ -271,7 +285,7 @@ func Sort(ctx context.Context, src Reader, dst Writer, sorter RunSorter, cfg Con
 		ctx = context.Background()
 	}
 	met := newMetrics(cfg.Metrics)
-	stats := &Stats{RunSize: cfg.RunSize, FanIn: cfg.FanIn}
+	stats := &Stats{RunSize: cfg.RunSize, FanIn: cfg.FanIn, RunBatch: cfg.RunBatch}
 
 	store := newRunStore(cfg.SpillDir, cfg.MemoryKeys, met)
 	defer store.close()

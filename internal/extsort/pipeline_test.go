@@ -155,6 +155,42 @@ func TestDerivedFanIn(t *testing.T) {
 	}
 }
 
+// TestDerivedRunBatch: a zero RunBatch is the largest B with
+// (2·GOMAXPROCS+2)·B·RunSize ≤ MemoryKeys/2, floored at 16 — 170 at the
+// defaults on 2 CPUs, so 1e7 keys form 58 leaves and merge in one pass
+// at fan-in 511 — while wide hosts and tiny budgets keep 16 and an
+// explicit RunBatch is kept.
+func TestDerivedRunBatch(t *testing.T) {
+	cases := []struct {
+		procs    int
+		in       Config
+		runBatch int
+	}{
+		{2, Config{}, 170},
+		{1, Config{}, 256},
+		{2, Config{MemoryKeys: 1 << 22}, 341},
+		{2, Config{RunSize: 64}, 2730},
+		{64, Config{}, 16},
+		{2, Config{MemoryKeys: 1}, 16},
+		{2, Config{RunBatch: 5}, 5},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		runtime.GOMAXPROCS(tc.procs)
+		cfg, err := tc.in.normalize(SliceSorter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.RunBatch != tc.runBatch {
+			t.Fatalf("GOMAXPROCS %d, %+v: RunBatch %d, want %d", tc.procs, tc.in, cfg.RunBatch, tc.runBatch)
+		}
+		if tc.in.RunBatch == 0 && cfg.RunBatch > minDerivedRunBatch &&
+			(2*tc.procs+2)*cfg.RunBatch*cfg.RunSize > cfg.MemoryKeys/2 {
+			t.Fatalf("%+v: RunBatch %d overruns half the budget", tc.in, cfg.RunBatch)
+		}
+	}
+}
+
 // TestMergeTelescopes: with a few more leaves than the fan-in, the
 // first pass merges only the len−F+1 leaves that must be merged twice,
 // and the final merge has exactly F inputs.

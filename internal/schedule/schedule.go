@@ -108,7 +108,8 @@ type Program struct {
 	perm     []int // snake position -> node id, built on first use
 
 	lowOnce sync.Once
-	lowered []Comparator // flat snake-space comparator stream, built on first use
+	lowered []Comparator // executed snake-space comparator stream, built on first use
+	index   []int32      // index[k]: position of lowered[k] in the unpruned stream
 }
 
 // Comparator is one lowered compare-exchange in snake-position space:
@@ -162,42 +163,76 @@ func (p *Program) SnakePerm() []int {
 	return p.perm
 }
 
-// LoweredComparators returns the program's phase ops pre-lowered into
-// one flat comparator stream in snake-position space: every exchange
-// op's (lo, hi) node-id pairs mapped through the inverse snake
-// permutation and concatenated in execution order. Idle rounds and
-// markers move no data, so they vanish; what remains is exactly the
-// instruction stream the columnar kernel replays with no per-op decode
-// and no interface dispatch. Built once per program and shared — read
-// only. Replaying the stream over snake-indexed storage is the same
-// permutation-conjugated computation as replaying the ops over
-// node-indexed storage (pinned by TestLoweredComparatorsEquivalence).
+// LoweredComparators returns the program's executed comparator stream
+// in snake-position space. Lowering maps every exchange op's (lo, hi)
+// node-id pairs through the inverse snake permutation and concatenates
+// them in execution order (idle rounds and markers move no data, so they
+// vanish); the known-order pass (prune.go) then drops every comparator
+// that provably never swaps. What remains is exactly the instruction
+// stream the columnar kernel replays, with no per-op decode and no
+// interface dispatch. Built once per program, on first use, and shared
+// — read only. Replaying it over snake-indexed storage gives the same
+// output, byte for byte, as replaying the ops over node-indexed storage
+// (pinned by TestLoweredComparatorsEquivalence and
+// FuzzColumnarEquivalence; THEORY.md §17).
 func (p *Program) LoweredComparators() []Comparator {
 	p.lowOnce.Do(func() {
-		perm := p.SnakePerm()
-		inv := make([]int32, len(perm))
-		for pos, node := range perm {
-			inv[node] = int32(pos)
-		}
-		n := 0
-		for i := range p.ops {
-			switch p.ops[i].Kind {
-			case OpCompareExchange, OpRoutedExchange:
-				n += len(p.ops[i].Pairs)
-			}
-		}
-		comps := make([]Comparator, 0, n)
-		for i := range p.ops {
-			switch p.ops[i].Kind {
-			case OpCompareExchange, OpRoutedExchange:
-				for _, pr := range p.ops[i].Pairs {
-					comps = append(comps, Comparator{Lo: inv[pr[0]], Hi: inv[pr[1]]})
-				}
-			}
-		}
-		p.lowered = comps
+		p.lowered, p.index = pruneComparators(p.unprunedLowered(), p.net.Nodes())
 	})
 	return p.lowered
+}
+
+// Executed returns the number of comparators one replay of the lowered
+// stream executes: at most Size, which stays the paper's count.
+func (p *Program) Executed() int { return len(p.LoweredComparators()) }
+
+// ExecutedIndex maps the executed stream back to the ops:
+// ExecutedIndex()[k] is the position of LoweredComparators()[k] in the
+// unpruned stream, which numbers the pairs of the exchange ops 0, 1, …
+// in op order and pair order. Increasing; read only.
+func (p *Program) ExecutedIndex() []int32 {
+	p.LoweredComparators()
+	return p.index
+}
+
+// WithExecuted returns a program with p's ops (shared, read only) whose
+// executed stream is exactly the unpruned comparators at the given
+// increasing flat indices (numbered as in ExecutedIndex); the
+// known-order pass never runs on it. It exists so the certifier's
+// mutation harness can build a program whose pruning is wrong.
+func (p *Program) WithExecuted(index []int32) (*Program, error) {
+	all := p.unprunedLowered()
+	q := &Program{net: p.net, engine: p.engine, sig: p.sig, ops: p.ops, clock: p.clock}
+	q.lowered = make([]Comparator, len(index))
+	for k, f := range index {
+		if f < 0 || int(f) >= len(all) || (k > 0 && f <= index[k-1]) {
+			return nil, fmt.Errorf("schedule: executed index %d at %d is out of range or order", f, k)
+		}
+		q.lowered[k] = all[f]
+	}
+	q.index = append([]int32(nil), index...)
+	q.lowOnce.Do(func() {})
+	return q, nil
+}
+
+// unprunedLowered lowers every exchange pair of the ops into snake
+// space, in execution order.
+func (p *Program) unprunedLowered() []Comparator {
+	perm := p.SnakePerm()
+	inv := make([]int32, len(perm))
+	for pos, node := range perm {
+		inv[node] = int32(pos)
+	}
+	comps := make([]Comparator, 0, p.clock.CompareOps)
+	for i := range p.ops {
+		switch p.ops[i].Kind {
+		case OpCompareExchange, OpRoutedExchange:
+			for _, pr := range p.ops[i].Pairs {
+				comps = append(comps, Comparator{Lo: inv[pr[0]], Hi: inv[pr[1]]})
+			}
+		}
+	}
+	return comps
 }
 
 // Depth returns the number of round-consuming ops (exchange phases plus

@@ -33,8 +33,10 @@ type StreamConfig struct {
 	// 511 at the default budget).
 	FanIn int
 	// RunBatch is how many runs are in flight through the server at
-	// once (default 16): the window the server's own size-bucket
-	// batching coalesces into shared flushes.
+	// once (default streamWindow, 16): the window the server's own
+	// size-bucket batching coalesces into shared flushes. It is not a
+	// kernel batch, so the budget-derived default of extsort.Config
+	// does not apply here.
 	RunBatch int
 	// MemoryKeys bounds resident sorted keys; runs beyond it spill
 	// (default 1<<21).
@@ -54,6 +56,12 @@ const (
 	streamRetryCap   = 5 * time.Millisecond
 )
 
+// streamWindow is the default number of runs SubmitStream keeps in
+// flight through the server. extsort would derive a kernel batch from
+// the memory budget instead: 170 runs at RunSize 1024, about 2,700 at
+// RunSize 64 — that many concurrent requests would swamp the buckets.
+const streamWindow = 16
+
 // SubmitStream drains src, sorts it through the serving path, and
 // writes the fully sorted stream to dst. Unlike Submit it never sheds:
 // requests larger than any serving network become multiple runs, and
@@ -70,6 +78,9 @@ func (s *Server) SubmitStream(ctx context.Context, src extsort.Reader, dst extso
 		retries: s.met.Counter("serve.stream.queue_retries"),
 	}
 	s.met.Counter("serve.stream.submitted").Inc()
+	if cfg.RunBatch == 0 {
+		cfg.RunBatch = streamWindow
+	}
 	return extsort.Sort(ctx, src, dst, sorter, extsort.Config{
 		RunSize:    cfg.RunSize,
 		FanIn:      cfg.FanIn,

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"productsort/internal/extsort"
 	"productsort/internal/graph"
@@ -72,6 +74,19 @@ func TestSubmitStreamSortsBeyondMaxKeys(t *testing.T) {
 // absorbed by resubmission — and never surface to the stream caller.
 func TestSubmitStreamBacksOffInsteadOfShedding(t *testing.T) {
 	s := streamServer(t, 1)
+	// Park every flush until the lane has met a full queue once: with
+	// the flushes held, the depth-1 bucket must refuse one of the 8
+	// concurrent runs however fast the kernel or the scheduler is.
+	gate := make(chan struct{})
+	s.flushGate = gate
+	retries := s.met.Counter("serve.stream.queue_retries")
+	go func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for retries.Value() == 0 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(gate)
+	}()
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]Key, 40*s.MaxKeys())
 	for i := range keys {
@@ -97,6 +112,52 @@ func TestSubmitStreamBacksOffInsteadOfShedding(t *testing.T) {
 	// was absorbed by resubmission, never surfaced as a lost run.
 	if stats.Runs != int64(len(keys))/int64(stats.RunSize) {
 		t.Fatalf("runs %d, want %d", stats.Runs, len(keys)/stats.RunSize)
+	}
+}
+
+// TestSubmitStreamWindow: with the zero StreamConfig the lane keeps
+// exactly streamWindow (16) runs in flight — not the kernel batch
+// extsort derives from the memory budget, which would be thousands of
+// concurrent requests at this run size. A held worker parks the first
+// flush, so the lane's first SortRuns call blocks with its whole
+// window submitted, and the stream has been read exactly that far:
+// runs are read before any of them is submitted.
+func TestSubmitStreamWindow(t *testing.T) {
+	s, gate := gatedServer(t, Config{})
+	held := holdWorker(t, s, 4)
+	runSize := s.MaxKeys()
+	keys := randKeys(40*runSize, 3)
+	src := extsort.NewSliceReader(keys)
+	var read atomic.Int64
+	counting := extsort.FuncReader(func(dst []Key) (int, error) {
+		n, err := src.Read(dst)
+		read.Add(int64(n))
+		return n, err
+	})
+	out := extsort.NewSliceWriter()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.SubmitStream(context.Background(), counting, out, StreamConfig{})
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.submitted.Value() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stream submitted no run")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if n := read.Load(); n != int64(streamWindow*runSize) {
+		t.Errorf("first window read %d keys, want %d runs of %d", n, streamWindow, runSize)
+	}
+	close(gate)
+	<-held
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	got := out.Keys()
+	if len(got) != len(keys) || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+		t.Fatalf("stream output: %d keys of %d, or unsorted", len(got), len(keys))
 	}
 }
 

@@ -379,7 +379,11 @@ func (c *CompiledNetwork) Size() int { return c.prog.Size() }
 
 // Sort replays the compiled program over keys (snake order, like
 // Sorter.Sort) and returns the result. No schedule work happens here —
-// just compare-exchanges.
+// just compare-exchanges. It replays the unpruned ops, all Size
+// comparators phase by phase, because its executor and tracer (and
+// SortResilient's faults) act on product-network edges; only the
+// batch paths (SortBatch, SortStream, the server) run the pruned
+// stream.
 func (c *CompiledNetwork) Sort(keys []Key) (*Result, error) {
 	if len(keys) != c.nw.Nodes() {
 		return nil, fmt.Errorf("productsort: %d keys for %d nodes", len(keys), c.nw.Nodes())
@@ -408,7 +412,9 @@ var batchColumns = schedule.NewColumnBuffer()
 // program is walked once for the whole batch, each compare-exchange a
 // branchless min/max sweep across all sets (SIMD-accelerated where the
 // host supports it); pooled slabs make a steady stream of batches
-// allocate nothing per item.
+// allocate nothing per item. The walk executes only the comparators
+// that can swap: the known-order pass drops the rest once per program
+// (THEORY.md §17), and the output is byte-identical to Sort's.
 func (c *CompiledNetwork) SortBatch(batch [][]Key, workers int) error {
 	nodes := c.nw.Nodes()
 	for i, keys := range batch {

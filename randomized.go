@@ -85,7 +85,9 @@ type RandomizedReport struct {
 // deterministic scrub all accept. The compiled program is not used —
 // the engine is schedule-free, which is exactly why faults degrade it
 // gracefully — but the entry lives on CompiledNetwork so tracing and
-// executor configuration carry over.
+// executor configuration carry over. Faults act on product edges, so
+// every drawn comparator executes: nothing here runs the pruned batch
+// stream.
 //
 // On ErrRoundCap the Result reports the degraded partial state; any
 // other error is a configuration or verifier failure.

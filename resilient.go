@@ -173,6 +173,9 @@ type FaultReport struct {
 // bounded repair replays. The Result's Rounds includes the recovery
 // cost, and Result.Faults reports the full accounting.
 //
+// Faults act on product edges, so like Sort it replays the unpruned
+// ops — every comparator of Size, never the pruned batch stream.
+//
 // A zero cfg injects nothing and is equivalent to Sort. On exhausted
 // recovery the keys-so-far and the report are returned alongside
 // ErrUnrecoverable.

@@ -51,9 +51,13 @@ type StreamConfig struct {
 	// with (F+1)·4096 ≤ MemoryKeys, at least 16 — 511 at the default
 	// budget; min 2).
 	FanIn int
-	// RunBatch is how many runs sort together per batch replay (or, on
-	// the serve path, how many are in flight at once) and then pre-merge
-	// into one merge leaf on a background worker (default 16).
+	// RunBatch is how many runs sort together per batch replay and then
+	// pre-merge into one merge leaf on a background worker. SortStream
+	// derives the default from the budget: the largest B with
+	// (2·GOMAXPROCS+2)·B·RunSize ≤ MemoryKeys/2, at least 16 — 170 at
+	// the defaults on 2 CPUs, so 1e7 keys merge in one pass. On the
+	// serve path it is how many runs are in flight through the server
+	// at once, and the default stays 16.
 	RunBatch int
 	// MemoryKeys bounds resident sorted keys; runs beyond it spill to
 	// disk (default 1<<21 keys = 16 MiB).
