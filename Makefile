@@ -160,11 +160,13 @@ bench-serve:
 	$(GO) run ./cmd/bench -serve
 
 # Streaming external sort battery, race-enabled: the extsort package's
-# oracle/property/cancel tests, the serve large-request lane, and the
-# root-level acceptance tests (1e6-key oracle under -race, chaos-leg
-# run formation through SortResilient, spill-path oracle).
+# oracle/property/cancel tests at GOMAXPROCS 1, 2 and 4 (one final-merge
+# worker, then several merging key ranges side by side), the serve
+# large-request lane, and the root-level acceptance tests (1e6-key
+# oracle under -race, chaos-leg run formation through SortResilient,
+# spill-path oracle).
 extsort-battery:
-	$(GO) test -race -count=1 ./internal/extsort/
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/extsort/
 	$(GO) test -race -count=1 -run 'SubmitStream' ./internal/serve/
 	$(GO) test -race -count=1 \
 		-run 'TestSortStream|TestServerSubmitStreamRoot' .

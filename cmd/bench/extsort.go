@@ -21,10 +21,12 @@ type extsortEntry struct {
 	FanIn    int `json:"fanIn"`
 	RunSize  int `json:"runSize"`
 	RunBatch int `json:"runBatch"`
-	// Runs, MergePasses and SpilledBytes come from the tier's own
-	// accounting (extsort.Stats).
+	// Runs, MergePasses, MergeChunks and SpilledBytes come from the
+	// tier's own accounting (extsort.Stats); MergeChunks is how many key
+	// ranges the final merge was split into.
 	Runs         int64 `json:"runs"`
 	MergePasses  int   `json:"mergePasses"`
+	MergeChunks  int   `json:"mergeChunks"`
 	SpilledBytes int64 `json:"spilledBytes"`
 	// StreamNs is SortStream end to end; BaselineNs is slices.Sort on a
 	// copy of the same input.
@@ -97,8 +99,8 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 			return err
 		}
 		rep.SizeSweep = append(rep.SizeSweep, e)
-		fmt.Printf("  size %9d: stream %8.0f keys/s, slices.Sort %8.0f keys/s (x%.2f), %d runs, %d merge passes\n",
-			n, e.StreamKeysPerSec, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.MergePasses)
+		fmt.Printf("  size %9d: stream %8.0f keys/s, slices.Sort %8.0f keys/s (x%.2f), %d runs, %d merge passes, %d chunks\n",
+			n, e.StreamKeysPerSec, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.MergePasses, e.MergeChunks)
 	}
 	// The fan-in sweep holds the input fixed at the second-largest size
 	// (the largest is the slowest cell; the sweep multiplies it).
@@ -157,6 +159,7 @@ func extsortCell(c *productsort.CompiledNetwork, n int, cfg productsort.StreamCo
 		RunBatch:           stats.RunBatch,
 		Runs:               stats.Runs,
 		MergePasses:        stats.MergePasses,
+		MergeChunks:        stats.MergeChunks,
 		SpilledBytes:       stats.SpilledBytes,
 		StreamNs:           streamNs,
 		BaselineNs:         baseNs,

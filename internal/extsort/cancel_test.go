@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -50,16 +51,8 @@ func TestSortStreamCancelMidStream(t *testing.T) {
 		t.Fatal("Sort did not honor cancellation")
 	}
 
-	// No goroutine may outlive the cancelled sort. The batch replay's
-	// workers join before return, so the count settles back to (at
-	// most) the baseline; poll briefly to let exiting goroutines park.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > baseline {
-		t.Fatalf("goroutines leaked: %d running, baseline %d", g, baseline)
-	}
+	// No goroutine may outlive the cancelled sort.
+	waitGoroutines(t, baseline)
 
 	// Spill files are unlinked at creation, so the spill dir must be
 	// empty the moment Sort returns — cancelled or not.
@@ -95,4 +88,83 @@ func TestSortStreamCancelBeforeStart(t *testing.T) {
 	if reads != 0 {
 		t.Fatalf("source read %d times under a dead context", reads)
 	}
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back
+// to (at most) baseline. Workers join before Sort returns, so it
+// polls only briefly, to let exiting goroutines park.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > baseline {
+		t.Fatalf("goroutines leaked: %d running, baseline %d", g, baseline)
+	}
+}
+
+// writerFunc adapts a function to Writer.
+type writerFunc func(keys []Key) error
+
+func (f writerFunc) Write(keys []Key) error { return f(keys) }
+
+// TestSortStreamCancelInFirstWrite: the sink cancels the context inside
+// the first Write of a spilling, split final merge. Sort returns
+// context.Canceled after that one Write, every chunk worker has exited,
+// and dst holds a sorted prefix.
+func TestSortStreamCancelInFirstWrite(t *testing.T) {
+	keys := randomKeys(43, 300_000)
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := NewSliceWriter()
+	writes := 0
+	dst := writerFunc(func(b []Key) error {
+		writes++
+		cancel()
+		return out.Write(b)
+	})
+	stats, err := Sort(ctx, NewSliceReader(keys), dst, compiledSorter(t),
+		Config{RunSize: 16, MemoryKeys: 1, SpillDir: t.TempDir()})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.SpilledRuns == 0 || stats.MergeChunks < 2 {
+		t.Fatalf("want a spilling sort with a split final merge, got %+v", stats)
+	}
+	if writes != 1 {
+		t.Fatalf("%d Writes after the cancelling one, want none", writes-1)
+	}
+	waitGoroutines(t, baseline)
+	got := out.Keys()
+	want := oracle(keys)
+	if len(got) == 0 || !slices.Equal(got, want[:len(got)]) {
+		t.Fatalf("dst holds %d keys that are not a sorted prefix of the input", len(got))
+	}
+}
+
+// TestSortStreamSinkFails: the sink fails on its third Write while the
+// chunk workers are still merging. Sort returns the sink's error, not
+// the cancellation that stops the workers, and joins every worker.
+func TestSortStreamSinkFails(t *testing.T) {
+	errSink := errors.New("sink full")
+	keys := randomKeys(47, 300_000)
+	baseline := runtime.NumGoroutine()
+	writes := 0
+	dst := writerFunc(func([]Key) error {
+		if writes++; writes == 3 {
+			return errSink
+		}
+		return nil
+	})
+	stats, err := Sort(context.Background(), NewSliceReader(keys), dst, SliceSorter{},
+		Config{RunSize: 64, RunBatch: 64, SpillDir: t.TempDir()})
+	if !errors.Is(err, errSink) {
+		t.Fatalf("err = %v, want the sink's error", err)
+	}
+	if stats.MergeChunks < 2 {
+		t.Fatalf("MergeChunks %d, want a split merge", stats.MergeChunks)
+	}
+	waitGoroutines(t, baseline)
 }

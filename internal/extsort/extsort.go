@@ -20,20 +20,37 @@
 // into a provably correct sorter for any input length, at every level
 // of the composition.
 //
+// The final merge is split into key ranges: every leaf records every
+// 512th key (its fences) while it is in memory, evenly spaced fences
+// in the total order (key, leaf, index) become splitters, and
+// GOMAXPROCS workers merge the chunks between consecutive splitters —
+// about one pre-merge leaf's worth of keys each, but at least 1024 per
+// final leaf — side by side, the way the
+// paper's Section 3 merge splits its inputs (THEORY.md §15 proves the
+// concatenated chunks are the full merge).
+//
 // Memory is bounded: leaves beyond the configured resident-key budget
 // spill to a temp file (segments reserved in input order, positional
 // reads) and an intermediate merge pass streams spill-to-spill, so peak
 // residency is O(MemoryKeys + FanIn·buffer + workers·RunBatch·RunSize)
 // regardless of input length; the default RunBatch keeps the last term
-// within MemoryKeys/2. The whole pipeline is cancellable via
-// context and instrumented with extsort.* counters and per-stage
-// latency histograms.
+// within MemoryKeys/2. The final merge stays inside the same terms: its
+// at most GOMAXPROCS+1 chunk buffers of about RunBatch·RunSize keys
+// take the place of the pre-merge workers' buffers, which are free by
+// then (or hold 1024 keys per leaf, a quarter of a leaf's read buffer,
+// when that is more), and its workers split one merge's read buffers
+// between them.
+// The whole pipeline is cancellable via context and instrumented with
+// extsort.* counters and per-stage latency histograms.
 //
 // Concurrency contract: Sort calls Reader.Read, RunSorter.SortRuns and
 // Writer.Write only from its own goroutine, one call at a time, so none
 // of them needs to be safe for concurrent use. The pre-merge workers
-// touch only sorted key buffers and the spill file, and every one of
-// them has exited by the time Sort returns, on every path.
+// and the final merge's chunk workers touch only sorted key buffers and
+// the spill file (the chunk workers read it with ReadAt at their own
+// offsets and hand each chunk's merged blocks to Sort's goroutine,
+// which writes them in chunk order), and every one of them has exited
+// by the time Sort returns, on every path.
 package extsort
 
 import (
@@ -139,6 +156,11 @@ type Stats struct {
 	MergePasses int `json:"mergePasses"`
 	// MaxFanIn is the widest fan-in any merge pass used.
 	MaxFanIn int `json:"maxFanIn"`
+	// MergeChunks is how many key ranges the final merge was split into
+	// for its GOMAXPROCS workers: chunks of RunBatch·RunSize keys, or of
+	// 1024 keys per final leaf when that is more (1 when the input fits
+	// one chunk).
+	MergeChunks int `json:"mergeChunks"`
 	// SpilledRuns and SpilledBytes account the disk traffic: leaves (or
 	// intermediate merged segments) written to the spill file and the
 	// bytes they cost.

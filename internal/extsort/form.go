@@ -199,12 +199,14 @@ type spillBufs struct {
 	raw  []byte
 }
 
-// merge merges the job's batch into its leaf, writing the leaf's spill
-// segment when it has no resident buffer.
+// merge merges the job's batch into its leaf and records the leaf's
+// fences, writing the leaf's spill segment when it has no resident
+// buffer.
 func (pm *preMerger) merge(job mergeJob, bufs *spillBufs) error {
 	leaf := job.leaf
 	if leaf.mem != nil {
 		mergeInto(leaf.mem, job.batch.runs)
+		recordFences(leaf.fences, leaf.mem, 0)
 		return nil
 	}
 	if bufs.leaf == nil {
@@ -213,6 +215,7 @@ func (pm *preMerger) merge(job mergeJob, bufs *spillBufs) error {
 	}
 	out := bufs.leaf[:leaf.count]
 	mergeInto(out, job.batch.runs)
+	recordFences(leaf.fences, out, 0)
 	if err := pm.store.writeAt(out, leaf.off, bufs.raw); err != nil {
 		return err
 	}

@@ -12,7 +12,8 @@
 // holds one read buffer per spilled input and one output block, never
 // a whole run) until the final merge fits the fan-in — exactly the
 // recursive composition the agglomeration law certifies (THEORY.md
-// §15).
+// §15). The final merge is split into key ranges merged side by side
+// (split.go).
 
 package extsort
 
@@ -26,7 +27,8 @@ import (
 const outBlockKeys = 4096
 
 // mergeRuns merges every leaf in the store into dst, in as many passes
-// as the fan-in demands.
+// as the fan-in demands. The final pass is split into key ranges that
+// merge side by side.
 func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, stats *Stats, met *metrics) error {
 	handles := store.runs
 	if len(handles) == 0 {
@@ -42,55 +44,14 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, sta
 	// Final pass: fan the surviving leaves into the sink.
 	stats.MergePasses++
 	observeFanIn(len(handles), stats, met)
-	return mergeToSink(ctx, newLoserTree(store.streams(handles), countKeys(handles)), dst)
-}
-
-// sinkBlocks is how many output blocks the final merge cycles through:
-// one being filled, one being written, one spare to absorb jitter.
-const sinkBlocks = 3
-
-// mergeToSink runs the final merge on a helper goroutine and writes its
-// blocks to dst from this one, so the tree and the sink overlap while
-// Writer.Write keeps being called only from Sort's goroutine. The
-// helper has exited by the time mergeToSink returns.
-func mergeToSink(ctx context.Context, lt *loserTree, dst Writer) error {
-	full := make(chan []Key, sinkBlocks)
-	free := make(chan []Key, sinkBlocks)
-	for range sinkBlocks {
-		free <- make([]Key, outBlockKeys)
-	}
-	stop := make(chan struct{})
-	go func() {
-		// full holds every block there is, so the send never blocks.
-		defer close(full)
-		for {
-			var b []Key
-			select {
-			case b = <-free:
-			case <-stop:
-				return
-			}
-			n := lt.fill(b)
-			if n == 0 || lt.fail() != nil {
-				return
-			}
-			full <- b[:n]
-		}
-	}()
-	var err error
-	for b := range full {
-		if err = ctx.Err(); err == nil {
-			err = dst.Write(b)
-		}
-		if err != nil {
-			close(stop)
-			for range full { // wait for the helper to exit
-			}
-			return err
-		}
-		free <- b[:cap(b)]
-	}
-	return lt.fail()
+	// A chunk is about one pre-merge leaf, but at least two fence
+	// strides per leaf and one output block: every chunk costs a cut
+	// and a read per spilled leaf, and its size is only within a fence
+	// stride per leaf of its target.
+	chunkKeys := max(cfg.RunBatch*cfg.RunSize, 2*fenceStride*len(handles), outBlockKeys)
+	plan := newSplitPlan(store, handles, chunkKeys)
+	stats.MergeChunks = plan.chunks()
+	return mergeChunks(ctx, dst, plan.chunks(), plan.maxChunk, plan.opener)
 }
 
 // mergePass runs one intermediate pass over handles (more than fanIn of
@@ -127,12 +88,16 @@ func mergePass(ctx context.Context, store *runStore, handles []runHandle, fanIn 
 func mergeToSpill(ctx context.Context, store *runStore, group []runHandle, stats *Stats, met *metrics) (runHandle, error) {
 	observeFanIn(len(group), stats, met)
 	count := countKeys(group)
-	off := store.reserve(count)
-	lt := newLoserTree(store.streams(group), count)
+	merged := runHandle{off: store.reserve(count), count: count, fences: make([]Key, fenceCount(count))}
+	// One chunk: the split merge's cursors over whole leaves.
+	streams, _, err := newSplitPlan(store, group, count).opener()(0)
+	if err != nil {
+		return runHandle{}, err
+	}
+	lt := newLoserTree(streams, count)
 	block := make([]Key, outBlockKeys)
 	raw := make([]byte, outBlockKeys*keyBytes)
-	at := off
-	for {
+	for at := 0; ; {
 		n := lt.fill(block)
 		if err := lt.fail(); err != nil {
 			return runHandle{}, err
@@ -143,13 +108,14 @@ func mergeToSpill(ctx context.Context, store *runStore, group []runHandle, stats
 		if err := ctx.Err(); err != nil {
 			return runHandle{}, err
 		}
-		if err := store.writeAt(block[:n], at, raw); err != nil {
+		recordFences(merged.fences, block[:n], at)
+		if err := store.writeAt(block[:n], merged.off+int64(at)*keyBytes, raw); err != nil {
 			return runHandle{}, err
 		}
-		at += int64(n) * keyBytes
+		at += n
 	}
 	store.spilled(count)
-	return runHandle{off: off, count: count}, nil
+	return merged, nil
 }
 
 // mergeInto merges sorted in-memory runs into out, which must hold
@@ -160,6 +126,17 @@ func mergeInto(out []Key, runs [][]Key) {
 		streams[i] = &memStream{keys: run}
 	}
 	newLoserTree(streams, len(out)).fill(out)
+}
+
+// fenceCount is how many fences a leaf of n keys records.
+func fenceCount(n int) int { return (n + fenceStride - 1) / fenceStride }
+
+// recordFences records the fences among keys, which sit at index at of
+// their leaf onward.
+func recordFences(fences, keys []Key, at int) {
+	for i := fenceCount(at) * fenceStride; i < at+len(keys); i += fenceStride {
+		fences[i/fenceStride] = keys[i-at]
+	}
 }
 
 // countKeys sums the handles' key counts.

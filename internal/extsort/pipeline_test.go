@@ -10,7 +10,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"productsort/internal/obs"
 )
@@ -79,8 +78,9 @@ func randomKeys(seed int64, n int) []Key {
 
 // TestSortStreamCallerContract: Read, SortRuns and Write are entered
 // one at a time, from Sort's goroutine, while pre-merge workers spill
-// in the background and the final merge overlaps the writes. Run it
-// under -race (make extsort-battery does).
+// in the background and the final merge's chunk workers merge key
+// ranges side by side with the writes. Run it under -race at several
+// GOMAXPROCS (make extsort-battery does).
 func TestSortStreamCallerContract(t *testing.T) {
 	keys := randomKeys(31, 200_000)
 	c := &contract{}
@@ -96,8 +96,8 @@ func TestSortStreamCallerContract(t *testing.T) {
 	if n := c.overlaps.Load(); n != 0 {
 		t.Fatalf("%d calls into the reader, run sorter or writer overlapped another", n)
 	}
-	if stats.SpilledRuns == 0 || stats.MergePasses < 2 {
-		t.Fatalf("want spilling and an intermediate pass, got %+v", stats)
+	if stats.SpilledRuns == 0 || stats.MergePasses < 2 || stats.MergeChunks < 2 {
+		t.Fatalf("want spilling, an intermediate pass and a split final merge, got %+v", stats)
 	}
 	checkEqual(t, keys, out.Keys(), "contract")
 }
@@ -115,13 +115,7 @@ func TestSortStreamSpillCreateFails(t *testing.T) {
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err = %v, want a wrapped fs.ErrNotExist", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > baseline {
-		t.Fatalf("goroutines leaked: %d running, baseline %d", g, baseline)
-	}
+	waitGoroutines(t, baseline)
 	got := out.Keys()
 	want := oracle(keys)
 	if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {

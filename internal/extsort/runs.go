@@ -29,11 +29,15 @@ const spillBufKeys = 4096
 const keyBytes = 8
 
 // runHandle is one sorted leaf: resident (mem != nil) or a spill-file
-// segment [off, off+count·keyBytes).
+// segment [off, off+count·keyBytes). fences holds the leaf's keys at
+// indices 0, fenceStride, 2·fenceStride, …, recorded by whoever writes
+// the leaf while its keys are in memory; the final merge cuts the
+// leaves into key ranges with them.
 type runHandle struct {
-	mem   []Key
-	off   int64
-	count int
+	mem    []Key
+	off    int64
+	count  int
+	fences []Key
 }
 
 // runStore owns the resident budget and the spill file.
@@ -66,12 +70,12 @@ func newRunStore(dir string, budget int, met *metrics) *runStore {
 // fresh resident buffer while the budget allows, a reserved spill
 // segment otherwise. The caller fills the buffer or writes the segment.
 func (st *runStore) place(n int) runHandle {
-	var h runHandle
+	h := runHandle{count: n, fences: make([]Key, fenceCount(n))}
 	if st.resident+n <= st.budget {
 		st.resident += n
-		h = runHandle{mem: make([]Key, n), count: n}
+		h.mem = make([]Key, n)
 	} else {
-		h = runHandle{off: st.reserve(n), count: n}
+		h.off = st.reserve(n)
 	}
 	st.runs = append(st.runs, h)
 	return h
@@ -136,6 +140,26 @@ func (st *runStore) writeAt(keys []Key, off int64, buf []byte) error {
 	return nil
 }
 
+// readAt reads len(dst) keys at byte offset off, decoding them through
+// buf (a whole number of keys wide). Safe on any goroutine once every
+// segment it reads is written.
+func (st *runStore) readAt(dst []Key, off int64, buf []byte) error {
+	defer st.timeRead(time.Now())
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/keyBytes)
+		raw := buf[:n*keyBytes]
+		if _, err := st.file.ReadAt(raw, off); err != nil {
+			return fmt.Errorf("extsort: spill read: %w", err)
+		}
+		for i := range dst[:n] {
+			dst[i] = Key(binary.LittleEndian.Uint64(raw[i*keyBytes:]))
+		}
+		off += int64(n) * keyBytes
+		dst = dst[n:]
+	}
+	return nil
+}
+
 // spilled accounts one fully written segment of n keys.
 func (st *runStore) spilled(n int) {
 	bytes := int64(n) * keyBytes
@@ -183,25 +207,6 @@ func (st *runStore) close() {
 	}
 }
 
-// streams opens a cursor per handle. The spill cursors of one merge
-// share a single raw read buffer: the merge refills one stream at a
-// time.
-func (st *runStore) streams(handles []runHandle) []keyStream {
-	out := make([]keyStream, len(handles))
-	var raw []byte
-	for i, h := range handles {
-		if h.mem != nil {
-			out[i] = &memStream{keys: h.mem}
-			continue
-		}
-		if raw == nil {
-			raw = make([]byte, spillBufKeys*keyBytes)
-		}
-		out[i] = &spillStream{st: st, off: h.off, remaining: h.count, buf: make([]Key, spillBufKeys), raw: raw}
-	}
-	return out
-}
-
 // keyStream is a pull cursor over one sorted run, a block at a time.
 type keyStream interface {
 	// next returns the stream's next block, valid until the following
@@ -234,7 +239,7 @@ type spillStream struct {
 	off       int64
 	remaining int
 	buf       []Key
-	raw       []byte // shared by the merge's spill streams
+	raw       []byte // shared by one merge's spill streams
 	err       error
 }
 
@@ -245,16 +250,10 @@ func (s *spillStream) next() []Key {
 	if s.remaining == 0 || s.err != nil {
 		return nil
 	}
-	defer s.st.timeRead(time.Now())
 	n := min(s.remaining, len(s.buf))
-	raw := s.raw[:n*keyBytes]
-	if _, err := s.st.file.ReadAt(raw, s.off); err != nil {
-		s.err = fmt.Errorf("extsort: spill read: %w", err)
-		return nil
-	}
 	buf := s.buf[:n]
-	for i := range buf {
-		buf[i] = Key(binary.LittleEndian.Uint64(raw[i*keyBytes:]))
+	if s.err = s.st.readAt(buf, s.off, s.raw); s.err != nil {
+		return nil
 	}
 	s.off += int64(n) * keyBytes
 	s.remaining -= n

@@ -75,7 +75,8 @@ type StreamConfig struct {
 // network: runs of up to RunSize keys (at most the network's node
 // count) are sorted by the network's certified batch replay,
 // pre-merged a batch at a time by background workers, and merged with
-// a loser-tree k-way merge. src.Read and dst.Write are called only from
+// loser-tree k-way merges, the last one split into key ranges merged
+// on every CPU. src.Read and dst.Write are called only from
 // the calling goroutine, one at a time, and every background worker
 // has exited when SortStream returns. Cancellable via ctx; on error dst
 // may hold a sorted prefix. Safe for concurrent use — each call owns
