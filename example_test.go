@@ -62,6 +62,20 @@ func ExampleExtractSchedule() {
 	// true true
 }
 
+// A schedule is an ordinary sorting network: extract once, apply to any
+// slice.
+func ExampleSchedule_Apply() {
+	nw, _ := productsort.Hypercube(3) // 8 processors
+	sched, _ := productsort.ExtractSchedule(nw, "auto")
+	keys := []productsort.Key{7, 3, 5, 1, 6, 2, 4, 0}
+	sched.Apply(keys)
+	fmt.Println(keys)
+	fmt.Println(sched.Inputs(), "inputs,", sched.Size(), "comparators")
+	// Output:
+	// [0 1 2 3 4 5 6 7]
+	// 8 inputs, 52 comparators
+}
+
 // PredictedRounds evaluates Theorem 1 for a network and engine without
 // running the sort.
 func ExampleNetwork_PredictedRounds() {

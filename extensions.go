@@ -1,13 +1,14 @@
 package productsort
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"productsort/internal/blocksort"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/product"
 	"productsort/internal/prouting"
+	"productsort/internal/schedule"
 	"productsort/internal/seqmerge"
 	"productsort/internal/sort2d"
 	"productsort/internal/spmd"
@@ -141,10 +142,11 @@ func RelabelDilation3(nw *Network) *Network {
 }
 
 // Schedule is the oblivious compare-exchange schedule of a full sort on
-// a network: a reusable sorting network in snake coordinates. See
-// ExtractSchedule.
+// a network: a reusable sorting network in snake coordinates. It is a
+// view of the network's compiled program. See ExtractSchedule.
 type Schedule struct {
-	inner *mergenet.Schedule
+	nw   *Network
+	prog *schedule.Program
 }
 
 // ExtractSchedule records the algorithm's phase list for the network
@@ -156,36 +158,59 @@ func ExtractSchedule(nw *Network, engineName string) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := mergenet.ExtractNet(nw.net, e)
+	prog, err := schedule.Compile(nw.net, e)
 	if err != nil {
 		return nil, err
 	}
-	return &Schedule{inner: s}, nil
+	return &Schedule{nw: nw, prog: prog}, nil
 }
 
 // Inputs returns the schedule's sequence length (the processor count).
-func (s *Schedule) Inputs() int { return s.inner.Inputs }
+func (s *Schedule) Inputs() int { return s.prog.Nodes() }
 
 // Depth returns the number of parallel compare-exchange phases.
-func (s *Schedule) Depth() int { return s.inner.Depth() }
+func (s *Schedule) Depth() int { return s.prog.Clock().ComparePhases }
 
 // Size returns the total comparator count.
-func (s *Schedule) Size() int { return s.inner.Size() }
+func (s *Schedule) Size() int { return s.prog.Size() }
 
 // Apply sorts keys in place by replaying the schedule; len(keys) must
-// equal Inputs().
-func (s *Schedule) Apply(keys []Key) { s.inner.Apply(keys) }
+// equal Inputs(). Like SortBatch, it executes only the comparators that
+// can swap (THEORY.md §17); the output is the same.
+func (s *Schedule) Apply(keys []Key) {
+	if len(keys) != s.Inputs() {
+		panic(fmt.Sprintf("productsort: %d keys for %d-input schedule", len(keys), s.Inputs()))
+	}
+	if err := schedule.RunBatchColumnar(s.prog, [][]Key{keys}, 1, batchColumns); err != nil {
+		panic(err) // unreachable: the length was checked above
+	}
+}
 
 // MarshalJSON encodes the schedule (network name, input count, phase
-// list) for external tools; cmd/schedule writes this format.
-func (s *Schedule) MarshalJSON() ([]byte, error) { return s.inner.MarshalJSON() }
+// list) for external tools; cmd/schedule writes this format. Every
+// compare-exchange phase is listed in full, as snake positions of the
+// schedule's own network.
+func (s *Schedule) MarshalJSON() ([]byte, error) {
+	phases := s.prog.Phases()
+	for _, ph := range phases {
+		for j, pr := range ph {
+			ph[j] = [2]int{s.nw.net.SnakePos(pr[0]), s.nw.net.SnakePos(pr[1])}
+		}
+	}
+	return json.Marshal(struct {
+		Network string     `json:"network"`
+		Inputs  int        `json:"inputs"`
+		Phases  [][][2]int `json:"phases"`
+	}{s.nw.Name(), s.Inputs(), phases})
+}
 
 // BlockStats reports the work of a blocked sort.
 type BlockStats struct {
 	// Rounds is the parallel merge-split round count — equal to the
 	// schedule depth, independent of block size.
 	Rounds int
-	// MergeSplits is the total merge-split operation count.
+	// MergeSplits is the number of merge-splits executed: one per
+	// comparator that can swap (THEORY.md §17), at most Size().
 	MergeSplits int
 	// KeysMoved counts keys shipped between processors.
 	KeysMoved int
@@ -283,7 +308,7 @@ func SortMessagePassing(nw *Network, keys []Key) (*MessagePassingResult, error) 
 // blockSize keys moving per exchange. This is the keys ≫ processors
 // regime in which the paper's Section 1 places multiway algorithms.
 func (s *Schedule) SortBlocks(keys []Key, blockSize int) (BlockStats, error) {
-	st, err := blocksort.Sort(s.inner, keys, blockSize)
+	st, err := blocksort.Sort(s.prog, keys, blockSize)
 	if err != nil {
 		return BlockStats{}, err
 	}

@@ -8,17 +8,17 @@
 // is replaced by a merge-split (the pair merges its two blocks; the low
 // side keeps the smaller half, the high side the larger), the network
 // sorts the blocked sequence. Because the multiway-merge algorithm is
-// oblivious, its recorded schedule (package mergenet) is exactly such a
+// oblivious, its compiled program (package schedule) is exactly such a
 // network, so the parallel round count is *unchanged* while each round
-// moves a block instead of a key.
+// moves a block instead of a key. The merge-splits run over the
+// program's executed comparator stream: the known-order pass's drops
+// are the identity on blocks too (THEORY.md §8).
 package blocksort
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"productsort/internal/mergenet"
-	"productsort/internal/product"
 	"productsort/internal/schedule"
 	"productsort/internal/simnet"
 )
@@ -28,54 +28,47 @@ type Key = simnet.Key
 
 // Stats reports the work of one blocked sort.
 type Stats struct {
-	// Rounds is the number of parallel merge-split rounds (equals the
-	// schedule's depth; independent of the block size).
+	// Rounds is the number of parallel merge-split rounds (the
+	// program's compare-exchange phase count; independent of the block
+	// size).
 	Rounds int
-	// MergeSplits is the total number of merge-split operations.
+	// MergeSplits is the number of merge-splits executed: one per
+	// comparator of the program's executed stream.
 	MergeSplits int
 	// KeysMoved counts keys transferred between processors (every
 	// merge-split ships one block each way).
 	KeysMoved int
 }
 
-// Sort sorts keys in place using the schedule with blockSize keys per
-// processor. len(keys) must equal schedule.Inputs × blockSize. On
-// return, keys is globally sorted: block i (the keys of snake position
-// i's processor) holds the i-th smallest blockSize keys in order.
-func Sort(s *mergenet.Schedule, keys []Key, blockSize int) (Stats, error) {
+// Sort sorts keys in place by replaying prog's executed comparator
+// stream with merge-split operators, blockSize keys per processor.
+// len(keys) must equal prog.Nodes() × blockSize. On return, keys is
+// globally sorted: block i (the keys of snake position i's processor)
+// holds the i-th smallest blockSize keys in order.
+func Sort(prog *schedule.Program, keys []Key, blockSize int) (Stats, error) {
 	var st Stats
+	nodes := prog.Nodes()
 	if blockSize < 1 {
 		return st, fmt.Errorf("blocksort: block size %d < 1", blockSize)
 	}
-	if len(keys) != s.Inputs*blockSize {
+	if len(keys) != nodes*blockSize {
 		return st, fmt.Errorf("blocksort: %d keys for %d processors × block %d",
-			len(keys), s.Inputs, blockSize)
+			len(keys), nodes, blockSize)
 	}
 	// Local pre-sort of every block.
-	for p := 0; p < s.Inputs; p++ {
-		blk := keys[p*blockSize : (p+1)*blockSize]
-		sort.Slice(blk, func(i, j int) bool { return blk[i] < blk[j] })
+	for p := 0; p < nodes; p++ {
+		slices.Sort(keys[p*blockSize : (p+1)*blockSize])
 	}
 	buf := make([]Key, 2*blockSize)
-	for _, phase := range s.Phases {
-		st.Rounds++
-		for _, pr := range phase {
-			lo := keys[pr[0]*blockSize : (pr[0]+1)*blockSize]
-			hi := keys[pr[1]*blockSize : (pr[1]+1)*blockSize]
-			mergeSplit(lo, hi, buf)
-			st.MergeSplits++
-			st.KeysMoved += 2 * blockSize
-		}
+	comps := prog.LoweredComparators()
+	for _, c := range comps {
+		lo, hi := int(c.Lo)*blockSize, int(c.Hi)*blockSize
+		mergeSplit(keys[lo:lo+blockSize], keys[hi:hi+blockSize], buf)
 	}
+	st.Rounds = prog.Clock().ComparePhases
+	st.MergeSplits = len(comps)
+	st.KeysMoved = 2 * blockSize * len(comps)
 	return st, nil
-}
-
-// SortProgram is the blocked-sort backend of the compiled schedule IR:
-// it re-expresses the cached phase program in snake coordinates of net
-// and replays it with merge-split operators. Same parallel rounds as
-// the one-key-per-node sort, blockSize keys per exchange.
-func SortProgram(prog *schedule.Program, net *product.Network, keys []Key, blockSize int) (Stats, error) {
-	return Sort(mergenet.FromProgram(prog, net), keys, blockSize)
 }
 
 // mergeSplit merges two sorted blocks and splits the result: lo receives

@@ -5,7 +5,6 @@ import (
 
 	"productsort/internal/baseline"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/product"
 	"productsort/internal/sort2d"
 	"productsort/internal/stats"
@@ -52,10 +51,10 @@ func E11Obliviousness() *Result {
 	}{
 		{graph.K2(), 4}, {graph.K2(), 6}, {graph.Path(4), 2}, {graph.Path(4), 3},
 	} {
-		s := mergenet.MustExtract(c.g, c.r, nil)
-		t2.Add(s.Inputs, "multiway-merge schedule ("+s.Network+")", s.Size(), s.Depth())
-		oem := baseline.OddEvenMergeNetwork(s.Inputs)
-		t2.Add(s.Inputs, "batcher odd-even merge", oem.Size(), oem.Depth())
+		net, prog := programFor(c.g, c.r)
+		t2.Add(net.Nodes(), "multiway-merge schedule ("+net.Name()+")", prog.Size(), prog.Clock().ComparePhases)
+		oem := baseline.OddEvenMergeNetwork(net.Nodes())
+		t2.Add(net.Nodes(), "batcher odd-even merge", oem.Size(), oem.Depth())
 	}
 	res.Tables = append(res.Tables, t2)
 

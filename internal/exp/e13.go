@@ -2,12 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"productsort/internal/core"
 	"productsort/internal/cost"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/product"
+	"productsort/internal/schedule"
 	"productsort/internal/simnet"
 	"productsort/internal/stats"
 	"productsort/internal/workload"
@@ -30,10 +31,12 @@ func E13ScheduleInvariance() *Result {
 	// (a) Schedules extracted from same-size factors are identical.
 	t := stats.NewTable("E13a: schedule equality across factor topologies (N=7, r=2)",
 		"factor", "phases", "comparators", "identical to path7 schedule")
-	ref := mergenet.MustExtract(graph.Path(7), 2, nil)
+	_, pathProg := programFor(graph.Path(7), 2)
+	ref := pathProg.Phases()
 	for _, g := range []*graph.Graph{graph.Path(7), graph.Cycle(7), graph.CompleteBinaryTree(3), graph.Star(7)} {
-		s := mergenet.MustExtract(g, 2, nil)
-		t.Add(g.Name(), s.Depth(), s.Size(), schedulesEqual(ref, s))
+		_, prog := programFor(g, 2)
+		phases := prog.Phases()
+		t.Add(g.Name(), len(phases), prog.Size(), slices.EqualFunc(ref, phases, slices.Equal[[][2]int]))
 	}
 	t.Note("identical schedules: the S₂ engines compare label-consecutive symbols, so only the radices matter")
 	res.Tables = append(res.Tables, t)
@@ -42,16 +45,12 @@ func E13ScheduleInvariance() *Result {
 	// different rounds: the factor's connectivity prices each phase.
 	t2 := stats.NewTable("E13b: one schedule, many factors — replay cost (N=7, r=2, same keys)",
 		"machine factor", "ham", "rounds", "routed phases", "sorted", "paper 18(r-1)^2 N")
-	phases, pathNet, err := mergenet.NodePhases(graph.Path(7), 2, nil)
-	if err != nil {
-		panic(err)
-	}
-	keys := workload.Uniform(pathNet.Nodes(), 127)
+	keys := workload.Uniform(pathProg.Nodes(), 127)
 	for _, g := range []*graph.Graph{graph.Path(7), graph.Cycle(7), graph.CompleteBinaryTree(3), graph.Star(7), graph.Complete(7)} {
 		net := product.MustNew(g, 2)
 		m := simnet.MustNew(net, make([]simnet.Key, net.Nodes()))
 		m.LoadSnake(keys)
-		mergenet.ReplayOnMachine(m, phases)
+		schedule.ReplayOnMachine(pathProg, m)
 		clk := m.Clock()
 		t2.Add(g.Name(), g.HamiltonianLabeled(), clk.Rounds, clk.RoutedPhases,
 			m.IsSortedSnake(), cost.CorollaryBound(2, 7))
@@ -80,7 +79,7 @@ func E13ScheduleInvariance() *Result {
 
 		mEmul := simnet.MustNew(net, make([]simnet.Key, net.Nodes()))
 		mEmul.LoadSnake(ks)
-		if _, err := mergenet.TorusEmulation(mEmul, nil); err != nil {
+		if err := torusEmulation(mEmul); err != nil {
 			panic(err)
 		}
 		if !mDirect.IsSortedSnake() || !mEmul.IsSortedSnake() {
@@ -95,20 +94,32 @@ func E13ScheduleInvariance() *Result {
 	return res
 }
 
-// schedulesEqual compares two snake-space schedules phase by phase.
-func schedulesEqual(a, b *mergenet.Schedule) bool {
-	if a.Inputs != b.Inputs || len(a.Phases) != len(b.Phases) {
-		return false
-	}
-	for i := range a.Phases {
-		if len(a.Phases[i]) != len(b.Phases[i]) {
-			return false
+// torusEmulation sorts the machine's keys by the Corollary's device:
+// compile the sorting program for the torus with the same
+// per-dimension sizes (factors replaced by cycles), then replay it on
+// the actual machine. Every comparator pairs nodes whose labels differ
+// by ±1 (mod N) in one dimension, so on an arbitrary connected factor
+// each compare-exchange costs a short routed exchange — the embedding
+// slowdown the paper bounds by a constant.
+func torusEmulation(m *simnet.Machine) error {
+	factors := make([]*graph.Graph, m.Net().R())
+	for dim := 1; dim <= m.Net().R(); dim++ {
+		n := m.Net().Radix(dim)
+		if n < 3 {
+			// A 2-cycle degenerates to K2 = the path.
+			factors[dim-1] = graph.Path(n)
+			continue
 		}
-		for j := range a.Phases[i] {
-			if a.Phases[i][j] != b.Phases[i][j] {
-				return false
-			}
-		}
+		factors[dim-1] = graph.Cycle(n)
 	}
-	return true
+	torus, err := product.NewHetero(factors)
+	if err != nil {
+		return err
+	}
+	prog, err := schedule.Compile(torus, nil)
+	if err != nil {
+		return err
+	}
+	schedule.ReplayOnMachine(prog, m)
+	return nil
 }

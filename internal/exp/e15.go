@@ -3,8 +3,8 @@ package exp
 import (
 	"productsort/internal/core"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/product"
+	"productsort/internal/schedule"
 	"productsort/internal/simnet"
 	"productsort/internal/spmd"
 	"productsort/internal/stats"
@@ -42,10 +42,11 @@ func E15EngineAgreement() *Result {
 		m.LoadSnake(keys)
 		core.New(nil).Sort(m)
 
-		phases, err := mergenet.NodePhasesNet(net, nil)
+		prog, err := schedule.Compile(net, nil)
 		if err != nil {
 			panic(err)
 		}
+		phases := prog.Phases()
 		byNode := make([]simnet.Key, len(keys))
 		for pos, k := range keys {
 			byNode[net.NodeAtSnake(pos)] = k

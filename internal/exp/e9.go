@@ -6,7 +6,6 @@ import (
 
 	"productsort/internal/blocksort"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/simnet"
 	"productsort/internal/stats"
 	"productsort/internal/workload"
@@ -30,12 +29,12 @@ func E9BlockScaling() *Result {
 		{graph.Petersen(), 2},
 	}
 	for _, c := range cfgs {
-		s := mergenet.MustExtract(c.g, c.r, nil)
+		net, prog := programFor(c.g, c.r)
 		for _, bs := range []int{1, 4, 16, 64} {
-			keys := workload.Uniform(s.Inputs*bs, int64(bs))
+			keys := workload.Uniform(net.Nodes()*bs, int64(bs))
 			want := append([]simnet.Key(nil), keys...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			st, err := blocksort.Sort(s, keys, bs)
+			st, err := blocksort.Sort(prog, keys, bs)
 			if err != nil {
 				panic(err)
 			}
@@ -46,7 +45,7 @@ func E9BlockScaling() *Result {
 					break
 				}
 			}
-			t.Add(s.Network, s.Inputs, bs, s.Inputs*bs, st.Rounds, st.MergeSplits, st.KeysMoved, ok)
+			t.Add(net.Name(), net.Nodes(), bs, net.Nodes()*bs, st.Rounds, st.MergeSplits, st.KeysMoved, ok)
 		}
 	}
 	t.Note("rounds equal the schedule depth for every block size; only per-round bandwidth grows")
@@ -55,14 +54,14 @@ func E9BlockScaling() *Result {
 	fig := stats.NewFigure("E9: total keys sorted vs parallel rounds (path4^3 schedule)", "block size", "value")
 	serKeys := fig.AddSeries("total keys")
 	serRounds := fig.AddSeries("rounds")
-	s := mergenet.MustExtract(graph.Path(4), 3, nil)
+	net, prog := programFor(graph.Path(4), 3)
 	for _, bs := range []int{1, 4, 16, 64} {
-		keys := workload.Uniform(s.Inputs*bs, 3)
-		st, err := blocksort.Sort(s, keys, bs)
+		keys := workload.Uniform(net.Nodes()*bs, 3)
+		st, err := blocksort.Sort(prog, keys, bs)
 		if err != nil {
 			panic(err)
 		}
-		serKeys.Point(fmt.Sprint(bs), float64(s.Inputs*bs))
+		serKeys.Point(fmt.Sprint(bs), float64(net.Nodes()*bs))
 		serRounds.Point(fmt.Sprint(bs), float64(st.Rounds))
 	}
 	res.Figures = append(res.Figures, fig)

@@ -17,6 +17,7 @@ import (
 	"productsort/internal/core"
 	"productsort/internal/graph"
 	"productsort/internal/product"
+	"productsort/internal/schedule"
 	"productsort/internal/simnet"
 	"productsort/internal/sort2d"
 	"productsort/internal/stats"
@@ -128,6 +129,19 @@ func machineFor(g *graph.Graph, r int, keys []simnet.Key) *simnet.Machine {
 	m := simnet.MustNew(net, make([]simnet.Key, net.Nodes()))
 	m.LoadSnake(keys)
 	return m
+}
+
+// programFor builds PG_r over the factor and compiles its full-sort
+// program with the default S₂ engine. Name rows after the returned
+// network: a cached program may have been compiled for a structurally
+// identical network with another name.
+func programFor(g *graph.Graph, r int) (*product.Network, *schedule.Program) {
+	net := product.MustNew(g, r)
+	prog, err := schedule.Compile(net, nil)
+	if err != nil {
+		panic(err)
+	}
+	return net, prog
 }
 
 // sortAndClock runs the multiway-merge sort and returns the clock.

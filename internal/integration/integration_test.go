@@ -14,8 +14,8 @@ import (
 	"productsort/internal/core"
 	"productsort/internal/cost"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/product"
+	"productsort/internal/schedule"
 	"productsort/internal/simnet"
 	"productsort/internal/sort2d"
 	"productsort/internal/spmd"
@@ -71,12 +71,17 @@ func TestFiveWaysAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		sched := mergenet.MustExtract(c.g, c.r, nil)
+		prog, err := schedule.Compile(net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		replay := append([]simnet.Key(nil), keys...)
-		sched.Apply(replay)
+		if err := schedule.RunBatchColumnar(prog, [][]simnet.Key{replay}, 1, nil); err != nil {
+			t.Fatal(err)
+		}
 
 		blocks := append([]simnet.Key(nil), keys...)
-		if _, err := blocksort.Sort(sched, blocks, 1); err != nil {
+		if _, err := blocksort.Sort(prog, blocks, 1); err != nil {
 			t.Fatal(err)
 		}
 
@@ -156,26 +161,33 @@ func TestEveryWorkloadEveryFamily(t *testing.T) {
 // Theorem 1 phase-time product (it is lower when phases are empty).
 func TestScheduleDepthBoundedByTheorem1(t *testing.T) {
 	for _, c := range configs() {
-		s := mergenet.MustExtract(c.g, c.r, sort2d.Shearsort{})
+		net := product.MustNew(c.g, c.r)
+		prog, err := schedule.Compile(net, sort2d.Shearsort{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		bound := cost.SortTime(c.r, (sort2d.Shearsort{}).Rounds(c.g.N()), 1)
-		if s.Depth() > bound {
-			t.Errorf("%s: schedule depth %d > Theorem 1 bound %d", s.Network, s.Depth(), bound)
+		if depth := prog.Clock().ComparePhases; depth > bound {
+			t.Errorf("%s: schedule depth %d > Theorem 1 bound %d", net.Name(), depth, bound)
 		}
 	}
 }
 
 // TestBigBlockEndToEnd: 100k+ keys through a 64-processor schedule.
 func TestBigBlockEndToEnd(t *testing.T) {
-	sched := mergenet.MustExtract(graph.K2(), 6, nil)
+	prog, err := schedule.Compile(product.MustNew(graph.K2(), 6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const block = 2048 // 131072 keys total
 	rng := rand.New(rand.NewSource(17))
-	keys := make([]simnet.Key, sched.Inputs*block)
+	keys := make([]simnet.Key, prog.Nodes()*block)
 	for i := range keys {
 		keys[i] = simnet.Key(rng.Int63n(1 << 40))
 	}
 	want := append([]simnet.Key(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	st, err := blocksort.Sort(sched, keys, block)
+	st, err := blocksort.Sort(prog, keys, block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +196,8 @@ func TestBigBlockEndToEnd(t *testing.T) {
 			t.Fatalf("big block sort mismatch at %d", i)
 		}
 	}
-	if st.Rounds != sched.Depth() {
-		t.Errorf("rounds %d != depth %d", st.Rounds, sched.Depth())
+	if depth := prog.Clock().ComparePhases; st.Rounds != depth {
+		t.Errorf("rounds %d != depth %d", st.Rounds, depth)
 	}
 }
 
@@ -255,14 +267,16 @@ func TestHeteroEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := mergenet.ExtractNet(net, nil)
+	prog, err := schedule.Compile(net, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay := append([]simnet.Key(nil), keys...)
-	sched.Apply(replay)
+	if err := schedule.RunBatchColumnar(prog, [][]simnet.Key{replay}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	blocks := append([]simnet.Key(nil), keys...)
-	if _, err := blocksort.Sort(sched, blocks, 1); err != nil {
+	if _, err := blocksort.Sort(prog, blocks, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref {

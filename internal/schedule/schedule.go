@@ -13,11 +13,12 @@
 // network replays the cached program with zero schedule construction.
 //
 // The program is consumed by pluggable backends: the in-place executor
-// backend (package schedule), the live simulator replay, the comparator
-// network view (package mergenet), merge-split block sorting (package
-// blocksort), and the message-passing SPMD engine (package spmd). All of
-// them observe identical round accounting because the charges are part
-// of the IR, precomputed per Lemma 3 / Theorem 1.
+// backend (package schedule), the live simulator replay, the columnar
+// batch replay of the lowered comparator stream, merge-split block
+// sorting (package blocksort), and the message-passing SPMD engine
+// (package spmd). All of them observe identical round accounting
+// because the charges are part of the IR, precomputed per Lemma 3 /
+// Theorem 1.
 package schedule
 
 import (
@@ -252,9 +253,9 @@ func (p *Program) Depth() int {
 func (p *Program) Size() int { return p.clock.CompareOps }
 
 // Phases returns the non-empty compare-exchange phases in node-id
-// space, in execution order — the form the recording executor used to
-// produce and that package mergenet re-expresses in snake coordinates.
-// The returned slices are fresh copies.
+// space, in execution order, every comparator included (the
+// known-order pass prunes only the lowered stream). The returned slices
+// are fresh copies.
 func (p *Program) Phases() [][][2]int {
 	var phases [][][2]int
 	for i := range p.ops {

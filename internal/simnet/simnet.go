@@ -317,7 +317,7 @@ func (e ParallelExec) CompareExchange(keys []Key, pairs [][2]int) {
 // RecorderExec wraps another executor and records every phase's pairs.
 // Because the sorting algorithm is oblivious (its schedule depends only
 // on the network, never on the keys), a recorded schedule is a reusable
-// comparator network: see package mergenet.
+// comparator network: see package schedule.
 type RecorderExec struct {
 	Inner  Executor
 	Phases [][][2]int

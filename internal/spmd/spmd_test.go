@@ -7,7 +7,6 @@ import (
 
 	"productsort/internal/core"
 	"productsort/internal/graph"
-	"productsort/internal/mergenet"
 	"productsort/internal/product"
 	"productsort/internal/schedule"
 	"productsort/internal/simnet"
@@ -20,6 +19,17 @@ func randomKeys(n int, seed int64) []Key {
 		ks[i] = Key(rng.Intn(500))
 	}
 	return ks
+}
+
+// nodePhases returns the compare-exchange phases of net's compiled
+// full-sort program, in node-id space.
+func nodePhases(t *testing.T, net *product.Network) [][][2]int {
+	t.Helper()
+	prog, err := schedule.Compile(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Phases()
 }
 
 func TestSortMatchesSimulatorAcrossNetworks(t *testing.T) {
@@ -150,10 +160,8 @@ func TestNewValidation(t *testing.T) {
 // larger network to shake out channel lifecycle bugs under -race.
 func TestManyPhasesStress(t *testing.T) {
 	g := graph.Path(4)
-	phases, net, err := mergenet.NodePhases(g, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := product.MustNew(g, 3)
+	phases := nodePhases(t, net)
 	keys := randomKeys(net.Nodes(), 77)
 	byNode := make([]Key, len(keys))
 	for pos, k := range keys {
@@ -189,10 +197,8 @@ func TestSynchronizedRoundsMatchSimulator(t *testing.T) {
 	// On a Hamiltonian factor every phase is one synchronized round, so
 	// the SPMD engine's measured total equals the simulator's charge.
 	g := graph.Path(3)
-	phases, net, err := mergenet.NodePhases(g, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := product.MustNew(g, 3)
+	phases := nodePhases(t, net)
 	keys := randomKeys(net.Nodes(), 33)
 	byNode := make([]Key, len(keys))
 	for pos, k := range keys {
@@ -221,10 +227,8 @@ func TestSynchronizedRoundsMatchSimulator(t *testing.T) {
 func TestSynchronizedRoutedCostsMore(t *testing.T) {
 	// On a tree factor, routed phases need multiple synchronized rounds.
 	g := graph.CompleteBinaryTree(3)
-	phases, net, err := mergenet.NodePhases(g, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := product.MustNew(g, 2)
+	phases := nodePhases(t, net)
 	keys := randomKeys(net.Nodes(), 34)
 	byNode := make([]Key, len(keys))
 	for pos, k := range keys {

@@ -371,7 +371,9 @@ func (c *CompiledNetwork) Network() *Network { return c.nw }
 // will report).
 func (c *CompiledNetwork) Rounds() int { return c.prog.Rounds() }
 
-// Depth returns the number of non-empty compare-exchange phases.
+// Depth returns the number of round-consuming phases: compare-exchange
+// phases plus idle rounds (Schedule.Depth counts the exchange phases
+// only).
 func (c *CompiledNetwork) Depth() int { return c.prog.Depth() }
 
 // Size returns the total comparator count.
