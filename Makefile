@@ -1,7 +1,8 @@
 # Verification pipeline. `make ci` is the gate: vet, build, full test
 # suite, race detector repo-wide, gofmt cleanliness (any unformatted
 # file fails the run), static analysis (when the pinned tools are
-# installed — see lint-tools), and the coverage floor.
+# installed — see lint-tools), the coverage floor, and every example
+# program run to completion.
 
 GO ?= go
 
@@ -20,10 +21,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
-	bce bench-schedule chaos fuzz cert serve-soak bench-serve \
+	bce examples bench-schedule chaos fuzz cert serve-soak bench-serve \
 	extsort-battery extsort-fuzz bench-extsort perfbench
 
-ci: vet build test race fmtcheck lint cover bce
+ci: vet build test race fmtcheck lint cover bce examples
 
 vet:
 	$(GO) vet ./...
@@ -97,6 +98,14 @@ bce:
 		echo "bce: kernel.go inner loop has per-element bounds checks"; exit 1; \
 	fi; \
 	echo "bce: kernel.go inner loop is bounds-check free"
+
+# Run every program under examples/; a non-zero exit (an example's
+# log.Fatal on a failed self-check) fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 bench-schedule:
 	$(GO) run ./cmd/bench -schedule

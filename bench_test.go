@@ -73,24 +73,6 @@ func BenchmarkSortPetersen2(b *testing.B)    { benchSort(b, mustNet(PetersenCube
 func BenchmarkSortDeBruijn8x8(b *testing.B)  { benchSort(b, mustNet(DeBruijnProduct(2, 3, 2))) }
 func BenchmarkSortShuffleEx8x8(b *testing.B) { benchSort(b, mustNet(ShuffleExchangeProduct(3, 2))) }
 
-func BenchmarkSortGoroutineExecutor(b *testing.B) {
-	nw, err := Grid(4, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := workload.Uniform(nw.Nodes(), 1)
-	s, err := NewSorter(WithGoroutines())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Sort(nw, keys); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Ablation: S_2 engine choice (DESIGN.md calls out shearsort vs the
 // simpler snake odd-even transposition).
 func benchEngine(b *testing.B, engine string) {
@@ -162,24 +144,6 @@ func BenchmarkBlockSort64x64(b *testing.B) {
 	}
 }
 
-// Wall-clock scaling of the phase executors on a big machine.
-func benchExecutor(b *testing.B, exec string) {
-	nw := mustNet(Grid(16, 3)) // 4096 processors
-	keys := workload.Uniform(nw.Nodes(), 1)
-	opts := []Option{}
-	if exec == "goroutine" {
-		opts = append(opts, WithGoroutines())
-	}
-	s, err := NewSorter(opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Sort(nw, keys); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExecutorSequential4096(b *testing.B) { benchExecutor(b, "sequential") }
+// Wall-clock cost of the compare-exchange loop on a big machine (4096
+// processors).
+func BenchmarkExecutorSequential4096(b *testing.B) { benchSort(b, mustNet(Grid(16, 3))) }

@@ -6,7 +6,7 @@
 //	psort -network grid -n 4 -r 3
 //	psort -network hypercube -r 8 -workload reverse
 //	psort -network mct -levels 3 -r 2 -engine shearsort -v
-//	psort -network petersen -r 2 -goroutines
+//	psort -network petersen -r 2 -spmd
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 		wl       = flag.String("workload", "uniform", fmt.Sprintf("one of %v", workload.Names()))
 		seed     = flag.Int64("seed", 1, "workload seed")
 		engine   = flag.String("engine", "auto", "S2 engine: auto | shearsort | snake-oet | opt4")
-		gor      = flag.Bool("goroutines", false, "execute phases with message-passing goroutines")
 		spmdMode = flag.Bool("spmd", false, "run the fully concurrent SPMD engine afterwards and cross-check")
 		verbose  = flag.Bool("v", false, "print keys before/after")
 		trace    = flag.Bool("trace", false, "render machine state after each stage (r ≤ 3 grids)")
@@ -48,9 +47,6 @@ func main() {
 	keys := gen(nw.Nodes(), *seed)
 
 	opts := []productsort.Option{productsort.WithEngine(*engine)}
-	if *gor {
-		opts = append(opts, productsort.WithGoroutines())
-	}
 	if *trace {
 		opts = append(opts, productsort.WithObserver(func(stage string, snakeKeys []productsort.Key) {
 			fmt.Printf("--- %s ---\n%s", stage, nw.Render(snakeKeys))

@@ -1,12 +1,13 @@
-// Petersen: sort on the Petersen cube with real message-passing
-// goroutines per processor, tracing the algorithm's stages with an
-// observer — the closest this simulator gets to watching 100 processors
-// cooperate.
+// Petersen: sort on the Petersen cube, tracing the algorithm's stages
+// with an observer, then sort the same keys again with the SPMD engine
+// — one goroutine per processor, every key crossing a physical edge —
+// and check that both runs agree.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"productsort"
 	"productsort/internal/workload"
@@ -20,7 +21,6 @@ func main() {
 	fmt.Printf("%s: %d processors, degree-6, diameter %d\n\n", nw.Name(), nw.Nodes(), nw.Diameter())
 
 	s, err := productsort.NewSorter(
-		productsort.WithGoroutines(),
 		productsort.WithObserver(func(stage string, keys []productsort.Key) {
 			fmt.Printf("stage: %-55s first keys now %v\n", stage, keys[:8])
 		}),
@@ -35,5 +35,14 @@ func main() {
 	}
 	fmt.Printf("\nsorted=%v rounds=%d (S2 phases %d, sweeps %d)\n",
 		productsort.IsSorted(res.Keys), res.Rounds, res.S2Phases, res.Sweeps)
-	fmt.Println("every compare-exchange ran as a pair of goroutines exchanging keys over channels")
+
+	mp, err := productsort.SortMessagePassing(nw, keys)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !slices.Equal(mp.Keys, res.Keys) {
+		log.Fatal("message-passing engine disagrees with the simulator")
+	}
+	fmt.Printf("message passing: %d messages over physical edges (%d relays), keys agree with the simulator\n",
+		mp.Messages, mp.Relays)
 }

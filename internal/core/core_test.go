@@ -392,26 +392,6 @@ func TestSort1D(t *testing.T) {
 	}
 }
 
-func TestSortWithGoroutineExecutor(t *testing.T) {
-	net := product.MustNew(graph.Path(3), 3)
-	keys := randomKeys(27, 21)
-	seq := simnet.MustNew(net, keys)
-	par := simnet.MustNew(net, keys)
-	par.SetExecutor(simnet.GoroutineExec{})
-	s := New(nil)
-	s.Sort(seq)
-	s.Sort(par)
-	ks, kp := seq.Keys(), par.Keys()
-	for i := range ks {
-		if ks[i] != kp[i] {
-			t.Fatalf("executors disagree at node %d", i)
-		}
-	}
-	if seq.Clock() != par.Clock() {
-		t.Fatalf("clocks differ: %+v vs %+v", seq.Clock(), par.Clock())
-	}
-}
-
 func TestObserverCalled(t *testing.T) {
 	net := product.MustNew(graph.Path(3), 3)
 	m := simnet.MustNew(net, randomKeys(27, 4))

@@ -4,10 +4,9 @@
 // duplicated, which nodes stall, and which keys suffer bit flips. No
 // mutable RNG state is consumed by decisions, so the same plan yields
 // the same fault realization regardless of evaluation order or
-// goroutine scheduling: the simulator executor (simnet.FaultExec), the
-// schedule-level resilient replay (schedule.ResilientBackend), and the
-// message-passing engine (spmd) all observe one coherent fault world
-// per seed.
+// goroutine scheduling: the schedule-level resilient replay
+// (schedule.ResilientBackend) and the message-passing engine (spmd)
+// observe one coherent fault world per seed.
 //
 // The paper's cost model assumes a perfectly synchronous, failure-free
 // machine; this package is where that assumption is deliberately
@@ -25,7 +24,7 @@ import (
 )
 
 // Key mirrors simnet.Key (int64) without importing simnet, because
-// simnet wraps fault plans into its executors.
+// simnet imports this package (its Clock carries Counters).
 type Key = int64
 
 // FactorEdge names one factor-graph edge of a product network:

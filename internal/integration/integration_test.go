@@ -1,6 +1,6 @@
 // Package integration holds cross-module tests: every engine and
-// representation (deterministic machine, goroutine executor, SPMD
-// message passing, extracted schedule, merge-split blocks) must agree
+// representation (deterministic machine, compiled-program op replay,
+// SPMD message passing, columnar replay, merge-split blocks) must agree
 // on the same inputs, and measured costs must match the analytic model.
 package integration
 
@@ -49,8 +49,10 @@ func configs() []struct {
 }
 
 // TestFiveWaysAgree sorts the same keys five ways and demands identical
-// output: simulator, goroutine executor, SPMD engine, schedule replay,
-// block sort with block size 1.
+// output: simulator, the program's op replay over node-indexed keys
+// (the path behind CompiledNetwork.Sort and SortResilient), SPMD
+// engine, columnar replay of the pruned stream, block sort with block
+// size 1.
 func TestFiveWaysAgree(t *testing.T) {
 	for _, c := range configs() {
 		net := product.MustNew(c.g, c.r)
@@ -61,11 +63,6 @@ func TestFiveWaysAgree(t *testing.T) {
 		core.New(nil).Sort(m1)
 		ref := m1.SnakeKeys()
 
-		m2 := simnet.MustNew(net, make([]simnet.Key, net.Nodes()))
-		m2.LoadSnake(keys)
-		m2.SetExecutor(simnet.GoroutineExec{})
-		core.New(nil).Sort(m2)
-
 		e, err := spmd.Sort(c.g, c.r, keys, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -73,6 +70,13 @@ func TestFiveWaysAgree(t *testing.T) {
 
 		prog, err := schedule.Compile(net, nil)
 		if err != nil {
+			t.Fatal(err)
+		}
+		byNode := make([]simnet.Key, net.Nodes())
+		for pos, k := range keys {
+			byNode[net.NodeAtSnake(pos)] = k
+		}
+		if _, err := (schedule.ExecBackend{}).Run(prog, byNode); err != nil {
 			t.Fatal(err)
 		}
 		replay := append([]simnet.Key(nil), keys...)
@@ -86,8 +90,8 @@ func TestFiveWaysAgree(t *testing.T) {
 		}
 
 		for i := range ref {
-			if m2.SnakeKeys()[i] != ref[i] {
-				t.Fatalf("%s: goroutine executor diverged at %d", net.Name(), i)
+			if byNode[net.NodeAtSnake(i)] != ref[i] {
+				t.Fatalf("%s: op replay diverged at %d", net.Name(), i)
 			}
 			if e.SnakeKeys()[i] != ref[i] {
 				t.Fatalf("%s: SPMD diverged at %d", net.Name(), i)

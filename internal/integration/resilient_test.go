@@ -16,7 +16,7 @@ import (
 // determinism contract: the resilient wrapper realizes the fault plan
 // above its inner backend, so the SAME fault seed must yield
 // byte-identical recovered keys and identical recovery counters whether
-// the surviving exchanges run on the in-place executor or on the SPMD
+// the surviving exchanges run on the in-place op replay or on the SPMD
 // message-passing engine.
 func TestResilientBackendsAgreeUnderFaults(t *testing.T) {
 	cfgs := []struct {

@@ -20,12 +20,10 @@ type Backend interface {
 }
 
 // ExecBackend is the fast replay backend: it applies each exchange op
-// with a simnet.Executor and charges the precomputed costs — no
-// validation, no routing-plan lookups, no allocation beyond what the
-// executor needs. It is the hot path behind CompiledNetwork.Sort.
+// with simnet.Exchange and charges the precomputed costs — no
+// validation, no routing-plan lookups, no allocation. It is the path
+// behind CompiledNetwork.Sort and SortResilient.
 type ExecBackend struct {
-	// Exec applies phases; nil means simnet.SequentialExec.
-	Exec simnet.Executor
 	// Tracer receives a phase begin/end event pair per round-consuming
 	// op. nil disables tracing; the disabled path stays allocation-free
 	// (asserted by TestExecBackendDisabledTracerZeroAlloc).
@@ -37,16 +35,12 @@ func (e ExecBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error)
 	if len(keys) != prog.net.Nodes() {
 		return simnet.Clock{}, fmt.Errorf("schedule: %d keys for %d nodes", len(keys), prog.net.Nodes())
 	}
-	exec := e.Exec
-	if exec == nil {
-		exec = simnet.SequentialExec{}
-	}
 	ops := prog.ops
 	if e.Tracer == nil {
 		for i := range ops {
 			switch ops[i].Kind {
 			case OpCompareExchange, OpRoutedExchange:
-				exec.CompareExchange(keys, ops[i].Pairs)
+				simnet.Exchange(keys, ops[i].Pairs)
 			}
 		}
 		return prog.clock, nil
@@ -58,7 +52,7 @@ func (e ExecBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error)
 		case OpCompareExchange, OpRoutedExchange:
 			ev := phaseEvent(op, i, inS2)
 			e.Tracer.PhaseBegin(ev)
-			exec.CompareExchange(keys, op.Pairs)
+			simnet.Exchange(keys, op.Pairs)
 			e.Tracer.PhaseEnd(ev)
 		case OpIdle:
 			ev := phaseEvent(op, i, inS2)
@@ -90,29 +84,6 @@ func phaseEvent(op *Op, index int, inS2 bool) obs.Phase {
 		Cost:  op.Cost,
 		Pairs: len(op.Pairs),
 	}
-}
-
-// MachineBackend replays the program through a live simnet.Machine,
-// letting the machine re-derive every round charge from scratch. It is
-// the slow cross-check backend: tests assert its clock matches the
-// program's precomputed one.
-type MachineBackend struct {
-	// Exec is the machine's executor; nil means the default.
-	Exec simnet.Executor
-}
-
-// Run implements Backend.
-func (mb MachineBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error) {
-	m, err := simnet.New(prog.net, keys)
-	if err != nil {
-		return simnet.Clock{}, err
-	}
-	if mb.Exec != nil {
-		m.SetExecutor(mb.Exec)
-	}
-	ReplayOnMachine(prog, m)
-	copy(keys, m.Keys())
-	return m.Clock(), nil
 }
 
 // ReplayOnMachine re-executes every op of the program on a live

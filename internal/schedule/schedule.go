@@ -12,8 +12,8 @@
 // structural signature. Every later sort on a structurally identical
 // network replays the cached program with zero schedule construction.
 //
-// The program is consumed by pluggable backends: the in-place executor
-// backend (package schedule), the live simulator replay, the columnar
+// The program is consumed by pluggable backends: the in-place op
+// replay (ExecBackend), the live simulator replay, the columnar
 // batch replay of the lowered comparator stream, merge-split block
 // sorting (package blocksort), and the message-passing SPMD engine
 // (package spmd). All of them observe identical round accounting

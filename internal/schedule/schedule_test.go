@@ -121,30 +121,18 @@ func TestMachineBackendRederivesClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := randomKeys(net.Nodes(), 42)
-		clk, err := MachineBackend{}.Run(prog, keys)
+		m, err := simnet.New(net, randomKeys(net.Nodes(), 42))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if clk != prog.Clock() {
+		ReplayOnMachine(prog, m)
+		if clk := m.Clock(); clk != prog.Clock() {
 			t.Errorf("%s: machine replay clock %+v != program clock %+v", f.name, clk, prog.Clock())
 		}
-		if !isSorted(net, keys) {
+		if !m.IsSortedSnake() {
 			t.Errorf("%s: machine replay did not sort", f.name)
 		}
 	}
-}
-
-func isSorted(net *product.Network, byNode []simnet.Key) bool {
-	var prev simnet.Key
-	for pos := 0; pos < net.Nodes(); pos++ {
-		k := byNode[net.NodeAtSnake(pos)]
-		if pos > 0 && k < prev {
-			return false
-		}
-		prev = k
-	}
-	return true
 }
 
 // TestCompileCachedOnce asserts the warm-path guarantee: after the

@@ -16,10 +16,7 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"productsort/internal/faults"
 	"productsort/internal/graph"
@@ -66,7 +63,6 @@ type Machine struct {
 	keys  []Key
 	cost  *CostModel
 	clock Clock
-	exec  Executor
 
 	inS2   bool       // attribute current rounds to S2Rounds
 	tracer obs.Tracer // nil = tracing disabled (the default)
@@ -202,134 +198,14 @@ func differingDim(net *product.Network, a, b int) int {
 	return dim
 }
 
-// Executor applies a compare-exchange phase to the key array. Pairs are
-// (lo, hi) node ids: after the call keys[lo] <= keys[hi] holds for every
-// pair. Implementations must treat pairs as disjoint.
-type Executor interface {
-	CompareExchange(keys []Key, pairs [][2]int)
-}
-
-// SequentialExec applies phases with a simple loop. It is the default.
-type SequentialExec struct{}
-
-// CompareExchange implements Executor.
-func (SequentialExec) CompareExchange(keys []Key, pairs [][2]int) {
+// Exchange applies one compare-exchange phase to the key array. Pairs
+// are (lo, hi) node ids: after the call keys[lo] <= keys[hi] holds for
+// every pair. Pairs must be node-disjoint; Exchange does not check.
+func Exchange(keys []Key, pairs [][2]int) {
 	for _, pr := range pairs {
 		if keys[pr[0]] > keys[pr[1]] {
 			keys[pr[0]], keys[pr[1]] = keys[pr[1]], keys[pr[0]]
 		}
-	}
-}
-
-// GoroutineExec executes each phase with one goroutine per endpoint,
-// exchanging keys over channels exactly as two communicating processors
-// would. It exists to demonstrate and test that phases are data-parallel;
-// results are identical to SequentialExec. Goroutine fan-out is capped
-// by a semaphore (admitting whole pairs, so partners are always
-// co-resident and cannot deadlock) — large phases no longer spawn two
-// goroutines per pair all at once.
-type GoroutineExec struct {
-	// MaxPairs bounds the pairs in flight; values < 1 mean
-	// 2·runtime.GOMAXPROCS(0).
-	MaxPairs int
-}
-
-// CompareExchange implements Executor with message-passing goroutines.
-func (e GoroutineExec) CompareExchange(keys []Key, pairs [][2]int) {
-	maxPairs := e.MaxPairs
-	if maxPairs < 1 {
-		maxPairs = 2 * runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, maxPairs)
-	var wg sync.WaitGroup
-	for _, pr := range pairs {
-		sem <- struct{}{} // admit the pair: both endpoints run together
-		lo, hi := pr[0], pr[1]
-		a2b := make(chan Key, 1)
-		b2a := make(chan Key, 1)
-		left := new(atomic.Int32)
-		left.Store(2)
-		release := func() {
-			if left.Add(-1) == 0 {
-				<-sem
-			}
-		}
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			defer release()
-			mine := keys[lo]
-			a2b <- mine
-			theirs := <-b2a
-			if theirs < mine {
-				keys[lo] = theirs
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			defer release()
-			mine := keys[hi]
-			b2a <- mine
-			theirs := <-a2b
-			if theirs > mine {
-				keys[hi] = theirs
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ParallelExec applies each phase by splitting its pairs across a fixed
-// worker pool — the wall-clock-oriented executor for large simulations.
-// Pairs within a phase are node-disjoint, so workers never contend.
-type ParallelExec struct {
-	// Workers is the pool size; values < 1 mean runtime.GOMAXPROCS(0),
-	// i.e. one worker per schedulable CPU.
-	Workers int
-}
-
-// CompareExchange implements Executor.
-func (e ParallelExec) CompareExchange(keys []Key, pairs [][2]int) {
-	w := e.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if len(pairs) < 2*w {
-		SequentialExec{}.CompareExchange(keys, pairs)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + w - 1) / w
-	for start := 0; start < len(pairs); start += chunk {
-		end := start + chunk
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		wg.Add(1)
-		go func(part [][2]int) {
-			defer wg.Done()
-			SequentialExec{}.CompareExchange(keys, part)
-		}(pairs[start:end])
-	}
-	wg.Wait()
-}
-
-// RecorderExec wraps another executor and records every phase's pairs.
-// Because the sorting algorithm is oblivious (its schedule depends only
-// on the network, never on the keys), a recorded schedule is a reusable
-// comparator network: see package schedule.
-type RecorderExec struct {
-	Inner  Executor
-	Phases [][][2]int
-}
-
-// CompareExchange implements Executor: record, then delegate.
-func (r *RecorderExec) CompareExchange(keys []Key, pairs [][2]int) {
-	cp := make([][2]int, len(pairs))
-	copy(cp, pairs)
-	r.Phases = append(r.Phases, cp)
-	if r.Inner != nil {
-		r.Inner.CompareExchange(keys, pairs)
 	}
 }
 
@@ -343,7 +219,6 @@ func New(net *product.Network, keys []Key) (*Machine, error) {
 		net:  net,
 		keys: append([]Key(nil), keys...),
 		cost: NewCostModel(),
-		exec: SequentialExec{},
 	}
 	return m, nil
 }
@@ -356,9 +231,6 @@ func MustNew(net *product.Network, keys []Key) *Machine {
 	}
 	return m
 }
-
-// SetExecutor replaces the phase executor (e.g. with GoroutineExec).
-func (m *Machine) SetExecutor(e Executor) { m.exec = e }
 
 // SetTracer attaches a tracer receiving one phase begin/end event pair
 // per round-consuming phase (compare-exchange and idle rounds), with
@@ -450,7 +322,7 @@ func (m *Machine) CompareExchange(pairs [][2]int) {
 		m.phase++
 		m.tracer.PhaseBegin(ev)
 	}
-	m.exec.CompareExchange(m.keys, pairs)
+	Exchange(m.keys, pairs)
 	if m.tracer != nil {
 		m.tracer.PhaseEnd(ev)
 	}

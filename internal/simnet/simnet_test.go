@@ -136,79 +136,6 @@ func TestEmptyPhaseIsFree(t *testing.T) {
 	}
 }
 
-func TestGoroutineExecMatchesSequential(t *testing.T) {
-	net := product.MustNew(graph.Cycle(4), 2)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		keys := make([]Key, net.Nodes())
-		for i := range keys {
-			keys[i] = Key(rng.Intn(100))
-		}
-		seq := MustNew(net, keys)
-		par := MustNew(net, keys)
-		par.SetExecutor(GoroutineExec{})
-		// A few random disjoint dimension-1 pairs.
-		var pairs [][2]int
-		for row := 0; row < 4; row++ {
-			a := row * 4
-			b := a + 1
-			if rng.Intn(2) == 0 {
-				a, b = b, a
-			}
-			pairs = append(pairs, [2]int{a, b})
-		}
-		seq.CompareExchange(pairs)
-		par.CompareExchange(pairs)
-		sk, pk := seq.Keys(), par.Keys()
-		for i := range sk {
-			if sk[i] != pk[i] {
-				t.Fatalf("trial %d: executors disagree at node %d: %d vs %d", trial, i, sk[i], pk[i])
-			}
-		}
-		if seq.Clock() != par.Clock() {
-			t.Fatalf("clocks disagree: %+v vs %+v", seq.Clock(), par.Clock())
-		}
-	}
-}
-
-func TestParallelExecMatchesSequential(t *testing.T) {
-	net := product.MustNew(graph.Path(8), 2)
-	rng := rand.New(rand.NewSource(6))
-	for _, workers := range []int{0, 1, 3, 8} {
-		keys := make([]Key, net.Nodes())
-		for i := range keys {
-			keys[i] = Key(rng.Intn(1000))
-		}
-		seq := MustNew(net, keys)
-		par := MustNew(net, keys)
-		par.SetExecutor(ParallelExec{Workers: workers})
-		var pairs [][2]int
-		for row := 0; row < 8; row++ {
-			for x := 0; x+1 < 8; x += 2 {
-				pairs = append(pairs, [2]int{row*8 + x, row*8 + x + 1})
-			}
-		}
-		seq.CompareExchange(pairs)
-		par.CompareExchange(pairs)
-		sk, pk := seq.Keys(), par.Keys()
-		for i := range sk {
-			if sk[i] != pk[i] {
-				t.Fatalf("workers=%d: divergence at node %d", workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelExecSmallPhaseFallsBack(t *testing.T) {
-	net := product.MustNew(graph.Path(4), 1)
-	m := MustNew(net, []Key{4, 3, 2, 1})
-	m.SetExecutor(ParallelExec{Workers: 8})
-	m.CompareExchange([][2]int{{0, 1}})
-	if m.Key(0) != 3 || m.Key(1) != 4 {
-		t.Error("small phase mishandled")
-	}
-}
-
 func TestSnakeKeysAndLoadSnake(t *testing.T) {
 	net := product.MustNew(graph.Path(3), 2)
 	m := MustNew(net, make([]Key, 9))
@@ -328,46 +255,6 @@ func BenchmarkCompareExchangePhase(b *testing.B) {
 	}
 }
 
-func BenchmarkGoroutineExecPhase(b *testing.B) {
-	net := product.MustNew(graph.Path(8), 2)
-	keys := make([]Key, net.Nodes())
-	for i := range keys {
-		keys[i] = Key(i * 7 % 64)
-	}
-	m := MustNew(net, keys)
-	m.SetExecutor(GoroutineExec{})
-	var pairs [][2]int
-	for row := 0; row < 8; row++ {
-		for x := 0; x+1 < 8; x += 2 {
-			pairs = append(pairs, [2]int{row*8 + x, row*8 + x + 1})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.CompareExchange(pairs)
-	}
-}
-
-func TestRecorderExec(t *testing.T) {
-	net := product.MustNew(graph.Path(4), 1)
-	m := MustNew(net, seqKeys(4))
-	rec := &RecorderExec{Inner: SequentialExec{}}
-	m.SetExecutor(rec)
-	m.CompareExchange([][2]int{{0, 1}})
-	m.CompareExchange([][2]int{{2, 3}, {0, 1}})
-	if len(rec.Phases) != 2 || len(rec.Phases[1]) != 2 {
-		t.Fatalf("recorded %d phases", len(rec.Phases))
-	}
-	// Recording with no inner executor must not move keys.
-	m2 := MustNew(net, []Key{9, 1, 2, 3})
-	rec2 := &RecorderExec{}
-	m2.SetExecutor(rec2)
-	m2.CompareExchange([][2]int{{0, 1}})
-	if m2.Key(0) != 9 {
-		t.Error("nil inner executor moved keys")
-	}
-}
-
 func TestIdleRoundAttribution(t *testing.T) {
 	net := product.MustNew(graph.Path(3), 1)
 	m := MustNew(net, seqKeys(3))
@@ -441,62 +328,5 @@ func TestExchangeCostCacheLargeFactor(t *testing.T) {
 	}
 	if want := net.Dist(2, 260); far < want {
 		t.Errorf("exchange (2,260) charged %d rounds, want >= distance %d", far, want)
-	}
-}
-
-// TestParallelExecDefaultWorkers checks ParallelExec with the default
-// pool size sorts identically to SequentialExec on a large phase.
-func TestParallelExecDefaultWorkers(t *testing.T) {
-	net := product.MustNew(graph.Path(64), 2)
-	keys := make([]Key, net.Nodes())
-	rng := rand.New(rand.NewSource(7))
-	for i := range keys {
-		keys[i] = Key(rng.Intn(1000))
-	}
-	mSeq := MustNew(net, keys)
-	mPar := MustNew(net, keys)
-	mPar.SetExecutor(ParallelExec{})
-	var pairs [][2]int
-	for a := 0; a+1 < 64; a += 2 {
-		for b := 0; b < 64; b++ {
-			x := net.SetDigit(net.SetDigit(0, 1, a), 2, b)
-			y := net.SetDigit(net.SetDigit(0, 1, a+1), 2, b)
-			pairs = append(pairs, [2]int{x, y})
-		}
-	}
-	mSeq.CompareExchange(pairs)
-	mPar.CompareExchange(pairs)
-	seq, par := mSeq.Keys(), mPar.Keys()
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("ParallelExec diverged from SequentialExec at node %d", i)
-		}
-	}
-}
-
-// TestGoroutineExecBoundedFanOut checks the capped executor still agrees
-// with the sequential one when the phase has far more pairs than the
-// semaphore admits at once.
-func TestGoroutineExecBoundedFanOut(t *testing.T) {
-	net := product.MustNew(graph.Path(128), 1)
-	keys := make([]Key, net.Nodes())
-	rng := rand.New(rand.NewSource(11))
-	for i := range keys {
-		keys[i] = Key(rng.Intn(1000))
-	}
-	mSeq := MustNew(net, keys)
-	mGor := MustNew(net, keys)
-	mGor.SetExecutor(GoroutineExec{MaxPairs: 3})
-	var pairs [][2]int
-	for a := 0; a+1 < 128; a += 2 {
-		pairs = append(pairs, [2]int{a, a + 1})
-	}
-	mSeq.CompareExchange(pairs)
-	mGor.CompareExchange(pairs)
-	seq, gor := mSeq.Keys(), mGor.Keys()
-	for i := range seq {
-		if seq[i] != gor[i] {
-			t.Fatalf("GoroutineExec diverged from SequentialExec at node %d", i)
-		}
 	}
 }

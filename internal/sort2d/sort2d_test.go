@@ -238,16 +238,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestGoroutineExecutorSorts(t *testing.T) {
-	net := product.MustNew(graph.Path(4), 2)
-	m := simnet.MustNew(net, randomKeys(16, 21))
-	m.SetExecutor(simnet.GoroutineExec{})
-	Shearsort{}.Sort(m, 1, 2, AscendingAll)
-	if !m.IsSortedSnake() {
-		t.Error("goroutine executor produced unsorted block")
-	}
-}
-
 // TestDuplicateKeysStable checks sorting with many duplicates.
 func TestDuplicateKeysStable(t *testing.T) {
 	net := product.MustNew(graph.Path(5), 2)

@@ -203,10 +203,9 @@ type Result struct {
 
 // Sorter configures the algorithm.
 type Sorter struct {
-	engine     sort2d.Engine
-	goroutines bool
-	observer   func(stage string, snakeKeys []Key)
-	tracer     obs.Tracer
+	engine   sort2d.Engine
+	observer func(stage string, snakeKeys []Key)
+	tracer   obs.Tracer
 }
 
 // Option configures a Sorter.
@@ -221,17 +220,6 @@ func WithEngine(name string) Option {
 			return err
 		}
 		s.engine = e
-		return nil
-	}
-}
-
-// WithGoroutines executes every compare-exchange phase with
-// message-passing goroutines (one per participating processor) instead
-// of the sequential executor. Results and round counts are identical;
-// this exists to exercise true concurrency.
-func WithGoroutines() Option {
-	return func(s *Sorter) error {
-		s.goroutines = true
 		return nil
 	}
 }
@@ -302,9 +290,6 @@ func (s *Sorter) Sort(nw *Network, keys []Key) (*Result, error) {
 		return nil, err
 	}
 	m.LoadSnake(keys)
-	if s.goroutines {
-		m.SetExecutor(simnet.GoroutineExec{})
-	}
 	if s.tracer != nil {
 		m.SetTracer(s.tracer)
 	}
@@ -334,7 +319,6 @@ func Sort(nw *Network, keys []Key) (*Result, error) {
 type CompiledNetwork struct {
 	nw     *Network
 	prog   *schedule.Program
-	exec   simnet.Executor
 	tracer obs.Tracer
 	family string // "" means FamilyProduct; see Family()
 }
@@ -348,11 +332,7 @@ func (s *Sorter) Compile(nw *Network) (*CompiledNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	var exec simnet.Executor
-	if s.goroutines {
-		exec = simnet.GoroutineExec{}
-	}
-	return &CompiledNetwork{nw: nw, prog: prog, exec: exec, tracer: s.tracer}, nil
+	return &CompiledNetwork{nw: nw, prog: prog, tracer: s.tracer}, nil
 }
 
 // Compile compiles the network with the default configuration.
@@ -381,11 +361,11 @@ func (c *CompiledNetwork) Size() int { return c.prog.Size() }
 
 // Sort replays the compiled program over keys (snake order, like
 // Sorter.Sort) and returns the result. No schedule work happens here —
-// just compare-exchanges. It replays the unpruned ops, all Size
-// comparators phase by phase, because its executor and tracer (and
-// SortResilient's faults) act on product-network edges; only the
-// batch paths (SortBatch, SortStream, the server) run the pruned
-// stream.
+// just compare-exchanges, applied with the simulator's one exchange
+// loop. It replays the unpruned ops, all Size comparators phase by
+// phase, because its tracer (and SortResilient's faults) act on
+// product-network edges; only the batch paths (SortBatch, SortStream,
+// the server) run the pruned stream.
 func (c *CompiledNetwork) Sort(keys []Key) (*Result, error) {
 	if len(keys) != c.nw.Nodes() {
 		return nil, fmt.Errorf("productsort: %d keys for %d nodes", len(keys), c.nw.Nodes())
@@ -394,7 +374,7 @@ func (c *CompiledNetwork) Sort(keys []Key) (*Result, error) {
 	for pos, k := range keys {
 		byNode[c.nw.net.NodeAtSnake(pos)] = k
 	}
-	clk, err := schedule.ExecBackend{Exec: c.exec, Tracer: c.tracer}.Run(c.prog, byNode)
+	clk, err := schedule.ExecBackend{Tracer: c.tracer}.Run(c.prog, byNode)
 	if err != nil {
 		return nil, err
 	}
@@ -492,9 +472,6 @@ func (s *Sorter) Merge(nw *Network, slabs [][]Key) (*Result, error) {
 		snake[pos] = keys[nw.net.NodeAtSnake(pos)]
 	}
 	m.LoadSnake(snake)
-	if s.goroutines {
-		m.SetExecutor(simnet.GoroutineExec{})
-	}
 	if s.tracer != nil {
 		m.SetTracer(s.tracer)
 	}

@@ -146,32 +146,6 @@ func mustNet(nw *Network, err error) *Network {
 	return nw
 }
 
-func TestWithGoroutinesEquivalent(t *testing.T) {
-	nw := mustNet(Grid(3, 3))
-	keys := workload.Uniform(27, 5)
-	seqS, _ := NewSorter()
-	parS, err := NewSorter(WithGoroutines())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := seqS.Sort(nw, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parS.Sort(nw, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Keys {
-		if a.Keys[i] != b.Keys[i] {
-			t.Fatal("goroutine executor diverged")
-		}
-	}
-	if a.Rounds != b.Rounds {
-		t.Fatal("round counts diverged")
-	}
-}
-
 func TestWithObserver(t *testing.T) {
 	nw := mustNet(Grid(3, 3))
 	var stages []string

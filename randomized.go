@@ -84,8 +84,8 @@ type RandomizedReport struct {
 // certification of the realized comparator sequence, and a final
 // deterministic scrub all accept. The compiled program is not used —
 // the engine is schedule-free, which is exactly why faults degrade it
-// gracefully — but the entry lives on CompiledNetwork so tracing and
-// executor configuration carry over. Faults act on product edges, so
+// gracefully — but the entry lives on CompiledNetwork so the tracer
+// carries over. Faults act on product edges, so
 // every drawn comparator executes: nothing here runs the pruned batch
 // stream.
 //

@@ -198,7 +198,7 @@ func (c *CompiledNetwork) SortResilient(keys []Key, cfg FaultConfig) (*Result, e
 		byNode[c.nw.net.NodeAtSnake(pos)] = k
 	}
 	rb := schedule.ResilientBackend{
-		Inner:           schedule.ExecBackend{Exec: c.exec, Tracer: c.tracer},
+		Inner:           schedule.ExecBackend{Tracer: c.tracer},
 		Plan:            plan,
 		CheckpointEvery: cfg.CheckpointEvery,
 		MaxRetries:      cfg.MaxRetries,
