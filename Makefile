@@ -108,7 +108,7 @@ examples:
 	done
 
 bench-schedule:
-	$(GO) run ./cmd/bench -schedule
+	$(GO) run ./cmd/bench -mode schedule
 
 # Chaos smoke: resilient sorts under injected faults across topologies,
 # plus the fault-rate x engine sweep (deterministic replay vs the
@@ -119,7 +119,7 @@ bench-schedule:
 # legs explore distinct chaos.
 CHAOS_BASE ?= 0
 chaos:
-	$(GO) run ./cmd/bench -chaos -seeds 3 -chaosbase $(CHAOS_BASE)
+	$(GO) run ./cmd/bench -mode chaos -seeds 3 -chaosbase $(CHAOS_BASE)
 
 # Fuzz the fault-plan scrub contract: injected key corruption must be
 # detected by the checksum scrub (or provably harmless), and fault
@@ -149,7 +149,7 @@ fuzz:
 # every exhaustive-envelope program may drop only comparators in its
 # unpruned exhaustive dead set, per an independent scalar oracle.
 cert:
-	$(GO) run ./cmd/bench -cert -certmax 16
+	$(GO) run ./cmd/bench -mode cert -certmax 16
 	$(GO) test -count=1 -run '^(TestMutationHarness|TestEmittedMutationHarness|TestDroppedComparatorsAreExhaustivelyDead)$$' ./internal/cert/
 
 # Serving soak: the batching sort server hammered from many goroutines
@@ -166,7 +166,7 @@ serve-soak:
 # Serving saturation curve: open-loop offered load against the server;
 # prints the throughput/latency table and writes BENCH_serve.json.
 bench-serve:
-	$(GO) run ./cmd/bench -serve
+	$(GO) run ./cmd/bench -mode serve
 
 # Streaming external sort battery, race-enabled: the extsort package's
 # oracle/property/cancel tests at GOMAXPROCS 1, 2 and 4 (one final-merge
@@ -193,7 +193,7 @@ extsort-fuzz:
 # Streaming tier vs slices.Sort: throughput over the size sweep plus
 # the merge fan-in sweep; writes BENCH_extsort.json.
 bench-extsort:
-	$(GO) run ./cmd/bench -extsort
+	$(GO) run ./cmd/bench -mode extsort
 
 # The repository benchmark (BENCHMARK.json): build perfbench/ from this
 # checkout and run one workload. The build cache, spill files and traces

@@ -7,11 +7,13 @@
 //	bench -exp e3          # run one experiment
 //	bench -list            # list experiments
 //	bench -trace t.json    # trace one sort, write a Chrome trace
-//	bench -schedule        # cold-vs-warm schedule benchmark
-//	bench -chaos           # resilient sorts under injected faults
-//	bench -cert            # bitsliced 0-1 certification of compiled programs
-//	bench -extsort         # streaming external sort tier vs slices.Sort
-//	bench -mode extsort    # same modes by name; unknown names fail the run
+//	bench -mode schedule   # cold-vs-warm schedule benchmark
+//	bench -mode chaos      # resilient sorts under injected faults
+//	bench -mode serve      # batching sort service under open-loop load
+//	bench -mode cert       # bitsliced 0-1 certification of compiled programs
+//	bench -mode extsort    # streaming external sort tier vs slices.Sort
+//
+// An unknown -mode name fails the run.
 //
 // Profiling flags (-cpuprofile, -memprofile) apply to every mode, so a
 // single run produces a flamegraph-able profile alongside its output.
@@ -41,30 +43,25 @@ func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	csvDir := flag.String("csv", "", "also write each table/figure as CSV into <dir>")
-	schedMode := flag.Bool("schedule", false, "benchmark cold compile vs warm replay of the cached phase program and exit")
-	schedOut := flag.String("scheduleout", "BENCH_schedule.json", "output path for -schedule")
-	schedSets := flag.Int("sets", 64, "key sets per topology for -schedule")
-	schedWorkers := flag.Int("workers", 0, "worker pool size for -schedule and -cert (0 = GOMAXPROCS)")
-	chaosMode := flag.Bool("chaos", false, "run resilient sorts under injected faults across topologies and exit")
-	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for -chaos")
-	chaosSeeds := flag.Int("seeds", 5, "fault seeds per (topology, scenario) cell for -chaos")
-	chaosBase := flag.Int64("chaosbase", 0, "fault seed base offset for -chaos (CI matrix legs use distinct bases)")
-	serveMode := flag.Bool("serve", false, "drive the batching sort service with open-loop load and exit")
-	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for -serve")
-	serveDur := flag.Duration("servedur", 2*time.Second, "measurement time per offered-load level for -serve")
-	serveLoads := flag.String("loads", "2000,5000,10000,15000,20000,30000", "comma-separated offered loads (requests/sec) for -serve")
-	serveSizes := flag.Int("servesizes", 64, "largest request size for -serve (Zipf sizes in 1..this)")
-	serveSeed := flag.Int64("serveseed", 1, "arrival/size seed for -serve")
-	certMode := flag.Bool("cert", false, "certify built-in family/engine programs with the bitsliced 0-1 engine and exit")
-	certOut := flag.String("certout", "BENCH_cert.json", "output path for -cert")
-	certMax := flag.Int("certmax", 20, "largest key count certified exhaustively for -cert")
-	certSample := flag.Int("certsample", 1<<16, "sampled-mode vector count for -cert")
-	extsortMode := flag.Bool("extsort", false, "benchmark the streaming external sort tier against slices.Sort and exit")
-	extsortOut := flag.String("extsortout", "BENCH_extsort.json", "output path for -extsort")
-	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -extsort's size sweep")
-	extsortFanins := flag.String("fanins", "2,4,8,16,32,64", "comma-separated merge fan-ins for -extsort's fan-in sweep")
-	extsortSeed := flag.Int64("extsortseed", 1, "workload seed for -extsort")
-	mode := flag.String("mode", "", "select a mode by name (exp, schedule, chaos, serve, cert, extsort) instead of the boolean flags; unknown names fail the run")
+	mode := flag.String("mode", "exp", "what to run: exp (the experiments), schedule, chaos, serve, cert or extsort; unknown names fail the run")
+	schedOut := flag.String("scheduleout", "BENCH_schedule.json", "output path for -mode schedule")
+	schedSets := flag.Int("sets", 64, "key sets per topology for -mode schedule")
+	schedWorkers := flag.Int("workers", 0, "worker pool size for -mode schedule and -mode cert (0 = GOMAXPROCS)")
+	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for -mode chaos")
+	chaosSeeds := flag.Int("seeds", 5, "fault seeds per (topology, scenario) cell for -mode chaos")
+	chaosBase := flag.Int64("chaosbase", 0, "fault seed base offset for -mode chaos (CI matrix legs use distinct bases)")
+	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for -mode serve")
+	serveDur := flag.Duration("servedur", 2*time.Second, "measurement time per offered-load level for -mode serve")
+	serveLoads := flag.String("loads", "2000,5000,10000,15000,20000,30000", "comma-separated offered loads (requests/sec) for -mode serve")
+	serveSizes := flag.Int("servesizes", 64, "largest request size for -mode serve (Zipf sizes in 1..this)")
+	serveSeed := flag.Int64("serveseed", 1, "arrival/size seed for -mode serve")
+	certOut := flag.String("certout", "BENCH_cert.json", "output path for -mode cert")
+	certMax := flag.Int("certmax", 20, "largest key count certified exhaustively for -mode cert")
+	certSample := flag.Int("certsample", 1<<16, "sampled-mode vector count for -mode cert")
+	extsortOut := flag.String("extsortout", "BENCH_extsort.json", "output path for -mode extsort")
+	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -mode extsort's size sweep")
+	extsortFanins := flag.String("fanins", "2,4,8,16,32,64", "comma-separated merge fan-ins for -mode extsort's fan-in sweep")
+	extsortSeed := flag.Int64("extsortseed", 1, "workload seed for -mode extsort")
 	tracePath := flag.String("trace", "", "trace one sort on the selected network (-network/-n/-r), write Chrome trace_event JSON to this path, and exit")
 	metricsPath := flag.String("metricsout", "", "with -trace: also write the metrics registry snapshot as JSON to this path")
 	traceSeed := flag.Int64("traceseed", 1, "workload seed for -trace")
@@ -108,67 +105,28 @@ func run() int {
 		}()
 	}
 
-	// -mode is the named-dispatch equivalent of the boolean mode flags.
+	if *tracePath != "" {
+		return exitCode(runTrace(netFlags, *tracePath, *metricsPath, *traceSeed, *faultSeed))
+	}
 	// An unknown name must fail loudly with the valid list — falling
 	// through to "run all experiments" would silently run the wrong
 	// thing for minutes and leave CI none the wiser.
-	if *mode != "" {
-		switch *mode {
-		case "exp":
-			// The default experiment path below.
-		case "schedule":
-			*schedMode = true
-		case "chaos":
-			*chaosMode = true
-		case "serve":
-			*serveMode = true
-		case "cert":
-			*certMode = true
-		case "extsort":
-			*extsortMode = true
-		default:
-			fmt.Fprintf(os.Stderr, "bench: unknown -mode %q (valid: exp, schedule, chaos, serve, cert, extsort)\n", *mode)
-			return 2
-		}
-	}
-
-	switch {
-	case *tracePath != "":
-		if err := runTrace(netFlags, *tracePath, *metricsPath, *traceSeed, *faultSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	case *schedMode:
-		if err := runScheduleBench(*schedOut, *schedSets, *schedWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	case *chaosMode:
-		if err := runChaosBench(*chaosOut, *chaosSeeds, *chaosBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	case *serveMode:
-		if err := runServeBench(*serveOut, *serveLoads, *serveDur, *serveSizes, *serveSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	case *certMode:
-		if err := runCertBench(*certOut, *certMax, *certSample, *schedWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	case *extsortMode:
-		if err := runExtsortBench(*extsortOut, *extsortSizes, *extsortFanins, *extsortSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+	switch *mode {
+	case "exp":
+		// The experiment path below.
+	case "schedule":
+		return exitCode(runScheduleBench(*schedOut, *schedSets, *schedWorkers))
+	case "chaos":
+		return exitCode(runChaosBench(*chaosOut, *chaosSeeds, *chaosBase))
+	case "serve":
+		return exitCode(runServeBench(*serveOut, *serveLoads, *serveDur, *serveSizes, *serveSeed))
+	case "cert":
+		return exitCode(runCertBench(*certOut, *certMax, *certSample, *schedWorkers))
+	case "extsort":
+		return exitCode(runExtsortBench(*extsortOut, *extsortSizes, *extsortFanins, *extsortSeed))
+	default:
+		fmt.Fprintf(os.Stderr, "bench: unknown -mode %q (valid: exp, schedule, chaos, serve, cert, extsort)\n", *mode)
+		return 2
 	}
 
 	for _, d := range []string{*outDir, *csvDir} {
@@ -214,6 +172,16 @@ func run() int {
 			}
 		}
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+// exitCode reports a mode's error on stderr and maps it to the exit
+// code.
+func exitCode(err error) int {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	return 0
 }

@@ -38,10 +38,15 @@ type scheduleEntry struct {
 	// (RunBatchColumnar), best of 3, per set.
 	ColsPerSetNs int64 `json:"colsPerSetNs"`
 	// Executed is how many of the program's comparators the columnar
-	// kernel runs after the known-order pass; PruneNs is what lowering
-	// plus the pass cost, once per program (best of 3, fresh programs).
+	// kernel runs after the known-order pass; PruneNs is what lowering,
+	// the pass and the block grouping cost, once per program (best of
+	// 3, fresh programs).
 	Executed int   `json:"executed"`
 	PruneNs  int64 `json:"pruneNs"`
+	// NsPerCompLane is the kernel alone (ColumnBatch.Run, no
+	// transposes) per executed comparator per set, at the report's
+	// KernelLanes sets (best of 7).
+	NsPerCompLane float64 `json:"nsPerCompLane"`
 }
 
 // familyEntry is one cell of the cross-family head-to-head: the same
@@ -79,10 +84,15 @@ type plannerPick struct {
 
 // scheduleReport is the BENCH_schedule.json document.
 type scheduleReport struct {
-	Generated string          `json:"generated"`
-	Sets      int             `json:"sets"`
-	Workers   int             `json:"workers"`
-	Entries   []scheduleEntry `json:"entries"`
+	Generated string `json:"generated"`
+	Sets      int    `json:"sets"`
+	Workers   int    `json:"workers"`
+	// Kernel is the body dispatched for batches of at least four sets
+	// on the measuring host (avx512, avx2 or scalar); KernelLanes is
+	// the batch width every entry's NsPerCompLane is measured at.
+	Kernel      string          `json:"kernel"`
+	KernelLanes int             `json:"kernelLanes"`
+	Entries     []scheduleEntry `json:"entries"`
 	// Families is the product-vs-multiway-vs-periodic head-to-head at a
 	// spread of power-of-two sizes.
 	Families []familyEntry `json:"families"`
@@ -121,6 +131,7 @@ func runScheduleBench(path string, sets, workers int) error {
 		{func() (*productsort.Network, error) { return productsort.Grid(8, 2) }, func() *graph.Graph { return graph.Path(8) }, 2},
 		{func() (*productsort.Network, error) { return productsort.Grid(8, 3) }, func() *graph.Graph { return graph.Path(8) }, 3},
 		{func() (*productsort.Network, error) { return productsort.Hypercube(9) }, func() *graph.Graph { return graph.K2() }, 9},
+		{func() (*productsort.Network, error) { return productsort.Hypercube(10) }, func() *graph.Graph { return graph.K2() }, 10},
 		{func() (*productsort.Network, error) { return productsort.PetersenCube(2) }, func() *graph.Graph { return graph.Petersen() }, 2},
 		{func() (*productsort.Network, error) { return productsort.MeshConnectedTrees(3, 2) }, func() *graph.Graph { return graph.CompleteBinaryTree(3) }, 2},
 	} {
@@ -136,9 +147,11 @@ func runScheduleBench(path string, sets, workers int) error {
 	}
 
 	report := scheduleReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Sets:      sets,
-		Workers:   workers,
+		Generated:   time.Now().UTC().Format(time.RFC3339),
+		Sets:        sets,
+		Workers:     workers,
+		Kernel:      schedule.KernelName(),
+		KernelLanes: kernelLanes,
 	}
 	for _, tp := range nets {
 		nw := tp.nw
@@ -210,11 +223,14 @@ func runScheduleBench(path string, sets, workers int) error {
 		if err != nil {
 			return err
 		}
+		if e.NsPerCompLane, err = kernelNsPerCompLane(product.MustNew(tp.factor, tp.r), gen); err != nil {
+			return err
+		}
 		report.Entries = append(report.Entries, e)
-		fmt.Printf("%-22s nodes=%-5d cold=%-12v warm/set=%-12v speedup=%-8.1fx cols/set=%-10v executed=%d/%d prune=%v\n",
+		fmt.Printf("%-22s nodes=%-5d cold=%-12v warm/set=%-12v speedup=%-8.1fx cols/set=%-10v executed=%d/%d prune=%v ns/cl=%.3f\n",
 			nw.Name(), nw.Nodes(), cold.Round(time.Microsecond),
 			time.Duration(perSet).Round(time.Microsecond), e.Speedup,
-			time.Duration(e.ColsPerSetNs), e.Executed, c.Size(), time.Duration(e.PruneNs))
+			time.Duration(e.ColsPerSetNs), e.Executed, c.Size(), time.Duration(e.PruneNs), e.NsPerCompLane)
 	}
 	report.Compiles = schedule.Stats().Compiles
 
@@ -232,7 +248,7 @@ func runScheduleBench(path string, sets, workers int) error {
 	if err := writeJSONArtifact(path, report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d sets, %d workers)\n", path, sets, workers)
+	fmt.Printf("wrote %s (%d sets, %d workers, %s kernel)\n", path, sets, workers, report.Kernel)
 	return nil
 }
 
@@ -390,6 +406,37 @@ func pruneCost(build func() (*schedule.Program, error)) (executed int, ns int64,
 		}
 	}
 	return executed, best.Nanoseconds(), nil
+}
+
+// kernelLanes is the batch width NsPerCompLane is measured at: the
+// per-worker tile of SortStream's default 170-run batch on two CPUs.
+const kernelLanes = 85
+
+// kernelNsPerCompLane times the columnar kernel alone over kernelLanes
+// full-size sets of net's cached program — ColumnBatch.Run, with the
+// transposes outside the clock and the sets reloaded before every run —
+// and returns the best of 7 runs per executed comparator per set.
+func kernelNsPerCompLane(net *product.Network, gen workload.Gen) (float64, error) {
+	prog, err := schedule.Compile(net, nil)
+	if err != nil {
+		return 0, err
+	}
+	sets := make([][]productsort.Key, kernelLanes)
+	for i := range sets {
+		sets[i] = gen(net.Nodes(), int64(i)+500)
+	}
+	var cb schedule.ColumnBatch
+	cb.Reset(net.Nodes(), kernelLanes)
+	var best time.Duration
+	for rep := -1; rep < 7; rep++ { // rep -1 warms the lowered stream
+		cb.LoadSnake(sets)
+		start := time.Now()
+		cb.Run(prog)
+		if d := time.Since(start); rep == 0 || (rep > 0 && d < best) {
+			best = d
+		}
+	}
+	return float64(best.Nanoseconds()) / float64(prog.Executed()*kernelLanes), nil
 }
 
 // columnsPerSet times a full-size batch through the columnar kernel

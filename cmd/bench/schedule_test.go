@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"productsort"
+	"productsort/internal/schedule"
 	"productsort/internal/workload"
 )
 
@@ -70,10 +71,11 @@ func TestPlannerSelections(t *testing.T) {
 	}
 }
 
-// TestRunScheduleBench runs the -schedule mode end to end at a small
+// TestRunScheduleBench runs the schedule mode end to end at a small
 // set count and checks the artifact it writes: every topology entry
-// carries a cold time, a warm time and the columnar per-set time, and
-// the batch phase compiled nothing beyond the cold builds.
+// carries a cold time, a warm time, the columnar per-set time and the
+// kernel's time per comparator-lane, the header names the dispatched
+// kernel, and the batch phase compiled nothing beyond the cold builds.
 func TestRunScheduleBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "schedule.json")
 	if err := runScheduleBench(path, 4, 1); err != nil {
@@ -87,11 +89,14 @@ func TestRunScheduleBench(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sets != 4 || rep.Workers != 1 || len(rep.Entries) != 5 {
-		t.Fatalf("report header: sets %d workers %d entries %d, want 4/1/5", rep.Sets, rep.Workers, len(rep.Entries))
+	if rep.Sets != 4 || rep.Workers != 1 || len(rep.Entries) != 6 {
+		t.Fatalf("report header: sets %d workers %d entries %d, want 4/1/6", rep.Sets, rep.Workers, len(rep.Entries))
+	}
+	if rep.Kernel != schedule.KernelName() || rep.KernelLanes != kernelLanes {
+		t.Fatalf("report header: kernel %q at %d lanes, want %q at %d", rep.Kernel, rep.KernelLanes, schedule.KernelName(), kernelLanes)
 	}
 	for _, e := range rep.Entries {
-		if e.ColdNs <= 0 || e.WarmPerSetNs <= 0 || e.ColsPerSetNs <= 0 || e.Rounds < 1 {
+		if e.ColdNs <= 0 || e.WarmPerSetNs <= 0 || e.ColsPerSetNs <= 0 || e.Rounds < 1 || e.NsPerCompLane <= 0 {
 			t.Fatalf("degenerate entry: %+v", e)
 		}
 	}

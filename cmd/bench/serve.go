@@ -1,4 +1,4 @@
-// The -serve mode: open-loop load against the batching sort service.
+// The serve mode: open-loop load against the batching sort service.
 //
 // For each offered load level the driver replays a deterministic
 // arrival trace (Poisson gaps from internal/workload) with Zipf request

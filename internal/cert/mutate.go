@@ -9,6 +9,7 @@ package cert
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"productsort/internal/schedule"
 )
@@ -151,6 +152,7 @@ func brokenPrunes(prog *schedule.Program, n int, seed int64) []Mutant {
 	for m := 0; m < n && len(live) > 0; m++ {
 		k := live[rng.Intn(len(live))]
 		keep := append(append([]int32(nil), index[:k]...), index[k+1:]...)
+		slices.Sort(keep) // WithExecuted takes the set in program order
 		mp, err := prog.WithExecuted(keep)
 		if err != nil {
 			panic(fmt.Sprintf("cert: broken-prune mutant invalid: %v", err))

@@ -11,7 +11,7 @@ import (
 // BenchmarkScheduleWarmVsCold contrasts the two ends of the compile/
 // execute split on one topology: "cold" pays schedule construction plus
 // one replay (the pre-refactor per-Sort cost), "warm" replays the
-// cached program. cmd/bench -schedule records the same contrast as
+// cached program. cmd/bench -mode schedule records the same contrast as
 // wall-clock into BENCH_schedule.json.
 func BenchmarkScheduleWarmVsCold(b *testing.B) {
 	net := product.MustNew(graph.Path(8), 3)

@@ -8,9 +8,10 @@
 // branchless min/max loop over two columns (kernel.go). Because every
 // set replays the identical oblivious schedule, interleaving them this
 // way only permutes the order of data-independent comparators across
-// independent sets: each set still sees its own comparators in program
-// order, so the transform commutes with sentinel padding and with the
-// 0-1 certification argument (THEORY.md §13).
+// independent sets: each position of each set still sees its own
+// comparators in program order, so the transform commutes with
+// sentinel padding and with the 0-1 certification argument (THEORY.md
+// §13).
 
 package schedule
 
@@ -23,26 +24,31 @@ import (
 )
 
 // ColumnBatch is the struct-of-arrays image of one batch: a single slab
-// of nodes × width keys in which column pos — slab[pos*width :
-// (pos+1)*width] — holds snake position pos of every set. Sets shorter
-// than the network occupy a prefix of the columns they reach and
-// Sentinel elsewhere.
+// of nodes × stride keys in which column pos — slab[pos*stride :
+// pos*stride+width] — holds snake position pos of every set. Sets
+// shorter than the network occupy a prefix of the columns they reach
+// and Sentinel elsewhere. The stride pads a vector kernel's columns to
+// whole cache lines (laneStride); the padding lanes hold stale keys
+// that the kernel sorts alongside and no set ever reads.
 type ColumnBatch struct {
-	slab  []simnet.Key
-	nodes int
-	width int
+	slab   []simnet.Key
+	nodes  int
+	width  int
+	stride int
 }
 
 // Reset shapes the batch for nodes snake positions and width sets,
 // reusing the slab when it is large enough.
 func (cb *ColumnBatch) Reset(nodes, width int) {
-	n := nodes * width
+	stride := laneStride(width)
+	n := nodes * stride
 	if cap(cb.slab) < n {
 		cb.slab = make([]simnet.Key, n)
 	}
 	cb.slab = cb.slab[:n]
 	cb.nodes = nodes
 	cb.width = width
+	cb.stride = stride
 }
 
 // Width returns the number of sets the batch holds.
@@ -50,14 +56,14 @@ func (cb *ColumnBatch) Width() int { return cb.width }
 
 // Column returns snake position pos across all sets — read/write.
 func (cb *ColumnBatch) Column(pos int) []simnet.Key {
-	return cb.slab[pos*cb.width : (pos+1)*cb.width]
+	return cb.slab[pos*cb.stride : pos*cb.stride+cb.width]
 }
 
 // LoadSnake transposes the snake-order sets into columns and pads every
 // set's unreached positions with Sentinel. Set lengths must already be
 // validated (0 < len ≤ nodes) and len(sets) must equal the width.
 func (cb *ColumnBatch) LoadSnake(sets [][]simnet.Key) {
-	w := cb.width
+	w := cb.stride
 	for s, keys := range sets {
 		for pos, k := range keys {
 			cb.slab[pos*w+s] = k
@@ -71,7 +77,7 @@ func (cb *ColumnBatch) LoadSnake(sets [][]simnet.Key) {
 // StoreSnake transposes each set's own snake prefix back out of the
 // columns, dropping the sentinels that floated to the tail positions.
 func (cb *ColumnBatch) StoreSnake(sets [][]simnet.Key) {
-	w := cb.width
+	w := cb.stride
 	for s, keys := range sets {
 		for pos := range keys {
 			keys[pos] = cb.slab[pos*w+s]
@@ -80,10 +86,11 @@ func (cb *ColumnBatch) StoreSnake(sets [][]simnet.Key) {
 }
 
 // Run replays the program's lowered comparator stream over the columns
-// through the fastest kernel the host supports (AVX2 on capable amd64,
-// the portable scalar loop elsewhere — see kernel.go/kernel_amd64.go).
+// through the widest kernel the host supports (AVX-512 or AVX2 on
+// capable amd64, the portable scalar loop elsewhere — see kernel.go and
+// kernel_amd64.go), padding lanes included.
 func (cb *ColumnBatch) Run(prog *Program) {
-	runComparators(cb.slab, prog.LoweredComparators(), cb.width)
+	runComparators(cb.slab, prog.LoweredComparators(), prog.kernelChunks(), cb.stride)
 }
 
 // ColumnBuffer recycles ColumnBatch slabs across flushes, so a steady

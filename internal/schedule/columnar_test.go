@@ -137,7 +137,7 @@ func TestRunBatchColumnarRejectsBadSizes(t *testing.T) {
 }
 
 // TestColumnBatchLayout pins the slab layout the kernels assume:
-// column pos is slab[pos*width:(pos+1)*width], Column returns a live
+// column pos is slab[pos*stride:pos*stride+width], Column returns a live
 // view of it, and LoadSnake puts set s's position pos at index s of
 // column pos (Sentinel past the set's end).
 func TestColumnBatchLayout(t *testing.T) {

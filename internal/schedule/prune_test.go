@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 
 	"productsort/internal/graph"
@@ -36,42 +37,52 @@ func TestKnownOrderPassCounts(t *testing.T) {
 }
 
 // TestExecutedIndexMapsBack: every executed comparator is the unpruned
-// comparator its index names, indices increase, and WithExecuted
-// rebuilds exactly that stream from the indices — or rejects indices
-// out of range or order.
+// comparator its index names, indices increase along every position
+// (globally on a network of one block, which keeps program order), and
+// WithExecuted rebuilds that stream from the indices in program order —
+// or rejects indices out of range or order.
 func TestExecutedIndexMapsBack(t *testing.T) {
-	prog, err := CompileUncached(product.MustNew(graph.Path(4), 2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := prog.unprunedLowered()
-	comps, index := prog.LoweredComparators(), prog.ExecutedIndex()
-	if len(index) != len(comps) || len(all) != prog.Size() {
-		t.Fatalf("%d indices for %d comparators; %d unpruned for size %d",
-			len(index), len(comps), len(all), prog.Size())
-	}
-	for k, f := range index {
-		if all[f] != comps[k] || (k > 0 && f <= index[k-1]) {
-			t.Fatalf("executed %d: index %d maps to %v, want %v (or indices not increasing)", k, f, all[f], comps[k])
+	for _, net := range []*product.Network{product.MustNew(graph.Path(4), 2), product.MustNew(graph.K2(), 7)} {
+		prog, err := CompileUncached(net, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	drop := append([]int32(nil), index[:3]...)
-	drop = append(drop, index[4:]...)
-	q, err := prog.WithExecuted(drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Executed() != len(comps)-1 || q.Size() != prog.Size() || len(q.Ops()) != len(prog.Ops()) {
-		t.Fatalf("WithExecuted: executed %d size %d ops %d", q.Executed(), q.Size(), len(q.Ops()))
-	}
-	for k, f := range q.ExecutedIndex() {
-		if q.LoweredComparators()[k] != all[f] {
-			t.Fatalf("WithExecuted: comparator %d does not match index %d", k, f)
+		all := prog.unprunedLowered()
+		comps, index := prog.LoweredComparators(), prog.ExecutedIndex()
+		if len(index) != len(comps) || len(all) != prog.Size() {
+			t.Fatalf("%s: %d indices for %d comparators; %d unpruned for size %d",
+				net.Name(), len(index), len(comps), len(all), prog.Size())
 		}
-	}
-	for _, bad := range [][]int32{{-1}, {int32(len(all))}, {5, 5}, {6, 2}} {
-		if _, err := prog.WithExecuted(bad); err == nil {
-			t.Errorf("WithExecuted(%v) accepted", bad)
+		last := make([]int32, net.Nodes())
+		for i := range last {
+			last[i] = -1
+		}
+		for k, f := range index {
+			c := comps[k]
+			if all[f] != c || f <= last[c.Lo] || f <= last[c.Hi] || (net.Nodes() <= groupBlock && k > 0 && f <= index[k-1]) {
+				t.Fatalf("%s: executed %d: index %d maps to %v, want %v (or indices out of order)", net.Name(), k, f, all[f], c)
+			}
+			last[c.Lo], last[c.Hi] = f, f
+		}
+		drop := slices.Clone(index)
+		slices.Sort(drop)
+		drop = append(drop[:3], drop[4:]...)
+		q, err := prog.WithExecuted(drop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Executed() != len(comps)-1 || q.Size() != prog.Size() || len(q.Ops()) != len(prog.Ops()) {
+			t.Fatalf("%s: WithExecuted: executed %d size %d ops %d", net.Name(), q.Executed(), q.Size(), len(q.Ops()))
+		}
+		for k, f := range q.ExecutedIndex() {
+			if q.LoweredComparators()[k] != all[f] {
+				t.Fatalf("%s: WithExecuted: comparator %d does not match index %d", net.Name(), k, f)
+			}
+		}
+		for _, bad := range [][]int32{{-1}, {int32(len(all))}, {5, 5}, {6, 2}} {
+			if _, err := prog.WithExecuted(bad); err == nil {
+				t.Errorf("%s: WithExecuted(%v) accepted", net.Name(), bad)
+			}
 		}
 	}
 }

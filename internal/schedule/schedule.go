@@ -111,6 +111,7 @@ type Program struct {
 	lowOnce sync.Once
 	lowered []Comparator // executed snake-space comparator stream, built on first use
 	index   []int32      // index[k]: position of lowered[k] in the unpruned stream
+	chunks  []int32      // end offsets of the kernel's bounded slices of lowered
 }
 
 // Comparator is one lowered compare-exchange in snake-position space:
@@ -169,16 +170,22 @@ func (p *Program) SnakePerm() []int {
 // node-id pairs through the inverse snake permutation and concatenates
 // them in execution order (idle rounds and markers move no data, so they
 // vanish); the known-order pass (prune.go) then drops every comparator
-// that provably never swaps. What remains is exactly the instruction
-// stream the columnar kernel replays, with no per-op decode and no
-// interface dispatch. Built once per program, on first use, and shared
-// — read only. Replaying it over snake-indexed storage gives the same
-// output, byte for byte, as replaying the ops over node-indexed storage
-// (pinned by TestLoweredComparatorsEquivalence and
-// FuzzColumnarEquivalence; THEORY.md §17).
+// that provably never swaps, and the locality pass (group.go) reorders
+// the rest block by block, keeping every position's own comparators in
+// program order. What remains is exactly the instruction stream the
+// columnar kernel replays, with no per-op decode and no interface
+// dispatch. Built once per program, on first use, and shared — read
+// only. Replaying it over snake-indexed storage gives the same output,
+// byte for byte, as replaying the ops over node-indexed storage (pinned
+// by TestLoweredComparatorsEquivalence and FuzzColumnarEquivalence;
+// THEORY.md §13 and §17).
 func (p *Program) LoweredComparators() []Comparator {
 	p.lowOnce.Do(func() {
-		p.lowered, p.index = pruneComparators(p.unprunedLowered(), p.net.Nodes())
+		comps, index := pruneComparators(p.unprunedLowered(), p.net.Nodes())
+		var err error
+		if p.lowered, p.index, p.chunks, err = lowerExecuted(comps, index, p.net.Nodes()); err != nil {
+			panic(err) // the grouping pass broke its own invariant
+		}
 	})
 	return p.lowered
 }
@@ -190,28 +197,40 @@ func (p *Program) Executed() int { return len(p.LoweredComparators()) }
 // ExecutedIndex maps the executed stream back to the ops:
 // ExecutedIndex()[k] is the position of LoweredComparators()[k] in the
 // unpruned stream, which numbers the pairs of the exchange ops 0, 1, …
-// in op order and pair order. Increasing; read only.
+// in op order and pair order. It follows the grouped order, so it is
+// increasing only along each position's comparators. Read only.
 func (p *Program) ExecutedIndex() []int32 {
 	p.LoweredComparators()
 	return p.index
 }
 
+// kernelChunks returns the end offsets that cut the executed stream
+// into the slices one kernel call replays.
+func (p *Program) kernelChunks() []int32 {
+	p.LoweredComparators()
+	return p.chunks
+}
+
 // WithExecuted returns a program with p's ops (shared, read only) whose
-// executed stream is exactly the unpruned comparators at the given
-// increasing flat indices (numbered as in ExecutedIndex); the
-// known-order pass never runs on it. It exists so the certifier's
-// mutation harness can build a program whose pruning is wrong.
+// executed stream is the unpruned comparators at the given increasing
+// flat indices (numbered as in ExecutedIndex), grouped as
+// LoweredComparators groups a pruned stream; the known-order pass never
+// runs on it. It exists so the certifier's mutation harness can build a
+// program whose pruning is wrong.
 func (p *Program) WithExecuted(index []int32) (*Program, error) {
 	all := p.unprunedLowered()
-	q := &Program{net: p.net, engine: p.engine, sig: p.sig, ops: p.ops, clock: p.clock}
-	q.lowered = make([]Comparator, len(index))
+	comps := make([]Comparator, len(index))
 	for k, f := range index {
 		if f < 0 || int(f) >= len(all) || (k > 0 && f <= index[k-1]) {
 			return nil, fmt.Errorf("schedule: executed index %d at %d is out of range or order", f, k)
 		}
-		q.lowered[k] = all[f]
+		comps[k] = all[f]
 	}
-	q.index = append([]int32(nil), index...)
+	q := &Program{net: p.net, engine: p.engine, sig: p.sig, ops: p.ops, clock: p.clock}
+	var err error
+	if q.lowered, q.index, q.chunks, err = lowerExecuted(comps, append([]int32(nil), index...), p.net.Nodes()); err != nil {
+		return nil, err
+	}
 	q.lowOnce.Do(func() {})
 	return q, nil
 }

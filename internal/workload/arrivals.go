@@ -1,5 +1,5 @@
 // Arrival processes and request-size distributions for serving
-// experiments: open-loop load for cmd/bench -serve. Deterministic under
+// experiments: open-loop load for cmd/bench -mode serve. Deterministic under
 // a fixed seed, like the key generators.
 
 package workload
