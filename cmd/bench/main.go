@@ -59,8 +59,7 @@ func run() int {
 	certMax := flag.Int("certmax", 20, "largest key count certified exhaustively for -mode cert")
 	certSample := flag.Int("certsample", 1<<16, "sampled-mode vector count for -mode cert")
 	extsortOut := flag.String("extsortout", "BENCH_extsort.json", "output path for -mode extsort")
-	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -mode extsort's size sweep")
-	extsortFanins := flag.String("fanins", "2,4,8,16,32,64", "comma-separated merge fan-ins for -mode extsort's fan-in sweep")
+	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -mode extsort: every size once, the second-largest repeated, the RunBatch sweep at the largest")
 	extsortSeed := flag.Int64("extsortseed", 1, "workload seed for -mode extsort")
 	tracePath := flag.String("trace", "", "trace one sort on the selected network (-network/-n/-r), write Chrome trace_event JSON to this path, and exit")
 	metricsPath := flag.String("metricsout", "", "with -trace: also write the metrics registry snapshot as JSON to this path")
@@ -123,7 +122,7 @@ func run() int {
 	case "cert":
 		return exitCode(runCertBench(*certOut, *certMax, *certSample, *schedWorkers))
 	case "extsort":
-		return exitCode(runExtsortBench(*extsortOut, *extsortSizes, *extsortFanins, *extsortSeed))
+		return exitCode(runExtsortBench(*extsortOut, *extsortSizes, *extsortSeed))
 	default:
 		fmt.Fprintf(os.Stderr, "bench: unknown -mode %q (valid: exp, schedule, chaos, serve, cert, extsort)\n", *mode)
 		return 2

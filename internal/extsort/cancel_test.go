@@ -36,7 +36,7 @@ func TestSortStreamCancelMidStream(t *testing.T) {
 		produced += len(dst)
 		return len(dst), nil
 	})
-	cfg := Config{RunSize: 16, FanIn: 4, MemoryKeys: 1, SpillDir: spillDir}
+	cfg := Config{MemoryKeys: 1, SpillDir: spillDir}
 	done := make(chan error, 1)
 	go func() {
 		_, err := Sort(ctx, src, NewSliceWriter(), sorter, cfg)
@@ -126,7 +126,7 @@ func TestSortStreamCancelInFirstWrite(t *testing.T) {
 		return out.Write(b)
 	})
 	stats, err := Sort(ctx, NewSliceReader(keys), dst, compiledSorter(t),
-		Config{RunSize: 16, MemoryKeys: 1, SpillDir: t.TempDir()})
+		Config{MemoryKeys: 1, SpillDir: t.TempDir()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -158,8 +158,8 @@ func TestSortStreamSinkFails(t *testing.T) {
 		}
 		return nil
 	})
-	stats, err := Sort(context.Background(), NewSliceReader(keys), dst, SliceSorter{},
-		Config{RunSize: 64, RunBatch: 64, SpillDir: t.TempDir()})
+	stats, err := Sort(context.Background(), NewSliceReader(keys), dst, SliceSorter{Max: 64},
+		Config{RunBatch: 64, SpillDir: t.TempDir()})
 	if !errors.Is(err, errSink) {
 		t.Fatalf("err = %v, want the sink's error", err)
 	}

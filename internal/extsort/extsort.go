@@ -32,10 +32,10 @@
 // Memory is bounded: leaves beyond the configured resident-key budget
 // spill to a temp file (segments reserved in input order, positional
 // reads) and an intermediate merge pass streams spill-to-spill, so peak
-// residency is O(MemoryKeys + FanIn·buffer + workers·RunBatch·RunSize)
+// residency is O(MemoryKeys + fan-in·buffer + workers·RunBatch·run size)
 // regardless of input length; the default RunBatch keeps the last term
 // within MemoryKeys/2. The final merge stays inside the same terms: its
-// at most GOMAXPROCS+1 chunk buffers of about RunBatch·RunSize keys
+// at most GOMAXPROCS+1 chunk buffers of about RunBatch·run size keys
 // take the place of the pre-merge workers' buffers, which are free by
 // then (or hold 1024 keys per leaf, a quarter of a leaf's read buffer,
 // when that is more), and its workers split one merge's read buffers
@@ -70,7 +70,7 @@ type Key = simnet.Key
 // Typed errors; branch with errors.Is.
 var (
 	// ErrRunUnsorted reports that a run came back from the run sorter
-	// out of order (only checked when Config.VerifyRuns is set): the
+	// out of order. Every run is checked before it is pre-merged: the
 	// merge refuses unsorted input rather than masking a run-sorter
 	// bug with merge output that is wrong in subtler ways.
 	ErrRunUnsorted = errors.New("extsort: run sorter produced an unsorted run")
@@ -104,40 +104,38 @@ type RunSorter interface {
 }
 
 // Config parametrizes Sort. The zero value of every field selects a
-// sensible default.
+// sensible default. The run size and the merge fan-in are not settable:
+// runs are min(1024, sorter.MaxRun()) keys, and the fan-in is the
+// largest F with (F+1)·4096 ≤ MemoryKeys — every spilled input of a
+// merge holds a 4096-key read buffer — but at least 16: 511 at the
+// default budget. The merge is correct at any fan-in (THEORY.md §15),
+// so both follow from the budget and the sorter.
 type Config struct {
-	// RunSize is the key count per run (default min(1024,
-	// sorter.MaxRun()); must not exceed sorter.MaxRun()).
-	RunSize int
-	// FanIn bounds the merge fan-in: at most this many leaves merge at
-	// once; more leaves take an earlier partial pass. The default is the
-	// largest F with (F+1)·4096 ≤ MemoryKeys — every spilled input of a
-	// merge holds a 4096-key read buffer — but at least 16: 511 at the
-	// default budget. Min 2.
-	FanIn int
 	// RunBatch is how many formed runs accumulate before one SortRuns
 	// call — the batch the columnar replay amortizes its program walk
 	// over, and the batch a background worker then pre-merges into one
-	// merge leaf. The default is derived from the budget like FanIn:
-	// the largest B with (2·GOMAXPROCS+2)·B·RunSize ≤ MemoryKeys/2, so
-	// the batches in flight plus the workers' spill-leaf buffers hold at
-	// most half the budget, but at least 16: 170 at the default budget
-	// and RunSize on 2 CPUs. Min 1.
+	// merge leaf. The default is derived from the budget: the largest B
+	// with (2·GOMAXPROCS+2)·B·runSize ≤ MemoryKeys/2, so the batches in
+	// flight plus the workers' spill-leaf buffers hold at most half the
+	// budget, but at least 16: 170 at the default budget and run size on
+	// 2 CPUs. Min 1.
 	RunBatch int
 	// MemoryKeys bounds resident sorted keys: leaves beyond it spill to
-	// disk (default 1<<21 keys = 16 MiB; raised to (FanIn+1)·4096 so the
-	// merge always has buffer room).
+	// disk (default 1<<21 keys = 16 MiB; raised to 17·4096 so a merge
+	// at the floor fan-in of 16 always has buffer room).
 	MemoryKeys int
 	// SpillDir is where the spill file lives (default os.TempDir()).
 	SpillDir string
-	// VerifyRuns, when set, checks every run for sortedness before it
-	// enters the merge and fails with ErrRunUnsorted — the runtime
-	// form of the battery's run-independence property, and the guard
-	// the chaos leg leans on when the run sorter heals itself under
-	// injected faults.
-	VerifyRuns bool
 	// Metrics optionally receives the extsort.* instruments.
 	Metrics *obs.Metrics
+}
+
+// params is a normalized Config with the values derived from it and
+// from the run sorter.
+type params struct {
+	Config
+	runSize int // keys per run: min(defaultRunSize, sorter.MaxRun())
+	fanIn   int // most leaves one merge takes: MemoryKeys/spillBufKeys − 1
 }
 
 // Stats reports one Sort's accounting.
@@ -147,7 +145,8 @@ type Stats struct {
 	// Runs is the number of runs the run sorter formed. Each batch of
 	// up to RunBatch of them is pre-merged into one merge leaf.
 	Runs int64 `json:"runs"`
-	// RunSize, FanIn and RunBatch echo the effective configuration.
+	// RunSize, FanIn and RunBatch echo the effective configuration: the
+	// derived run size and fan-in, and the given or derived RunBatch.
 	RunSize  int `json:"runSize"`
 	FanIn    int `json:"fanIn"`
 	RunBatch int `json:"runBatch"`
@@ -228,68 +227,44 @@ func newMetrics(m *obs.Metrics) *metrics {
 // planner maps it to a mid-size certified network.
 const defaultRunSize = 1024
 
-// minDerivedFanIn is the floor of the default fan-in: below it a small
-// MemoryKeys would buy many cheap passes instead of a few buffers.
-const minDerivedFanIn = 16
+// minFanIn is the floor of the fan-in: below it a small MemoryKeys
+// would buy many cheap passes instead of a few buffers.
+const minFanIn = 16
 
 // minDerivedRunBatch is the floor of the default run batch: wide hosts
 // and small budgets still amortize the program walk over 16 runs.
 const minDerivedRunBatch = 16
 
-// normalize validates cfg against the sorter and fills defaults.
-func (cfg Config) normalize(sorter RunSorter) (Config, error) {
+// normalize validates cfg against the sorter, fills defaults and
+// derives the run size and the fan-in.
+func (cfg Config) normalize(sorter RunSorter) (params, error) {
 	if sorter == nil {
-		return cfg, ErrNilSorter
+		return params{}, ErrNilSorter
 	}
 	maxRun := sorter.MaxRun()
 	if maxRun < 1 {
-		return cfg, &ConfigError{Field: "RunSorter", Reason: fmt.Sprintf("MaxRun %d < 1", maxRun)}
-	}
-	if cfg.RunSize < 0 {
-		return cfg, &ConfigError{Field: "RunSize", Reason: fmt.Sprintf("negative value %d", cfg.RunSize)}
-	}
-	if cfg.RunSize == 0 {
-		cfg.RunSize = defaultRunSize
-		if cfg.RunSize > maxRun {
-			cfg.RunSize = maxRun
-		}
-	}
-	if cfg.RunSize > maxRun {
-		return cfg, &ConfigError{
-			Field:  "RunSize",
-			Reason: fmt.Sprintf("%d exceeds the run sorter's ceiling %d", cfg.RunSize, maxRun),
-		}
-	}
-	if cfg.FanIn < 0 {
-		return cfg, &ConfigError{Field: "FanIn", Reason: fmt.Sprintf("negative value %d", cfg.FanIn)}
-	}
-	if cfg.FanIn == 1 {
-		return cfg, &ConfigError{Field: "FanIn", Reason: "1 < 2: a merge needs two inputs"}
+		return params{}, &ConfigError{Field: "RunSorter", Reason: fmt.Sprintf("MaxRun %d < 1", maxRun)}
 	}
 	if cfg.RunBatch < 0 {
-		return cfg, &ConfigError{Field: "RunBatch", Reason: fmt.Sprintf("negative value %d", cfg.RunBatch)}
+		return params{}, &ConfigError{Field: "RunBatch", Reason: fmt.Sprintf("negative value %d", cfg.RunBatch)}
 	}
 	if cfg.MemoryKeys < 0 {
-		return cfg, &ConfigError{Field: "MemoryKeys", Reason: fmt.Sprintf("negative value %d", cfg.MemoryKeys)}
+		return params{}, &ConfigError{Field: "MemoryKeys", Reason: fmt.Sprintf("negative value %d", cfg.MemoryKeys)}
 	}
 	if cfg.MemoryKeys == 0 {
 		cfg.MemoryKeys = 1 << 21
 	}
-	if cfg.FanIn == 0 {
-		cfg.FanIn = max(cfg.MemoryKeys/spillBufKeys-1, minDerivedFanIn)
-	}
 	// The merge needs one read buffer per spilled input plus the output
 	// block; below this floor spilling would thrash.
-	if floor := (cfg.FanIn + 1) * spillBufKeys; cfg.MemoryKeys < floor {
-		cfg.MemoryKeys = floor
-	}
-	if cfg.RunBatch == 0 {
+	cfg.MemoryKeys = max(cfg.MemoryKeys, (minFanIn+1)*spillBufKeys)
+	p := params{Config: cfg, runSize: min(defaultRunSize, maxRun), fanIn: cfg.MemoryKeys/spillBufKeys - 1}
+	if p.RunBatch == 0 {
 		// formRuns keeps GOMAXPROCS+2 batches in flight, and each of its
 		// GOMAXPROCS workers may hold one spilled leaf of a batch's keys.
-		perBatch := (2*runtime.GOMAXPROCS(0) + 2) * cfg.RunSize
-		cfg.RunBatch = max(cfg.MemoryKeys/2/perBatch, minDerivedRunBatch)
+		perBatch := (2*runtime.GOMAXPROCS(0) + 2) * p.runSize
+		p.RunBatch = max(p.MemoryKeys/2/perBatch, minDerivedRunBatch)
 	}
-	return cfg, nil
+	return p, nil
 }
 
 // Sort drains src, sorts it, and writes the fully sorted sequence to
@@ -299,21 +274,26 @@ func (cfg Config) normalize(sorter RunSorter) (Config, error) {
 // exited and the spill file is released before returning; dst may have
 // received a sorted prefix.
 func Sort(ctx context.Context, src Reader, dst Writer, sorter RunSorter, cfg Config) (*Stats, error) {
-	cfg, err := cfg.normalize(sorter)
+	p, err := cfg.normalize(sorter)
 	if err != nil {
 		return nil, err
 	}
+	return sortParams(ctx, src, dst, sorter, p)
+}
+
+// sortParams is Sort past normalization.
+func sortParams(ctx context.Context, src Reader, dst Writer, sorter RunSorter, p params) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	met := newMetrics(cfg.Metrics)
-	stats := &Stats{RunSize: cfg.RunSize, FanIn: cfg.FanIn, RunBatch: cfg.RunBatch}
+	met := newMetrics(p.Metrics)
+	stats := &Stats{RunSize: p.runSize, FanIn: p.fanIn, RunBatch: p.RunBatch}
 
-	store := newRunStore(cfg.SpillDir, cfg.MemoryKeys, met)
+	store := newRunStore(p.SpillDir, p.MemoryKeys, met)
 	defer store.close()
 	defer store.foldStats(stats)
 
-	if err := formRuns(ctx, src, sorter, cfg, store, stats, met); err != nil {
+	if err := formRuns(ctx, src, sorter, p, store, stats, met); err != nil {
 		return stats, err
 	}
 	if met != nil {
@@ -321,7 +301,7 @@ func Sort(ctx context.Context, src Reader, dst Writer, sorter RunSorter, cfg Con
 		met.runs.Add(stats.Runs)
 	}
 	t0 := time.Now()
-	err = mergeRuns(ctx, store, dst, cfg, stats, met)
+	err := mergeRuns(ctx, store, dst, p, stats, met)
 	stats.MergeNs += time.Since(t0).Nanoseconds()
 	if met != nil {
 		met.mergeNs.Observe(stats.MergeNs)

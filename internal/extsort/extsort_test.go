@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -48,6 +49,34 @@ func runSort(t *testing.T, keys []Key, sorter RunSorter, cfg Config) ([]Key, *St
 	}
 	return out.Keys(), stats
 }
+
+// sortAt is runSort with the fan-in forced to fanIn. The merge is
+// correct at any fan-in of 2 or more (THEORY.md §15); one below the
+// derived floor of 16 reaches deep merges on inputs small enough for a
+// unit test.
+func sortAt(t *testing.T, keys []Key, sorter RunSorter, cfg Config, fanIn int) ([]Key, *Stats) {
+	t.Helper()
+	p, err := cfg.normalize(sorter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.fanIn = fanIn
+	out := NewSliceWriter()
+	stats, err := sortParams(context.Background(), NewSliceReader(keys), out, sorter, p)
+	if err != nil {
+		t.Fatalf("Sort: %v", err)
+	}
+	return out.Keys(), stats
+}
+
+// cappedSorter lowers a run sorter's ceiling, and with it the run size
+// Sort derives: min(1024, max).
+type cappedSorter struct {
+	RunSorter
+	max int
+}
+
+func (c cappedSorter) MaxRun() int { return c.max }
 
 // checkEqual fails unless got matches the oracle for keys.
 func checkEqual(t *testing.T, keys, got []Key, label string) {
@@ -119,7 +148,7 @@ func TestSortStreamOracleNetwork(t *testing.T) {
 		}
 		for name, keys := range adversarialShapes(runSize) {
 			t.Run(fmt.Sprintf("fanin%d/%s", fanIn, name), func(t *testing.T) {
-				got, stats := runSort(t, keys, sorter, Config{RunSize: runSize, FanIn: fanIn, RunBatch: runBatch})
+				got, stats := sortAt(t, keys, sorter, Config{RunBatch: runBatch}, fanIn)
 				checkEqual(t, keys, got, name)
 				if want := int64(len(keys)); stats.Keys != want {
 					t.Fatalf("stats.Keys = %d, want %d", stats.Keys, want)
@@ -132,18 +161,26 @@ func TestSortStreamOracleNetwork(t *testing.T) {
 	}
 }
 
-// TestSortStreamSingleKeyRuns: RunSize 1 degenerates run formation to
-// per-key runs, and RunBatch 1 makes every run its own merge leaf —
-// the merge passes do all the sorting.
+// TestSortStreamSingleKeyRuns: a run sorter with a ceiling of one key
+// degenerates run formation to per-key runs, RunBatch 1 makes every run
+// its own merge leaf, and a tiny budget holds the fan-in at its floor
+// of 16 — so the merge passes do all the sorting: 300 leaves merge in
+// groups of 16 into 19, the next pass merges the first 4 so the final
+// merge has exactly 16.
 func TestSortStreamSingleKeyRuns(t *testing.T) {
-	keys := []Key{5, -2, 9, 0, 0, -2, 7, 3, 3, 1}
-	got, stats := runSort(t, keys, SliceSorter{}, Config{RunSize: 1, FanIn: 2, RunBatch: 1})
-	checkEqual(t, keys, got, "single-key runs")
-	if stats.Runs != int64(len(keys)) {
-		t.Fatalf("Runs = %d, want %d", stats.Runs, len(keys))
+	rng := rand.New(rand.NewSource(13))
+	keys := make([]Key, 300)
+	for i := range keys {
+		keys[i] = Key(rng.Intn(100) - 50)
 	}
-	if stats.MergePasses < 3 {
-		t.Fatalf("MergePasses = %d, want >= 3 for 10 runs at fan-in 2", stats.MergePasses)
+	got, stats := runSort(t, keys, SliceSorter{Max: 1},
+		Config{RunBatch: 1, MemoryKeys: 1, SpillDir: t.TempDir()})
+	checkEqual(t, keys, got, "single-key runs")
+	if stats.Runs != int64(len(keys)) || stats.RunSize != 1 || stats.FanIn != minFanIn {
+		t.Fatalf("Runs %d RunSize %d FanIn %d, want %d, 1 and %d", stats.Runs, stats.RunSize, stats.FanIn, len(keys), minFanIn)
+	}
+	if stats.MergePasses != 3 || stats.MaxFanIn != 16 {
+		t.Fatalf("MergePasses %d MaxFanIn %d, want 3 and 16", stats.MergePasses, stats.MaxFanIn)
 	}
 }
 
@@ -157,18 +194,17 @@ func TestSortStreamSpill(t *testing.T) {
 		keys[i] = Key(rng.Int63() - 1<<62)
 	}
 	cfg := Config{
-		RunSize:    512,
-		FanIn:      4,
-		MemoryKeys: 1, // clamped up to the merge floor; far below the input
+		RunBatch:   1,
+		MemoryKeys: 1, // clamped up to the merge floor; below the input
 		SpillDir:   t.TempDir(),
 	}
-	got, stats := runSort(t, keys, SliceSorter{}, cfg)
+	got, stats := runSort(t, keys, SliceSorter{Max: 512}, cfg)
 	checkEqual(t, keys, got, "spill")
 	if stats.SpilledRuns == 0 || stats.SpilledBytes == 0 {
 		t.Fatalf("expected spilling, got stats %+v", stats)
 	}
 	if stats.MergePasses < 2 {
-		t.Fatalf("MergePasses = %d, want >= 2 at fan-in 4 over %d runs", stats.MergePasses, stats.Runs)
+		t.Fatalf("MergePasses = %d, want >= 2 at fan-in %d over %d runs", stats.MergePasses, stats.FanIn, stats.Runs)
 	}
 }
 
@@ -176,8 +212,9 @@ func TestSortStreamSpill(t *testing.T) {
 // must survive the padding round-trip.
 func TestSortStreamSentinelKeys(t *testing.T) {
 	keys := []Key{schedule.Sentinel, 3, schedule.Sentinel, -1, 0, schedule.Sentinel - 1}
-	sorter := compiledSorter(t)
-	got, _ := runSort(t, keys, sorter, Config{RunSize: 4, FanIn: 2})
+	// Runs of 4 keys on the 16-node network: both pad with sentinels.
+	sorter := cappedSorter{compiledSorter(t), 4}
+	got, _ := runSort(t, keys, sorter, Config{RunBatch: 1})
 	checkEqual(t, keys, got, "sentinel keys")
 }
 
@@ -216,8 +253,8 @@ func TestEveryRunSortedIndependently(t *testing.T) {
 		for i := range keys {
 			keys[i] = Key(rng.Int63n(1024) - 512) // narrow domain: many duplicates
 		}
-		rec := &recordingSorter{inner: base}
-		got, stats := runSort(t, keys, rec, Config{RunSize: runSize, FanIn: 2 + rng.Intn(8)})
+		rec := &recordingSorter{inner: cappedSorter{base, runSize}}
+		got, stats := runSort(t, keys, rec, Config{RunBatch: 1 + rng.Intn(4)})
 		var total int
 		for i, run := range rec.runs {
 			if !sort.SliceIsSorted(run, func(a, b int) bool { return run[a] < run[b] }) {
@@ -251,36 +288,38 @@ func (b *brokenSorter) SortRuns(ctx context.Context, runs [][]Key) error {
 	return nil
 }
 
-// TestVerifyRunsCatchesBrokenSorter: with VerifyRuns set, an unsorted
-// run is rejected with the typed error instead of feeding the merge.
-func TestVerifyRunsCatchesBrokenSorter(t *testing.T) {
+// TestRunCheckCatchesBrokenSorter: with the zero Config, an unsorted
+// run is rejected with the wrapped typed error instead of feeding the
+// merge, and the pre-merge worker that caught it has exited.
+func TestRunCheckCatchesBrokenSorter(t *testing.T) {
 	keys := make([]Key, 256)
 	for i := range keys {
 		keys[i] = Key(255 - i)
 	}
-	_, err := Sort(context.Background(), NewSliceReader(keys), NewSliceWriter(),
-		&brokenSorter{}, Config{RunSize: 64, FanIn: 2, VerifyRuns: true, RunBatch: 1})
-	if !errors.Is(err, ErrRunUnsorted) {
-		t.Fatalf("err = %v, want ErrRunUnsorted", err)
+	baseline := runtime.NumGoroutine()
+	_, err := Sort(context.Background(), NewSliceReader(keys), NewSliceWriter(), &brokenSorter{}, Config{})
+	if !errors.Is(err, ErrRunUnsorted) || err == ErrRunUnsorted {
+		t.Fatalf("err = %v, want a wrapped ErrRunUnsorted", err)
 	}
+	waitGoroutines(t, baseline)
 }
 
 // TestSortConfigValidation: bad knobs fail fast with *ConfigError.
 func TestSortConfigValidation(t *testing.T) {
 	src := func() Reader { return NewSliceReader([]Key{1}) }
-	cases := []Config{
-		{RunSize: -1},
-		{FanIn: -3},
-		{FanIn: 1},
-		{RunBatch: -1},
-		{MemoryKeys: -1},
-		{RunSize: 99}, // exceeds SliceSorter{Max: 8}
+	cases := []struct {
+		cfg    Config
+		sorter RunSorter
+	}{
+		{Config{RunBatch: -1}, SliceSorter{}},
+		{Config{MemoryKeys: -1}, SliceSorter{}},
+		{Config{}, cappedSorter{SliceSorter{}, 0}},
 	}
-	for i, cfg := range cases {
-		_, err := Sort(context.Background(), src(), NewSliceWriter(), SliceSorter{Max: 8}, cfg)
+	for i, tc := range cases {
+		_, err := Sort(context.Background(), src(), NewSliceWriter(), tc.sorter, tc.cfg)
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
-			t.Fatalf("case %d (%+v): err = %v, want *ConfigError", i, cfg, err)
+			t.Fatalf("case %d (%+v): err = %v, want *ConfigError", i, tc.cfg, err)
 		}
 	}
 	if _, err := Sort(context.Background(), src(), NewSliceWriter(), nil, Config{}); !errors.Is(err, ErrNilSorter) {

@@ -1,9 +1,9 @@
 // Run formation and pre-merging. Sort's own goroutine reads the stream
 // into runs, sorts a batch of RunBatch runs through the run sorter,
-// optionally verifies them, and hands the batch to a pool of
-// background workers; each worker merges its batch into one long merge
-// leaf (and spills the leaf when the store placed it on disk) while
-// the caller is already reading and sorting the next batch. The run
+// and hands the batch to a pool of background workers; each worker
+// checks that every run is sorted, merges its batch into one long
+// merge leaf (and spills the leaf when the store placed it on disk)
+// while the caller is already reading and sorting the next batch. The run
 // buffers of a merged batch go back to the caller for reuse, and the
 // fixed number of batches bounds how far the caller can run ahead of
 // the workers.
@@ -21,7 +21,7 @@ import (
 
 // runBatch is one batch of runs on its way through sort and pre-merge.
 type runBatch struct {
-	slots [][]Key // run buffers of RunSize keys, allocated on first use
+	slots [][]Key // run buffers of runSize keys, allocated on first use
 	runs  [][]Key // this round's runs: filled prefixes of slots
 }
 
@@ -47,7 +47,7 @@ type preMerger struct {
 	// never blocks.
 	jobs     chan mergeJob
 	free     chan *runBatch
-	leafKeys int // RunBatch·RunSize, the largest leaf
+	leafKeys int // RunBatch·runSize, the largest leaf
 
 	wg      sync.WaitGroup
 	cancel  context.CancelFunc
@@ -55,12 +55,12 @@ type preMerger struct {
 	err     error
 }
 
-// formRuns chunks src into RunSize runs, sorts them RunBatch at a time
-// through the run sorter, optionally verifies each, and has the
-// pre-merge workers merge every batch into one leaf of the store. It
-// returns once every worker has exited; a worker's failure (a spill
-// write) wins over the cancellation it causes.
-func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, store *runStore, stats *Stats, met *metrics) error {
+// formRuns chunks src into runSize runs, sorts them RunBatch at a time
+// through the run sorter, and has the pre-merge workers check and merge
+// every batch into one leaf of the store. It returns once every worker
+// has exited; a worker's failure (an unsorted run, a spill write) wins
+// over the cancellation it causes.
+func formRuns(ctx context.Context, src Reader, sorter RunSorter, p params, store *runStore, stats *Stats, met *metrics) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	workers := runtime.GOMAXPROCS(0)
@@ -72,7 +72,7 @@ func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, sto
 		store:    store,
 		jobs:     make(chan mergeJob, batches),
 		free:     make(chan *runBatch, batches),
-		leafKeys: cfg.RunBatch * cfg.RunSize,
+		leafKeys: p.RunBatch * p.runSize,
 		cancel:   cancel,
 	}
 	for range batches {
@@ -82,7 +82,7 @@ func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, sto
 	for range workers {
 		go pm.work(ctx)
 	}
-	err := pm.feed(ctx, src, sorter, cfg, stats, met)
+	err := pm.feed(ctx, src, sorter, p, stats, met)
 	t0 := time.Now()
 	close(pm.jobs)
 	pm.wg.Wait()
@@ -100,7 +100,7 @@ func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, sto
 
 // feed is the caller-goroutine half: every Reader.Read and
 // RunSorter.SortRuns call happens here, one at a time.
-func (pm *preMerger) feed(ctx context.Context, src Reader, sorter RunSorter, cfg Config, stats *Stats, met *metrics) error {
+func (pm *preMerger) feed(ctx context.Context, src Reader, sorter RunSorter, p params, stats *Stats, met *metrics) error {
 	for {
 		b, err := pm.take(ctx)
 		if err != nil {
@@ -108,13 +108,13 @@ func (pm *preMerger) feed(ctx context.Context, src Reader, sorter RunSorter, cfg
 		}
 		b.runs = b.runs[:0]
 		var rerr error
-		for len(b.runs) < cfg.RunBatch && rerr == nil {
+		for len(b.runs) < p.RunBatch && rerr == nil {
 			if rerr = ctx.Err(); rerr != nil {
 				break
 			}
 			t0 := time.Now()
 			var run []Key
-			run, rerr = readRun(src, b.slot(len(b.runs), cfg.RunSize))
+			run, rerr = readRun(src, b.slot(len(b.runs), p.runSize))
 			d := time.Since(t0).Nanoseconds()
 			stats.RunFormNs += d
 			if len(run) > 0 {
@@ -130,7 +130,7 @@ func (pm *preMerger) feed(ctx context.Context, src Reader, sorter RunSorter, cfg
 			return rerr
 		}
 		if len(b.runs) > 0 {
-			if err := pm.sortAndSubmit(ctx, b, sorter, cfg, stats, met); err != nil {
+			if err := pm.sortAndSubmit(ctx, b, sorter, stats, met); err != nil {
 				return err
 			}
 		}
@@ -153,10 +153,10 @@ func (pm *preMerger) take(ctx context.Context) (*runBatch, error) {
 	}
 }
 
-// sortAndSubmit sorts one batch, verifies it when asked, places its
-// leaf in the store — in input order, which keeps the spill layout and
-// the accounting deterministic — and queues it for a worker.
-func (pm *preMerger) sortAndSubmit(ctx context.Context, b *runBatch, sorter RunSorter, cfg Config, stats *Stats, met *metrics) error {
+// sortAndSubmit sorts one batch, places its leaf in the store — in
+// input order, which keeps the spill layout and the accounting
+// deterministic — and queues it for a worker.
+func (pm *preMerger) sortAndSubmit(ctx context.Context, b *runBatch, sorter RunSorter, stats *Stats, met *metrics) error {
 	t0 := time.Now()
 	if err := sorter.SortRuns(ctx, b.runs); err != nil {
 		return err
@@ -168,9 +168,6 @@ func (pm *preMerger) sortAndSubmit(ctx context.Context, b *runBatch, sorter RunS
 	}
 	n := 0
 	for _, run := range b.runs {
-		if cfg.VerifyRuns && !sortedKeys(run) {
-			return fmt.Errorf("%w (run of %d keys)", ErrRunUnsorted, len(run))
-		}
 		n += len(run)
 	}
 	pm.jobs <- mergeJob{batch: b, leaf: pm.store.place(n)}
@@ -199,10 +196,15 @@ type spillBufs struct {
 	raw  []byte
 }
 
-// merge merges the job's batch into its leaf and records the leaf's
-// fences, writing the leaf's spill segment when it has no resident
-// buffer.
+// merge checks that every run of the job's batch is sorted, merges the
+// batch into its leaf and records the leaf's fences, writing the leaf's
+// spill segment when it has no resident buffer.
 func (pm *preMerger) merge(job mergeJob, bufs *spillBufs) error {
+	for _, run := range job.batch.runs {
+		if !sortedKeys(run) {
+			return fmt.Errorf("%w (run of %d keys)", ErrRunUnsorted, len(run))
+		}
+	}
 	leaf := job.leaf
 	if leaf.mem != nil {
 		mergeInto(leaf.mem, job.batch.runs)

@@ -29,14 +29,14 @@ const outBlockKeys = 4096
 // mergeRuns merges every leaf in the store into dst, in as many passes
 // as the fan-in demands. The final pass is split into key ranges that
 // merge side by side.
-func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, stats *Stats, met *metrics) error {
+func mergeRuns(ctx context.Context, store *runStore, dst Writer, p params, stats *Stats, met *metrics) error {
 	handles := store.runs
 	if len(handles) == 0 {
 		return nil // empty input: nothing to write
 	}
-	for len(handles) > cfg.FanIn {
+	for len(handles) > p.fanIn {
 		var err error
-		if handles, err = mergePass(ctx, store, handles, cfg.FanIn, stats, met); err != nil {
+		if handles, err = mergePass(ctx, store, handles, p.fanIn, stats, met); err != nil {
 			return err
 		}
 		stats.MergePasses++
@@ -48,7 +48,7 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, sta
 	// strides per leaf and one output block: every chunk costs a cut
 	// and a read per spilled leaf, and its size is only within a fence
 	// stride per leaf of its target.
-	chunkKeys := max(cfg.RunBatch*cfg.RunSize, 2*fenceStride*len(handles), outBlockKeys)
+	chunkKeys := max(p.RunBatch*p.runSize, 2*fenceStride*len(handles), outBlockKeys)
 	plan := newSplitPlan(store, handles, chunkKeys)
 	stats.MergeChunks = plan.chunks()
 	return mergeChunks(ctx, dst, plan.chunks(), plan.maxChunk, plan.opener)

@@ -89,7 +89,7 @@ func TestSortStreamCallerContract(t *testing.T) {
 		contractReader{c, NewSliceReader(keys)},
 		contractWriter{c, out},
 		contractSorter{c, compiledSorter(t)},
-		Config{RunSize: 16, MemoryKeys: 1, SpillDir: t.TempDir()})
+		Config{MemoryKeys: 1, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSortStreamSpillCreateFails(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	out := NewSliceWriter()
 	_, err := Sort(context.Background(), NewSliceReader(keys), out, compiledSorter(t),
-		Config{RunSize: 16, MemoryKeys: 1, SpillDir: filepath.Join(t.TempDir(), "missing")})
+		Config{MemoryKeys: 1, SpillDir: filepath.Join(t.TempDir(), "missing")})
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err = %v, want a wrapped fs.ErrNotExist", err)
 	}
@@ -123,9 +123,9 @@ func TestSortStreamSpillCreateFails(t *testing.T) {
 	}
 }
 
-// TestDerivedFanIn: a zero FanIn is derived from MemoryKeys as the
-// largest F with (F+1)·spillBufKeys ≤ MemoryKeys, floored at 16; an
-// explicit FanIn is kept and MemoryKeys raised to fit it.
+// TestDerivedFanIn: the fan-in is derived from MemoryKeys as the
+// largest F with (F+1)·spillBufKeys ≤ MemoryKeys, floored at 16 with
+// MemoryKeys raised to fit; the run size is min(1024, MaxRun).
 func TestDerivedFanIn(t *testing.T) {
 	cases := []struct {
 		in              Config
@@ -133,19 +133,21 @@ func TestDerivedFanIn(t *testing.T) {
 	}{
 		{Config{}, 511, 1 << 21},
 		{Config{MemoryKeys: 1 << 22}, 1023, 1 << 22},
+		{Config{MemoryKeys: 65*spillBufKeys + 100}, 64, 65*spillBufKeys + 100},
 		{Config{MemoryKeys: 1}, 16, 17 * spillBufKeys},
-		{Config{FanIn: 4}, 4, 1 << 21},
-		{Config{FanIn: 1000}, 1000, 1001 * spillBufKeys},
 	}
 	for _, tc := range cases {
-		cfg, err := tc.in.normalize(SliceSorter{})
+		p, err := tc.in.normalize(SliceSorter{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.FanIn != tc.fanIn || cfg.MemoryKeys != tc.memories {
-			t.Fatalf("%+v: FanIn %d MemoryKeys %d, want %d and %d",
-				tc.in, cfg.FanIn, cfg.MemoryKeys, tc.fanIn, tc.memories)
+		if p.fanIn != tc.fanIn || p.MemoryKeys != tc.memories || p.runSize != defaultRunSize {
+			t.Fatalf("%+v: fan-in %d MemoryKeys %d run size %d, want %d, %d and %d",
+				tc.in, p.fanIn, p.MemoryKeys, p.runSize, tc.fanIn, tc.memories, defaultRunSize)
 		}
+	}
+	if p, _ := (Config{}).normalize(SliceSorter{Max: 16}); p.runSize != 16 {
+		t.Fatalf("run size %d under a 16-key ceiling", p.runSize)
 	}
 }
 
@@ -158,29 +160,30 @@ func TestDerivedRunBatch(t *testing.T) {
 	cases := []struct {
 		procs    int
 		in       Config
+		maxRun   int
 		runBatch int
 	}{
-		{2, Config{}, 170},
-		{1, Config{}, 256},
-		{2, Config{MemoryKeys: 1 << 22}, 341},
-		{2, Config{RunSize: 64}, 2730},
-		{64, Config{}, 16},
-		{2, Config{MemoryKeys: 1}, 16},
-		{2, Config{RunBatch: 5}, 5},
+		{2, Config{}, 0, 170},
+		{1, Config{}, 0, 256},
+		{2, Config{MemoryKeys: 1 << 22}, 0, 341},
+		{2, Config{}, 64, 2730},
+		{64, Config{}, 0, 16},
+		{2, Config{MemoryKeys: 1}, 0, 16},
+		{2, Config{RunBatch: 5}, 0, 5},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
 		runtime.GOMAXPROCS(tc.procs)
-		cfg, err := tc.in.normalize(SliceSorter{})
+		p, err := tc.in.normalize(SliceSorter{Max: tc.maxRun})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.RunBatch != tc.runBatch {
-			t.Fatalf("GOMAXPROCS %d, %+v: RunBatch %d, want %d", tc.procs, tc.in, cfg.RunBatch, tc.runBatch)
+		if p.RunBatch != tc.runBatch {
+			t.Fatalf("GOMAXPROCS %d, %+v, MaxRun %d: RunBatch %d, want %d", tc.procs, tc.in, tc.maxRun, p.RunBatch, tc.runBatch)
 		}
-		if tc.in.RunBatch == 0 && cfg.RunBatch > minDerivedRunBatch &&
-			(2*tc.procs+2)*cfg.RunBatch*cfg.RunSize > cfg.MemoryKeys/2 {
-			t.Fatalf("%+v: RunBatch %d overruns half the budget", tc.in, cfg.RunBatch)
+		if tc.in.RunBatch == 0 && p.RunBatch > minDerivedRunBatch &&
+			(2*tc.procs+2)*p.RunBatch*p.runSize > p.MemoryKeys/2 {
+			t.Fatalf("%+v: RunBatch %d overruns half the budget", tc.in, p.RunBatch)
 		}
 	}
 }
@@ -189,15 +192,15 @@ func TestDerivedRunBatch(t *testing.T) {
 // first pass merges only the len−F+1 leaves that must be merged twice,
 // and the final merge has exactly F inputs.
 func TestMergeTelescopes(t *testing.T) {
-	keys := []Key{9, -4, 7, 7, 0, 3, -8, 5, 1, 2} // 10 one-key leaves
-	got, stats := runSort(t, keys, SliceSorter{},
-		Config{RunSize: 1, RunBatch: 1, FanIn: 8, SpillDir: t.TempDir()})
+	keys := []Key{9, -4, 7, 7, 0, 3, -8, 5, 1, 2, 6, -1, 4, 8, -3, 0, 2, -6, 5, 11} // 20 one-key leaves
+	got, stats := runSort(t, keys, SliceSorter{Max: 1},
+		Config{RunBatch: 1, MemoryKeys: 1, SpillDir: t.TempDir()})
 	checkEqual(t, keys, got, "telescoped")
-	if stats.MergePasses != 2 || stats.MaxFanIn != 8 {
-		t.Fatalf("MergePasses %d MaxFanIn %d, want 2 and 8", stats.MergePasses, stats.MaxFanIn)
+	if stats.MergePasses != 2 || stats.MaxFanIn != 16 {
+		t.Fatalf("MergePasses %d MaxFanIn %d, want 2 and 16", stats.MergePasses, stats.MaxFanIn)
 	}
-	if stats.SpilledRuns != 1 || stats.SpilledBytes != 3*keyBytes {
-		t.Fatalf("intermediate output: %d segments, %d bytes; want one segment of 3 keys",
+	if stats.SpilledRuns != 1 || stats.SpilledBytes != 5*keyBytes {
+		t.Fatalf("intermediate output: %d segments, %d bytes; want one segment of 5 keys",
 			stats.SpilledRuns, stats.SpilledBytes)
 	}
 }
@@ -211,7 +214,7 @@ func TestSortStreamSpillAccounting(t *testing.T) {
 	for rep := 0; rep < 2; rep++ {
 		m := obs.NewMetrics()
 		got, stats := runSort(t, keys, compiledSorter(t),
-			Config{RunSize: 16, MemoryKeys: 1, SpillDir: t.TempDir(), Metrics: m})
+			Config{MemoryKeys: 1, SpillDir: t.TempDir(), Metrics: m})
 		checkEqual(t, keys, got, "accounting")
 		if stats.SpillWriteNs <= 0 || stats.SpillReadNs <= 0 {
 			t.Fatalf("spill busy times not recorded: %+v", stats)

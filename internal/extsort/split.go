@@ -71,7 +71,7 @@ func newSplitPlan(store *runStore, leaves []runHandle, chunkKeys int) *splitPlan
 		leaves: leaves,
 		// The workers' read buffers share one merge's worth of
 		// spillBufKeys per leaf, so the final merge stays within the
-		// FanIn·buffer term of the residency bound.
+		// fan-in·buffer term of the residency bound.
 		readKeys: max(spillBufKeys/runtime.GOMAXPROCS(0), fenceStride),
 	}
 	total := countKeys(leaves)

@@ -130,9 +130,9 @@ func TestSortStreamSplitShapes(t *testing.T) {
 		for _, l := range tc.leaves {
 			keys = append(keys, l...)
 		}
-		// Four final leaves: chunks of one output block.
-		got, stats := runSort(t, keys, compiledSorter(t),
-			Config{RunSize: 16, RunBatch: 16, FanIn: 4, MemoryKeys: 1, SpillDir: t.TempDir()})
+		// Fan-in 4, so four final leaves: chunks of one output block.
+		got, stats := sortAt(t, keys, compiledSorter(t),
+			Config{RunBatch: 16, MemoryKeys: 1, SpillDir: t.TempDir()}, 4)
 		checkEqual(t, keys, got, tc.name)
 		if want := (len(keys) + outBlockKeys - 1) / outBlockKeys; stats.MergeChunks != want {
 			t.Fatalf("%s: MergeChunks %d, want %d", tc.name, stats.MergeChunks, want)
@@ -216,7 +216,7 @@ func TestFinalMergeSpillReadFails(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	stats := &Stats{}
 	err := mergeRuns(context.Background(), st, NewSliceWriter(),
-		Config{FanIn: 16, RunBatch: 1, RunSize: 1024}, stats, nil)
+		params{Config: Config{RunBatch: 1}, runSize: 1024, fanIn: 16}, stats, nil)
 	if !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("err = %v, want a wrapped os.ErrClosed", err)
 	}

@@ -23,13 +23,8 @@ import (
 // Structurally identical networks share a signature regardless of how
 // or where their factor graphs were constructed.
 func Signature(net *product.Network, engineName string) string {
-	return signature(net, engineName, "sort")
-}
-
-func signature(net *product.Network, engineName, mode string) string {
 	var sb strings.Builder
-	sb.WriteString(mode)
-	sb.WriteByte('|')
+	sb.WriteString("sort|")
 	sb.WriteString(engineName)
 	// Factors repeat (homogeneous networks reuse one *graph.Graph);
 	// memoize the per-graph signature by pointer within this call.
@@ -131,10 +126,7 @@ func Compile(net *product.Network, engine sort2d.Engine) (*Program, error) {
 	if engine == nil {
 		engine = sort2d.Auto{}
 	}
-	sig := signature(net, engine.Name(), "sort")
-	return compile(sig, net, engine, func(s *core.Sorter, b *Builder) {
-		s.Sort(b)
-	})
+	return compile(Signature(net, engine.Name()), net, engine)
 }
 
 // CompileUncached builds the full-sort program for net without
@@ -146,27 +138,12 @@ func CompileUncached(net *product.Network, engine sort2d.Engine) (*Program, erro
 	if engine == nil {
 		engine = sort2d.Auto{}
 	}
-	sig := signature(net, engine.Name(), "sort")
-	return build(sig, net, engine, func(s *core.Sorter, b *Builder) {
-		s.Sort(b)
-	})
+	return build(Signature(net, engine.Name()), net, engine)
 }
 
-// CompileMerge returns the phase program of one multiway merge along
-// dimension k (Lemma 3), cached like Compile.
-func CompileMerge(net *product.Network, engine sort2d.Engine, k int) (*Program, error) {
-	if engine == nil {
-		engine = sort2d.Auto{}
-	}
-	sig := signature(net, engine.Name(), fmt.Sprintf("merge:%d", k))
-	return compile(sig, net, engine, func(s *core.Sorter, b *Builder) {
-		s.Merge(b, k)
-	})
-}
-
-// compile resolves sig through the cache, running drive against a fresh
-// Builder on a miss.
-func compile(sig string, net *product.Network, engine sort2d.Engine, drive func(*core.Sorter, *Builder)) (*Program, error) {
+// compile resolves sig through the cache, building the program on a
+// miss.
+func compile(sig string, net *product.Network, engine sort2d.Engine) (*Program, error) {
 	v, loaded := cache.Load(sig)
 	if !loaded {
 		v, loaded = cache.LoadOrStore(sig, &cacheEntry{})
@@ -178,14 +155,14 @@ func compile(sig string, net *product.Network, engine sort2d.Engine, drive func(
 	}
 	entry := v.(*cacheEntry)
 	entry.once.Do(func() {
-		entry.prog, entry.err = build(sig, net, engine, drive)
+		entry.prog, entry.err = build(sig, net, engine)
 	})
 	return entry.prog, entry.err
 }
 
 // build performs one schedule construction, converting the algorithm's
 // validation panics (e.g. the heterogeneous radix condition) to errors.
-func build(sig string, net *product.Network, engine sort2d.Engine, drive func(*core.Sorter, *Builder)) (prog *Program, err error) {
+func build(sig string, net *product.Network, engine sort2d.Engine) (prog *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("schedule: compile %s: %v", net.Name(), r)
@@ -193,7 +170,7 @@ func build(sig string, net *product.Network, engine sort2d.Engine, drive func(*c
 	}()
 	statCompiles.Add(1)
 	b := NewBuilder(net)
-	drive(core.New(engine), b)
+	core.New(engine).Sort(b)
 	prog = b.Program(engine.Name(), sig)
 	// Freshly built programs are validated once, here, so every cached
 	// program satisfies the structural invariants (in-range,

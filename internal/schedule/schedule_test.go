@@ -244,27 +244,6 @@ func TestSignatureDistinguishes(t *testing.T) {
 	}
 }
 
-// TestCompileMergeMatchesDirect compiles a single multiway merge and
-// checks clock equality with the direct merge path.
-func TestCompileMergeMatchesDirect(t *testing.T) {
-	net := product.MustNew(graph.Path(3), 3)
-	prog, err := CompileMerge(net, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := simnet.New(net, make([]simnet.Key, net.Nodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.New(nil).Merge(m, 3)
-	if prog.Clock() != m.Clock() {
-		t.Errorf("merge program clock %+v != direct %+v", prog.Clock(), m.Clock())
-	}
-	if prog.Clock().S2Phases != core.PredictedMergeS2Phases(3) {
-		t.Errorf("merge S2 phases = %d, want %d", prog.Clock().S2Phases, core.PredictedMergeS2Phases(3))
-	}
-}
-
 // TestCompileErrorOnBadRadices: the heterogeneous radix condition
 // surfaces as an error, not a panic, and is not poisoned in the cache.
 func TestCompileErrorOnBadRadices(t *testing.T) {

@@ -258,13 +258,6 @@ func (e *Engine) hopTo(cur, dst int) (int, bool) {
 	panic("spmd: no differing dimension between relay endpoints")
 }
 
-// RunSchedule executes every phase in order.
-func (e *Engine) RunSchedule(phases [][][2]int) {
-	for _, ph := range phases {
-		e.RunPhase(ph)
-	}
-}
-
 // maxAttempts bounds retransmissions of one logical message before its
 // pair is abandoned for the phase (the recovery layer's scrub-and-retry
 // handles the fallout).

@@ -26,31 +26,6 @@ func PoissonArrivals(n int, perSec float64, seed int64) []time.Duration {
 	return gaps
 }
 
-// BurstyArrivals returns n inter-arrival gaps of an on-off modulated
-// Poisson process: the rate alternates between burstRate (for onFrac of
-// each period) and baseRate (the rest), switching on a fixed wall-clock
-// phase so bursts recur every period. onFrac must lie in (0, 1) and
-// burstRate should exceed baseRate for the name to mean anything.
-func BurstyArrivals(n int, baseRate, burstRate, onFrac float64, period time.Duration, seed int64) []time.Duration {
-	if n < 0 || baseRate <= 0 || burstRate <= 0 || onFrac <= 0 || onFrac >= 1 || period <= 0 {
-		panic(fmt.Sprintf("workload: BurstyArrivals(%d, %g, %g, %g, %v)", n, baseRate, burstRate, onFrac, period))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	gaps := make([]time.Duration, n)
-	on := time.Duration(onFrac * float64(period))
-	var t time.Duration // virtual clock, phase within period decides the rate
-	for i := range gaps {
-		rate := baseRate
-		if t%period < on {
-			rate = burstRate
-		}
-		gap := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		gaps[i] = gap
-		t += gap
-	}
-	return gaps
-}
-
 // ZipfSizes returns n request sizes in [min, max] drawn from a Zipf
 // distribution with exponent s > 1: mostly small requests with a heavy
 // tail of large ones, the shape multi-tenant sort traffic has.

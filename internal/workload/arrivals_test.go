@@ -49,41 +49,6 @@ func TestPoissonArrivalsMean(t *testing.T) {
 	}
 }
 
-// TestBurstyArrivalsModulates: the on-phase runs hotter than the
-// off-phase, and the whole trace is seed-deterministic.
-func TestBurstyArrivalsModulates(t *testing.T) {
-	const (
-		base   = 500.0
-		burst  = 20000.0
-		onFrac = 0.25
-	)
-	period := 50 * time.Millisecond
-	a := BurstyArrivals(20000, base, burst, onFrac, period, 11)
-	b := BurstyArrivals(20000, base, burst, onFrac, period, 11)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("gap %d differs under the same seed", i)
-		}
-	}
-	// Replay the virtual clock and bin arrivals by phase.
-	on := time.Duration(onFrac * float64(period))
-	var tm time.Duration
-	var onCount, offCount int
-	for _, g := range a {
-		if tm%period < on {
-			onCount++
-		} else {
-			offCount++
-		}
-		tm += g
-	}
-	// The on-phase covers 25% of time at 40× the rate: the clear
-	// majority of arrivals must land there.
-	if onCount <= offCount {
-		t.Fatalf("on-phase arrivals %d <= off-phase %d; no burst detected", onCount, offCount)
-	}
-}
-
 // TestZipfSizes: bounds hold, the head dominates, and the draw is
 // seed-deterministic.
 func TestZipfSizes(t *testing.T) {
@@ -111,8 +76,6 @@ func TestZipfSizes(t *testing.T) {
 func TestArrivalValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"poisson-rate":   func() { PoissonArrivals(1, 0, 1) },
-		"bursty-onfrac":  func() { BurstyArrivals(1, 1, 2, 1.5, time.Second, 1) },
-		"bursty-period":  func() { BurstyArrivals(1, 1, 2, 0.5, 0, 1) },
 		"zipf-exponent":  func() { ZipfSizes(1, 1, 8, 1.0, 1) },
 		"zipf-min":       func() { ZipfSizes(1, 0, 8, 1.5, 1) },
 		"zipf-max-order": func() { ZipfSizes(1, 9, 8, 1.5, 1) },

@@ -15,7 +15,6 @@ import (
 	"context"
 
 	"productsort/internal/extsort"
-	"productsort/internal/serve"
 )
 
 // KeyReader is the streaming sort's source: io.Reader semantics over
@@ -30,8 +29,8 @@ type KeyWriter = extsort.Writer
 // merge passes and fan-in, spill traffic, and per-stage wall time.
 type StreamStats = extsort.Stats
 
-// ErrRunUnsorted is returned (wrapped) when StreamConfig.VerifyRuns
-// catches a run entering the merge out of order.
+// ErrRunUnsorted is returned (wrapped) when a run sorter hands back a
+// run out of order; every run is checked before it enters the merge.
 var ErrRunUnsorted = extsort.ErrRunUnsorted
 
 // NewKeysReader streams an in-memory slice (the slice is only read).
@@ -41,56 +40,35 @@ func NewKeysReader(keys []Key) KeyReader { return extsort.NewSliceReader(keys) }
 func NewKeysWriter() *extsort.SliceWriter { return extsort.NewSliceWriter() }
 
 // StreamConfig parametrizes SortStream and Server.SubmitStream. The
-// zero value of every field selects a sensible default.
+// zero value of every field selects a sensible default. Runs are
+// min(1024, the run sorter's ceiling) keys — the network's node count
+// for SortStream, the largest serving network for SubmitStream — and
+// the merge fan-in is the largest F with (F+1)·4096 ≤ MemoryKeys, at
+// least 16 (511 at the default budget); every run is checked sorted
+// before it is merged (ErrRunUnsorted).
 type StreamConfig struct {
-	// RunSize is the key count per run (default min(1024, the run
-	// sorter's ceiling — the network's node count for SortStream, the
-	// largest serving network for SubmitStream)).
-	RunSize int
-	// FanIn bounds the k-way merge's fan-in (default: the largest F
-	// with (F+1)·4096 ≤ MemoryKeys, at least 16 — 511 at the default
-	// budget; min 2).
-	FanIn int
-	// RunBatch is how many runs sort together per batch replay and then
-	// pre-merge into one merge leaf on a background worker. SortStream
-	// derives the default from the budget: the largest B with
-	// (2·GOMAXPROCS+2)·B·RunSize ≤ MemoryKeys/2, at least 16 — 170 at
-	// the defaults on 2 CPUs, so 1e7 keys merge in one pass. On the
-	// serve path it is how many runs are in flight through the server
-	// at once, and the default stays 16.
-	RunBatch int
 	// MemoryKeys bounds resident sorted keys; runs beyond it spill to
-	// disk (default 1<<21 keys = 16 MiB).
+	// disk (default 1<<21 keys = 16 MiB, at least 17·4096).
 	MemoryKeys int
 	// SpillDir hosts the (immediately unlinked) spill file (default
 	// os.TempDir()).
 	SpillDir string
-	// VerifyRuns re-checks every run's sortedness before the merge and
-	// fails with ErrRunUnsorted — the belt under run sorters that heal
-	// themselves, like SortResilient under fault injection.
-	VerifyRuns bool
 }
 
 // SortStream sorts the key stream src into dst through this compiled
-// network: runs of up to RunSize keys (at most the network's node
-// count) are sorted by the network's certified batch replay,
-// pre-merged a batch at a time by background workers, and merged with
-// loser-tree k-way merges, the last one split into key ranges merged
-// on every CPU. src.Read and dst.Write are called only from
+// network: runs of up to min(1024, node count) keys are sorted by the
+// network's certified batch replay, pre-merged a batch at a time by
+// background workers (the largest batch whose buffers fit half of
+// MemoryKeys, at least 16 runs: 170 at the defaults on 2 CPUs), and
+// merged with loser-tree k-way merges, the last one split into key
+// ranges merged on every CPU. src.Read and dst.Write are called only from
 // the calling goroutine, one at a time, and every background worker
 // has exited when SortStream returns. Cancellable via ctx; on error dst
 // may hold a sorted prefix. Safe for concurrent use — each call owns
 // its run and merge state.
 func (c *CompiledNetwork) SortStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {
 	sorter := extsort.NewNetworkSorter(c.prog, 0)
-	return extsort.Sort(ctx, src, dst, sorter, extsort.Config{
-		RunSize:    cfg.RunSize,
-		FanIn:      cfg.FanIn,
-		RunBatch:   cfg.RunBatch,
-		MemoryKeys: cfg.MemoryKeys,
-		SpillDir:   cfg.SpillDir,
-		VerifyRuns: cfg.VerifyRuns,
-	})
+	return extsort.Sort(ctx, src, dst, sorter, extsort.Config{MemoryKeys: cfg.MemoryKeys, SpillDir: cfg.SpillDir})
 }
 
 // SortStreamKeys is the in-memory convenience: sort keys of any length
@@ -111,15 +89,9 @@ func (c *CompiledNetwork) SortStreamKeys(ctx context.Context, keys []Key, cfg St
 // k-way merging the sorted runs. Where Submit sheds oversized requests
 // with ErrRequestTooLarge and overload with ErrQueueFull, SubmitStream
 // degrades to run-at-a-time admission: any length is accepted, and
-// queue-full inside the lane becomes backoff-and-resubmit. The
-// extsort.* instruments land in the server's metrics registry.
+// queue-full inside the lane becomes backoff-and-resubmit. It keeps 16
+// runs in flight, not SortStream's budget-derived batch. The extsort.*
+// instruments land in the server's metrics registry.
 func (s *Server) SubmitStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {
-	return s.s.SubmitStream(ctx, src, dst, serve.StreamConfig{
-		RunSize:    cfg.RunSize,
-		FanIn:      cfg.FanIn,
-		RunBatch:   cfg.RunBatch,
-		MemoryKeys: cfg.MemoryKeys,
-		SpillDir:   cfg.SpillDir,
-		VerifyRuns: cfg.VerifyRuns,
-	})
+	return s.s.SubmitStream(ctx, src, dst, extsort.Config{MemoryKeys: cfg.MemoryKeys, SpillDir: cfg.SpillDir})
 }

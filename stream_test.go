@@ -2,7 +2,9 @@ package productsort
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -69,7 +71,6 @@ func TestSortStreamSpillAtRoot(t *testing.T) {
 		keys[i] = Key(rng.Int63())
 	}
 	got, stats, err := c.SortStreamKeys(context.Background(), keys, StreamConfig{
-		FanIn:      4,
 		MemoryKeys: 1, // clamped to the merge floor; everything past it spills
 		SpillDir:   t.TempDir(),
 	})
@@ -91,14 +92,15 @@ func TestSortStreamSpillAtRoot(t *testing.T) {
 // resilientRunSorter is the chaos leg's run sorter: every run is padded
 // to the network and sorted by SortResilient under an active fault
 // plan, so run formation itself must checkpoint, scrub and heal — and
-// the stream must still come out sorted.
+// the stream must still come out sorted. Its ceiling is three quarters
+// of the network, so every run is ragged: padding and faults together.
 type resilientRunSorter struct {
 	c    *CompiledNetwork
 	cfg  FaultConfig
 	runs int
 }
 
-func (rs *resilientRunSorter) MaxRun() int { return rs.c.Network().Nodes() }
+func (rs *resilientRunSorter) MaxRun() int { return rs.c.Network().Nodes() * 3 / 4 }
 
 func (rs *resilientRunSorter) SortRuns(ctx context.Context, runs [][]Key) error {
 	nodes := rs.c.Network().Nodes()
@@ -128,9 +130,9 @@ func (rs *resilientRunSorter) SortRuns(ctx context.Context, runs [][]Key) error 
 
 // TestSortStreamChaosRunFormation: the chaos leg. Run formation runs
 // under an aggressive deterministic fault plan (drops, stalls,
-// corruption) through the self-healing replay; VerifyRuns stands guard
-// between the healed runs and the merge, and the merged stream must
-// match the oracle exactly.
+// corruption) through the self-healing replay; the run check stands
+// guard between the healed runs and the merge, and the merged stream
+// must match the oracle exactly.
 func TestSortStreamChaosRunFormation(t *testing.T) {
 	nw, err := Hypercube(5)
 	if err != nil {
@@ -155,11 +157,7 @@ func TestSortStreamChaosRunFormation(t *testing.T) {
 		keys[i] = Key(rng.Int63n(1 << 32))
 	}
 	out := extsort.NewSliceWriter()
-	stats, err := extsort.Sort(context.Background(), extsort.NewSliceReader(keys), out, sorter, extsort.Config{
-		RunSize:    24, // ragged against the 32-node network: padding + faults together
-		FanIn:      4,
-		VerifyRuns: true,
-	})
+	stats, err := extsort.Sort(context.Background(), extsort.NewSliceReader(keys), out, sorter, extsort.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,5 +206,37 @@ func TestServerSubmitStreamRoot(t *testing.T) {
 	snap := srv.Metrics().Snapshot()
 	if snap.Counters["extsort.runs"] == 0 {
 		t.Fatal("extsort.runs counter missing from the server registry")
+	}
+}
+
+// TestServerSubmitStreamRootExtremes: the server lane under a budget
+// small enough to spill, over many duplicates of the extreme keys —
+// MaxInt64 is also the padding sentinel every ragged run is filled
+// with — must equal slices.Sort.
+func TestServerSubmitStreamRootExtremes(t *testing.T) {
+	srv, err := NewServer(ServerConfig{MaxKeys: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+	alphabet := []Key{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]Key, 100_003) // ragged: the last run pads
+	for i := range keys {
+		keys[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	out := NewKeysWriter()
+	stats, err := srv.SubmitStream(context.Background(), NewKeysReader(keys), out,
+		StreamConfig{MemoryKeys: 1, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SpilledRuns == 0 {
+		t.Fatalf("no spilling under the floor budget: %+v", stats)
+	}
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	if !slices.Equal(out.Keys(), want) {
+		t.Fatal("SubmitStream output differs from slices.Sort")
 	}
 }
