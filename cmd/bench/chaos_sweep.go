@@ -31,7 +31,6 @@ var sweepRates = []float64{0, 0.05, 0.15, 0.35, 0.6, 0.9}
 var sweepEngines = []string{
 	"resilient",
 	"randsort-uniform",
-	"randsort-dim-weighted",
 	"randsort-snake-biased",
 }
 
@@ -79,6 +78,8 @@ func runChaosSweep(seeds int, seedBase int64) ([]sweepEntry, error) {
 	for _, build := range []func() (*productsort.Network, error){
 		func() (*productsort.Network, error) { return productsort.Grid(4, 3) },
 		func() (*productsort.Network, error) { return productsort.Hypercube(6) },
+		// Heterogeneous: the dimensions differ in size and pool count.
+		func() (*productsort.Network, error) { return productsort.RectGrid(2, 4, 8) },
 	} {
 		nw, err := build()
 		if err != nil {

@@ -1,5 +1,5 @@
 // Command bench regenerates the paper-reproduction tables and figures
-// (experiments E1–E8 from DESIGN.md) and prints them to stdout.
+// (experiments E1–E15 from DESIGN.md) and prints them to stdout.
 //
 // Usage:
 //
@@ -39,7 +39,7 @@ func main() { os.Exit(run()) }
 // All failure paths return (never os.Exit) so profile flushing and
 // other defers run.
 func run() int {
-	expID := flag.String("exp", "", "experiment id (e1..e14); empty runs all")
+	expID := flag.String("exp", "", "experiment id (e1..e15); empty runs all")
 	list := flag.Bool("list", false, "list experiments and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	csvDir := flag.String("csv", "", "also write each table/figure as CSV into <dir>")

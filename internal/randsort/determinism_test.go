@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"productsort/internal/schedule"
+	"productsort/internal/obs"
 	"productsort/internal/simnet"
 )
 
@@ -95,41 +95,52 @@ func TestDrawRoundSeedMatrix(t *testing.T) {
 	}
 }
 
-// recordingBackend replays through ExecBackend while appending every
-// realized op, so a full Sort's comparator sequence can be compared
-// across runs.
-type recordingBackend struct {
-	inner schedule.ExecBackend
-	ops   []schedule.Op
-}
+// phaseLog records every phase a Sort traces, so a full run's realized
+// sequence (kind, cost and pair count per round) can be compared across
+// runs.
+type phaseLog struct{ phases []obs.Phase }
 
-func (rb *recordingBackend) Run(prog *schedule.Program, keys []simnet.Key) (simnet.Clock, error) {
-	rb.ops = append(rb.ops, prog.Ops()...)
-	return rb.inner.Run(prog, keys)
-}
+func (l *phaseLog) PhaseBegin(p obs.Phase)   { l.phases = append(l.phases, p) }
+func (*phaseLog) PhaseEnd(obs.Phase)         {}
+func (*phaseLog) RecoveryEvent(obs.Recovery) {}
+func (*phaseLog) MessageStats(obs.Messages)  {}
 
 // TestSortSeedMatrixRealizedSequences is the end-to-end determinism
 // guarantee: two full randomized sorts with the same (network, config,
-// seed, input) must realize byte-identical comparator sequences,
-// identical reports, and identical outputs — and a different seed must
-// realize a different sequence.
+// seed, input) must trace identical realized sequences, identical
+// reports, and identical outputs — and a different seed must realize a
+// different sequence. Each realized round is traced under its index in
+// the realized sequence. The exact pairs per seed are pinned by
+// TestDrawRoundSeedMatrix.
 func TestSortSeedMatrixRealizedSequences(t *testing.T) {
 	for name, net := range testNets(t) {
 		t.Run(name, func(t *testing.T) {
-			run := func(seed int64) ([]schedule.Op, *Report, []simnet.Key) {
-				rb := &recordingBackend{}
-				e := engineFor(t, name, Config{Seed: seed, Inner: rb})
+			run := func(seed int64) ([]obs.Phase, *Report, []simnet.Key) {
+				log := &phaseLog{}
+				e := engineFor(t, name, Config{Seed: seed, Tracer: log})
 				keys := shuffled(net.Nodes(), 99)
 				rep, err := e.Sort(keys)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return rb.ops, rep, keys
+				return log.phases, rep, keys
 			}
-			ops1, rep1, out1 := run(5)
-			ops2, rep2, out2 := run(5)
-			if !reflect.DeepEqual(ops1, ops2) {
-				t.Fatalf("same seed realized different comparator sequences (%d vs %d ops)", len(ops1), len(ops2))
+			ph1, rep1, out1 := run(5)
+			for i, p := range ph1 {
+				if p.Index != i {
+					t.Fatalf("realized round %d traced as index %d", i, p.Index)
+				}
+			}
+			applied := 0
+			for _, p := range ph1 {
+				applied += p.Pairs
+			}
+			if applied != rep1.Applied {
+				t.Fatalf("traced phases carry %d pairs, report applied %d", applied, rep1.Applied)
+			}
+			ph2, rep2, out2 := run(5)
+			if !reflect.DeepEqual(ph1, ph2) {
+				t.Fatalf("same seed realized different sequences (%d vs %d phases)", len(ph1), len(ph2))
 			}
 			if !reflect.DeepEqual(rep1, rep2) {
 				t.Fatalf("same seed produced different reports:\n%+v\n%+v", rep1, rep2)
@@ -137,9 +148,9 @@ func TestSortSeedMatrixRealizedSequences(t *testing.T) {
 			if !reflect.DeepEqual(out1, out2) {
 				t.Fatal("same seed produced different outputs")
 			}
-			ops3, _, _ := run(6)
-			if reflect.DeepEqual(ops1, ops3) {
-				t.Error("different seeds realized identical comparator sequences")
+			ph3, _, _ := run(6)
+			if reflect.DeepEqual(ph1, ph3) {
+				t.Error("different seeds realized identical sequences")
 			}
 		})
 	}

@@ -25,10 +25,6 @@ type Variant uint8
 const (
 	// QUniform draws uniformly over the pool.
 	QUniform Variant = iota
-	// QDimWeighted equalizes the total draw mass per product dimension
-	// (each candidate weighs 1/|pool ∩ dim|), so high-degree dimensions
-	// do not starve low-degree ones.
-	QDimWeighted
 	// QSnakeBiased up-weights snake-consecutive pairs by snakeBias,
 	// biasing the process toward odd-even-transposition moves along the
 	// global order while keeping every edge in support.
@@ -44,8 +40,6 @@ func (v Variant) String() string {
 	switch v {
 	case QUniform:
 		return "uniform"
-	case QDimWeighted:
-		return "dim-weighted"
 	case QSnakeBiased:
 		return "snake-biased"
 	}
@@ -53,7 +47,7 @@ func (v Variant) String() string {
 }
 
 // Variants lists every defined q variant.
-func Variants() []Variant { return []Variant{QUniform, QDimWeighted, QSnakeBiased} }
+func Variants() []Variant { return []Variant{QUniform, QSnakeBiased} }
 
 // VariantByName resolves a variant from its String form; "" selects
 // QUniform.
@@ -61,8 +55,6 @@ func VariantByName(name string) (Variant, error) {
 	switch name {
 	case "", "uniform":
 		return QUniform, nil
-	case "dim-weighted":
-		return QDimWeighted, nil
 	case "snake-biased":
 		return QSnakeBiased, nil
 	}
@@ -74,7 +66,6 @@ func VariantByName(name string) (Variant, error) {
 // lo, i.e. earlier in the global order).
 type candidate struct {
 	lo, hi int
-	dim    int  // 1-based dimension the endpoints differ in
 	snake  bool // consecutive snake positions
 }
 
@@ -104,14 +95,14 @@ func buildPool(net *product.Network, plan *faults.Plan) []candidate {
 		if net.SnakePos(lo) > net.SnakePos(hi) {
 			lo, hi = hi, lo
 		}
-		dim := differingDim(net, a, b)
 		if !snake && plan != nil {
+			dim := differingDim(net, a, b)
 			if plan.LinkDead(dim, net.Digit(a, dim), net.Digit(b, dim)) {
 				return
 			}
 		}
 		seen[key] = len(pool)
-		pool = append(pool, candidate{lo: lo, hi: hi, dim: dim, snake: snake})
+		pool = append(pool, candidate{lo: lo, hi: hi, snake: snake})
 	}
 	for a := 0; a < n; a++ {
 		for _, b := range net.Neighbors(a) {
@@ -141,23 +132,12 @@ func differingDim(net *product.Network, a, b int) int {
 
 // weights assigns each candidate its (unnormalized) q mass under the
 // variant and returns the cumulative sums the sampler binary-searches.
-func weights(v Variant, pool []candidate, dims int) (cum []float64, total float64) {
-	perDim := make([]int, dims+1)
-	if v == QDimWeighted {
-		for _, c := range pool {
-			perDim[c.dim]++
-		}
-	}
+func weights(v Variant, pool []candidate) (cum []float64, total float64) {
 	cum = make([]float64, len(pool))
 	for i, c := range pool {
 		w := 1.0
-		switch v {
-		case QDimWeighted:
-			w = 1.0 / float64(perDim[c.dim])
-		case QSnakeBiased:
-			if c.snake {
-				w = snakeBias
-			}
+		if v == QSnakeBiased && c.snake {
+			w = snakeBias
 		}
 		total += w
 		cum[i] = total

@@ -16,12 +16,11 @@
 // and a corrupt-free process can never unsort — so degraded runs
 // converge later, not wrong.
 //
-// Realized rounds are flushed through a schedule.Backend as ordinary
-// sub-programs, so replay, tracing and batch machinery all apply, and
-// the realized comparator sequence doubles as the input to the
-// cert-sampled runtime verifier (the 0-1 principle holds per
-// realization: the comparators actually applied sort every input iff
-// they sort every 0-1 vector).
+// Each realized round is exchanged in place as soon as it is drawn and
+// kept as a schedule op, so the realized comparator sequence doubles as
+// the input to the cert-sampled runtime verifier (the 0-1 principle
+// holds per realization: the comparators actually applied sort every
+// input iff they sort every 0-1 vector).
 package randsort
 
 import (
@@ -101,10 +100,8 @@ type Config struct {
 	// flips key bits mid-run, dead factor links shrink the candidate
 	// pool and re-price snake steps as routed detours.
 	Faults *faults.Plan
-	// Inner replays the realized sub-programs (nil selects
-	// schedule.ExecBackend over Tracer).
-	Inner schedule.Backend
-	// Tracer observes realized phases when Inner is nil.
+	// Tracer observes realized phases, indexed by their position in
+	// the realized sequence.
 	Tracer obs.Tracer
 	// Metrics optionally receives randsort.* instruments.
 	Metrics *obs.Metrics
@@ -242,7 +239,7 @@ func New(net *product.Network, cfg Config) (*Engine, error) {
 		cost:    simnet.NewCostModel(),
 		used:    make([]int, n),
 	}
-	e.cum, e.total = weights(cfg.Variant, e.pool, net.R())
+	e.cum, e.total = weights(cfg.Variant, e.pool)
 	if len(e.pool) == 0 || e.total <= 0 {
 		return nil, &ConfigError{Field: "Faults", Reason: "fault plan leaves an empty candidate pool"}
 	}
@@ -299,8 +296,7 @@ func (s *stream) float() float64 {
 // Sort runs the randomized process over keys (indexed by node id,
 // sorted in place into snake order) and reports convergence stats.
 // On ErrRoundCap the report is still meaningful: it describes how far
-// the degraded run got. Any other error is a backend or verifier
-// failure.
+// the degraded run got. Any other error is a verifier failure.
 func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 	n := e.net.Nodes()
 	if len(keys) != n {
@@ -309,30 +305,11 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 	rep := &Report{Variant: e.cfg.Variant.String()}
 	defer e.observe(rep)
 
-	inner := e.cfg.Inner
-	if inner == nil {
-		inner = schedule.ExecBackend{Tracer: e.cfg.Tracer}
-	}
 	plan := e.cfg.Faults
 	var delta faults.Counters
-
-	// pending accumulates realized ops awaiting replay; realized keeps
-	// the whole run's comparator sequence for the verifier.
-	var pending, realized []schedule.Op
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		sub, err := schedule.NewProgram(e.net, e.Name(), pending)
-		if err != nil {
-			return fmt.Errorf("randsort: realized sub-program: %w", err)
-		}
-		if _, err := inner.Run(sub, keys); err != nil {
-			return err
-		}
-		pending = pending[:0]
-		return nil
-	}
+	// realized keeps the whole run's comparator sequence for the
+	// verifier.
+	var realized []schedule.Op
 
 	for i := range e.used {
 		e.used[i] = -1
@@ -356,7 +333,7 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 				rep.Routed++
 			}
 			op := schedule.Op{Kind: kind, Pairs: kept, Cost: cost}
-			pending = append(pending, op)
+			e.exchange(keys, op, len(realized))
 			realized = append(realized, op)
 			rep.RoundCharge += cost
 			rep.Applied += len(kept)
@@ -368,11 +345,7 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 		if plan != nil {
 			if node, mask, ok := plan.Corruption(0, round, n); ok {
 				// Corrupt the live key state, not the comparator
-				// stream: flush so the flip lands between realized
-				// sub-programs.
-				if err := flush(); err != nil {
-					return rep, err
-				}
+				// stream.
 				keys[node] ^= mask
 				delta.Corrupted++
 				delta.Injected++
@@ -380,9 +353,6 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 		}
 		if (round+1)%e.cfg.CheckEvery != 0 {
 			continue
-		}
-		if err := flush(); err != nil {
-			return rep, err
 		}
 		rep.Checks++
 		if !e.sampleSorted(keys, round) {
@@ -412,9 +382,6 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 		rep.Converged = true
 		break
 	}
-	if err := flush(); err != nil {
-		return rep, err
-	}
 	if plan != nil {
 		plan.Add(delta)
 		rep.Faults = plan.Counters()
@@ -425,6 +392,23 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 		return rep, ErrRoundCap
 	}
 	return rep, nil
+}
+
+// exchange applies one realized round to keys, traced under its index
+// in the realized sequence when a tracer is attached.
+func (e *Engine) exchange(keys []simnet.Key, op schedule.Op, index int) {
+	t := e.cfg.Tracer
+	if t == nil {
+		simnet.Exchange(keys, op.Pairs)
+		return
+	}
+	ev := obs.Phase{Index: index, Kind: obs.PhaseExchange, Cost: op.Cost, Pairs: len(op.Pairs)}
+	if op.Kind == schedule.OpRoutedExchange {
+		ev.Kind = obs.PhaseRouted
+	}
+	t.PhaseBegin(ev)
+	simnet.Exchange(keys, op.Pairs)
+	t.PhaseEnd(ev)
 }
 
 // drawRound draws DrawsPerRound candidates, drops draws whose

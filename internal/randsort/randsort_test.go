@@ -156,21 +156,6 @@ func TestPoolCoversSnakeAndEdges(t *testing.T) {
 	}
 }
 
-func TestDimWeightedMassEqualizes(t *testing.T) {
-	net := product.MustNew(graph.Path(4), 2)
-	pool := buildPool(net, nil)
-	cum, _ := weights(QDimWeighted, pool, net.R())
-	mass := make([]float64, net.R()+1)
-	prev := 0.0
-	for i, c := range pool {
-		mass[c.dim] += cum[i] - prev
-		prev = cum[i]
-	}
-	if diff := mass[1] - mass[2]; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("per-dim mass not equalized: %v", mass[1:])
-	}
-}
-
 func TestSortConvergesFaultFree(t *testing.T) {
 	for name, net := range testNets(t) {
 		for _, v := range Variants() {

@@ -1,4 +1,4 @@
-// Backends: consumers that run a compiled program against keys.
+// Replay: running a compiled program against keys.
 
 package schedule
 
@@ -8,21 +8,13 @@ import (
 
 	"productsort/internal/obs"
 	"productsort/internal/simnet"
+	"productsort/internal/sort2d"
 )
 
-// Backend executes a compiled program over a key slice indexed by node
-// id, sorting it in place, and returns the replay's clock. Because the
-// program is oblivious, the clock equals prog.Clock() for every
-// conforming backend; returning it keeps the interface honest about
-// what a run cost.
-type Backend interface {
-	Run(prog *Program, keys []simnet.Key) (simnet.Clock, error)
-}
-
-// ExecBackend is the fast replay backend: it applies each exchange op
-// with simnet.Exchange and charges the precomputed costs — no
-// validation, no routing-plan lookups, no allocation. It is the path
-// behind CompiledNetwork.Sort and SortResilient.
+// ExecBackend is the fast replay: it applies each exchange op with
+// simnet.Exchange and charges the precomputed costs — no validation,
+// no routing-plan lookups, no allocation. It is the path behind
+// CompiledNetwork.Sort and fault-free SortResilient.
 type ExecBackend struct {
 	// Tracer receives a phase begin/end event pair per round-consuming
 	// op. nil disables tracing; the disabled path stays allocation-free
@@ -30,7 +22,9 @@ type ExecBackend struct {
 	Tracer obs.Tracer
 }
 
-// Run implements Backend.
+// Run sorts keys (indexed by node id) in place and returns the
+// program's precomputed clock: the program is oblivious, so every
+// replay costs exactly that.
 func (e ExecBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error) {
 	if len(keys) != prog.net.Nodes() {
 		return simnet.Clock{}, fmt.Errorf("schedule: %d keys for %d nodes", len(keys), prog.net.Nodes())
@@ -86,11 +80,12 @@ func phaseEvent(op *Op, index int, inS2 bool) obs.Phase {
 	}
 }
 
-// ReplayOnMachine re-executes every op of the program on a live
-// machine through the machine's own accounting API, so the machine's
-// clock is rebuilt from first principles (and can be compared with the
-// program's precomputed clock).
-func ReplayOnMachine(prog *Program, m *simnet.Machine) {
+// ReplayOnMachine re-executes every op of the program on a machine
+// through the machine's own accounting API, so the machine's clock is
+// rebuilt from first principles: a live simulator's can be compared
+// with the program's precomputed clock, and a Builder over another
+// network re-prices the program there.
+func ReplayOnMachine(prog *Program, m sort2d.Machine) {
 	for i := range prog.ops {
 		op := &prog.ops[i]
 		switch op.Kind {

@@ -228,9 +228,8 @@ func TestResilientQuietEmitsNoRecoveryEvents(t *testing.T) {
 	}
 }
 
-// TestResilientTracedInnerKeepsS2Attribution: under faults the inner
-// backend runs batched sub-programs, which must still carry the S2
-// bracket markers so phase events attribute rounds to the right stage.
+// TestResilientTracedInnerKeepsS2Attribution: under faults the phases
+// replayed in place still attribute their rounds to the right stage.
 func TestResilientTracedInnerKeepsS2Attribution(t *testing.T) {
 	net := product.MustNew(graph.Cycle(4), 3)
 	prog, err := Compile(net, nil)
@@ -240,11 +239,7 @@ func TestResilientTracedInnerKeepsS2Attribution(t *testing.T) {
 	tally := &phaseTally{}
 	keys := nodeKeys(net.Nodes(), 6)
 	plan := faults.NewPlan(faults.Config{Seed: 21, DropRate: 0.03, CorruptRate: 0.03})
-	clk, err := ResilientBackend{
-		Inner:  ExecBackend{Tracer: tally},
-		Plan:   plan,
-		Tracer: tally,
-	}.Run(prog, keys)
+	clk, err := ResilientBackend{Plan: plan, Tracer: tally}.Run(prog, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +258,69 @@ func TestResilientTracedInnerKeepsS2Attribution(t *testing.T) {
 	}
 	if clk.RecoveryRounds == 0 {
 		t.Error("chaos run charged no recovery rounds; rates too low for this test to bite")
+	}
+}
+
+// phaseLog records every completed phase event.
+type phaseLog struct{ phases []obs.Phase }
+
+func (l *phaseLog) PhaseBegin(obs.Phase)       {}
+func (l *phaseLog) PhaseEnd(p obs.Phase)       { l.phases = append(l.phases, p) }
+func (l *phaseLog) RecoveryEvent(obs.Recovery) {}
+func (l *phaseLog) MessageStats(obs.Messages)  {}
+
+// TestResilientPhaseEventsCarryProgramOps: a faulted replay traces each
+// phase under the program's own op index, so phase events line up with
+// the ops and with the recovery events' Phase field. The set of traced
+// indices is exactly the program's exchange ops, and each event carries
+// its op's stage, cost, kind and dimension.
+func TestResilientPhaseEventsCarryProgramOps(t *testing.T) {
+	net := product.MustNew(graph.Cycle(4), 3)
+	prog, err := Compile(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inS2 := make(map[int]bool)
+	s2 := false
+	for i, op := range prog.Ops() {
+		switch op.Kind {
+		case OpBeginS2:
+			s2 = true
+		case OpEndS2:
+			s2 = false
+		case OpCompareExchange, OpRoutedExchange:
+			inS2[i] = s2
+		}
+	}
+	log := &phaseLog{}
+	plan := faults.NewPlan(faults.Config{Seed: 21, DropRate: 0.03, StallRate: 0.02, CorruptRate: 0.1})
+	clk, err := ResilientBackend{Plan: plan, Tracer: log}.Run(prog, nodeKeys(net.Nodes(), 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clk.RecoveryRounds == 0 {
+		t.Fatal("chaos run charged no recovery rounds; rates too low for this test to bite")
+	}
+	seen := make(map[int]bool)
+	for _, ev := range log.phases {
+		s2, ok := inS2[ev.Index]
+		if !ok {
+			t.Fatalf("phase event index %d is not an exchange op of the program", ev.Index)
+		}
+		seen[ev.Index] = true
+		op := prog.Ops()[ev.Index]
+		want := phaseEvent(&op, ev.Index, s2)
+		if ev.S2 != want.S2 || ev.Cost != want.Cost || ev.Kind != want.Kind || ev.Dim != want.Dim {
+			t.Fatalf("phase event %+v does not match op %d (%+v)", ev, ev.Index, want)
+		}
+		if ev.Pairs < 1 || ev.Pairs > len(op.Pairs) {
+			t.Fatalf("phase event %+v carries %d pairs, op has %d", ev, ev.Pairs, len(op.Pairs))
+		}
+	}
+	if len(seen) != len(inS2) {
+		t.Fatalf("phase events cover %d distinct ops, program has %d exchange ops", len(seen), len(inS2))
+	}
+	if len(log.phases) <= len(inS2) {
+		t.Errorf("%d phase events for %d exchange ops: no window was replayed", len(log.phases), len(inS2))
 	}
 }

@@ -1,5 +1,5 @@
-// ResilientBackend: self-healing schedule replay. It wraps any Backend
-// with deterministic fault injection and the recovery machinery that
+// ResilientBackend: self-healing schedule replay. It replays a program
+// under deterministic fault injection with the recovery machinery that
 // survives it: checkpoint every K phases, checksum-scrub each window,
 // retry faulted windows from the checkpoint under a fresh fault epoch,
 // halve the window when retries keep failing (exponential backoff that
@@ -9,11 +9,11 @@
 // scrub backed by bounded full-program repair passes (the schedule is
 // oblivious, so re-running it is always safe).
 //
-// Faults are realized here, above the inner backend: pair skips are
-// removed from the ops the backend sees and corruption masks are
-// applied to the key array between backend segments. Every decision is
-// a pure function of (plan seed, epoch, op index, coordinates), so two
-// runs with the same plan — over ANY conforming inner backend — produce
+// The schedule is oblivious, so a faulted phase needs no new program:
+// its lost pairs are skipped, its surviving pairs are exchanged in
+// place, and its corruption mask is applied to the key array right
+// after it. Every decision is a pure function of (plan seed, epoch, op
+// index, coordinates), so two runs with the same plan produce
 // byte-identical keys and identical recovery counters.
 
 package schedule
@@ -41,14 +41,13 @@ var ErrUnrecoverable = errors.New("schedule: fault recovery exhausted")
 // message retry bound).
 const pairAttempts = 8
 
-// ResilientBackend wraps an inner Backend with deterministic fault
-// injection and self-healing replay. The zero value of each knob
-// selects its default.
+// ResilientBackend replays a program under deterministic fault
+// injection and heals it. The zero value of each knob selects its
+// default.
 type ResilientBackend struct {
-	// Inner executes the surviving ops; nil means ExecBackend.
-	Inner Backend
 	// Plan decides the faults. nil (or a quiet plan) makes Run a
-	// transparent delegate to Inner — the fault-free path costs nothing.
+	// transparent delegate to ExecBackend — the fault-free path costs
+	// nothing.
 	Plan *faults.Plan
 	// CheckpointEvery is K, the number of exchange phases per
 	// checkpoint window; <1 means 16. Small K detects corruption
@@ -61,31 +60,26 @@ type ResilientBackend struct {
 	// MaxRepairPasses bounds the full-program repair replays after the
 	// final sortedness scrub; <1 means 3.
 	MaxRepairPasses int
-	// Tracer receives typed recovery events: checkpoint snapshots,
-	// scrub detections, window retries and halvings, stall waits,
-	// retransmissions, repair passes and unrecoverable give-ups. Event
-	// multiplicities mirror the fault plan's counters one-for-one
-	// (asserted by TestChaosEventsMatchFaultReport), and the Rounds
-	// carried by all recovery events sum to the clock's RecoveryRounds.
-	// nil disables recovery tracing; the fault-free delegate path never
-	// consults it. Phase-level events come from the Inner backend's own
-	// tracer — under recovery those carry sub-program op indices, since
-	// surviving pairs are batched into fresh sub-programs.
+	// Tracer receives a phase event pair per executed exchange phase,
+	// indexed by the program's own op index (so it matches the Phase
+	// of the recovery events), and typed recovery events: checkpoint
+	// snapshots, scrub detections, window retries and halvings, stall
+	// waits, retransmissions, repair passes and unrecoverable give-ups.
+	// Recovery event multiplicities mirror the fault plan's counters
+	// one-for-one (asserted by TestChaosEventsMatchFaultReport), and the
+	// Rounds carried by all recovery events sum to the clock's
+	// RecoveryRounds. nil disables tracing.
 	Tracer obs.Tracer
 }
 
-// Run implements Backend: it replays prog over keys under the fault
+// Run replays prog over keys (indexed by node id) under the fault
 // plan, healing what it can, and returns the clock with Rounds
 // inflated by the measured recovery cost (split out in RecoveryRounds)
 // and the plan's counters attached. A nil or quiet plan delegates
-// straight to the inner backend.
+// straight to ExecBackend.
 func (rb ResilientBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error) {
-	inner := rb.Inner
-	if inner == nil {
-		inner = ExecBackend{}
-	}
 	if rb.Plan == nil || rb.Plan.Config().Quiet() {
-		return inner.Run(prog, keys)
+		return ExecBackend{Tracer: rb.Tracer}.Run(prog, keys)
 	}
 	if len(keys) != prog.net.Nodes() {
 		return simnet.Clock{}, fmt.Errorf("schedule: %d keys for %d nodes", len(keys), prog.net.Nodes())
@@ -99,7 +93,6 @@ func (rb ResilientBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, 
 	}
 	r := &resilientRun{
 		prog:       priced,
-		inner:      inner,
 		plan:       rb.Plan,
 		keys:       keys,
 		sum0:       faults.ChecksumKeys(keys),
@@ -129,9 +122,7 @@ func (rb ResilientBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, 
 			r.exS2 = append(r.exS2, inS2)
 		}
 	}
-	if err := r.runAll(true); err != nil {
-		return simnet.Clock{}, err
-	}
+	r.runAll(true)
 	// Final scrub: the multiset checksum cannot see a silently skipped
 	// exchange, but the snake order can. Sorting is idempotent over
 	// this schedule, so a repair pass is just another (fresh-epoch)
@@ -146,9 +137,7 @@ func (rb ResilientBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, 
 		r.trace(obs.Recovery{Kind: obs.RecoveryScrubDetect, Lo: -1, Hi: -1, Phase: -1})
 		r.trace(obs.Recovery{Kind: obs.RecoveryRepairPass, Lo: -1, Hi: -1, Phase: -1})
 		r.epoch++
-		if err := r.runAll(false); err != nil {
-			return simnet.Clock{}, err
-		}
+		r.runAll(false)
 	}
 	clk := r.finalClock()
 	if r.corrupted {
@@ -159,13 +148,12 @@ func (rb ResilientBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, 
 
 // resilientRun is the mutable state of one resilient replay.
 type resilientRun struct {
-	prog  *Program
-	inner Backend
-	plan  *faults.Plan
-	keys  []simnet.Key
-	ex    []int           // indices of exchange ops in prog.ops
-	exS2  []bool          // S2 attribution per exchange op (for traces)
-	sum0  faults.Checksum // multiset digest scrubbed against
+	prog *Program
+	plan *faults.Plan
+	keys []simnet.Key
+	ex   []int           // indices of exchange ops in prog.ops
+	exS2 []bool          // S2 attribution per exchange op (for traces)
+	sum0 faults.Checksum // multiset digest scrubbed against
 
 	k          int // checkpoint window size (exchange phases)
 	maxRetries int // full-window retries before halving
@@ -173,8 +161,8 @@ type resilientRun struct {
 	epoch          int // bumped per retry/repair: re-rolls every decision
 	recoveryRounds int
 	corrupted      bool       // an accepted (unhealable) corruption happened
-	pending        []Op       // scratch ops buffer between backend segments
-	tracer         obs.Tracer // nil = recovery tracing disabled
+	kept           [][2]int   // scratch: one phase's surviving pairs
+	tracer         obs.Tracer // nil = tracing disabled
 }
 
 // trace emits a recovery event when a tracer is attached.
@@ -187,17 +175,10 @@ func (r *resilientRun) trace(ev obs.Recovery) {
 // runAll replays every window in order. free marks the first execution
 // of each window as already paid for by the program's base clock;
 // repair passes set it false so their full cost lands on recovery.
-func (r *resilientRun) runAll(free bool) error {
+func (r *resilientRun) runAll(free bool) {
 	for w := 0; w < len(r.ex); w += r.k {
-		hi := w + r.k
-		if hi > len(r.ex) {
-			hi = len(r.ex)
-		}
-		if err := r.window(w, hi, free); err != nil {
-			return err
-		}
+		r.window(w, min(w+r.k, len(r.ex)), free)
 	}
-	return nil
 }
 
 // window replays exchange ops ex[lo:hi] under checksum scrubbing:
@@ -206,7 +187,7 @@ func (r *resilientRun) runAll(free bool) error {
 // each level pins the corruption to half as many phases); a single
 // phase that never comes clean is accepted as unrecoverable and the
 // scrub baseline rebased so later windows still scrub meaningfully.
-func (r *resilientRun) window(lo, hi int, free bool) error {
+func (r *resilientRun) window(lo, hi int, free bool) {
 	cost := r.windowCost(lo, hi)
 	checkpoint := append([]simnet.Key(nil), r.keys...)
 	r.trace(obs.Recovery{Kind: obs.RecoveryCheckpoint, Lo: lo, Hi: hi, Phase: -1})
@@ -215,11 +196,9 @@ func (r *resilientRun) window(lo, hi int, free bool) error {
 			r.recoveryRounds += cost
 			r.trace(obs.Recovery{Kind: obs.RecoveryReplay, Lo: lo, Hi: hi, Phase: -1, Rounds: cost})
 		}
-		if err := r.execute(lo, hi); err != nil {
-			return err
-		}
+		r.execute(lo, hi)
 		if faults.ChecksumKeys(r.keys) == r.sum0 {
-			return nil
+			return
 		}
 		r.plan.Add(faults.Counters{Detected: 1, Retried: 1})
 		r.trace(obs.Recovery{Kind: obs.RecoveryScrubDetect, Lo: lo, Hi: hi, Phase: -1})
@@ -232,9 +211,7 @@ func (r *resilientRun) window(lo, hi int, free bool) error {
 		// one last time and carry the corruption forward, counted.
 		r.recoveryRounds += cost
 		r.trace(obs.Recovery{Kind: obs.RecoveryReplay, Lo: lo, Hi: hi, Phase: -1, Rounds: cost})
-		if err := r.execute(lo, hi); err != nil {
-			return err
-		}
+		r.execute(lo, hi)
 		if sum := faults.ChecksumKeys(r.keys); sum != r.sum0 {
 			r.plan.Add(faults.Counters{Detected: 1, Unrecoverable: 1})
 			r.trace(obs.Recovery{Kind: obs.RecoveryScrubDetect, Lo: lo, Hi: hi, Phase: -1})
@@ -242,14 +219,12 @@ func (r *resilientRun) window(lo, hi int, free bool) error {
 			r.corrupted = true
 			r.sum0 = sum
 		}
-		return nil
+		return
 	}
 	mid := lo + (hi-lo)/2
 	r.trace(obs.Recovery{Kind: obs.RecoveryHalve, Lo: lo, Hi: hi, Phase: -1})
-	if err := r.window(lo, mid, false); err != nil {
-		return err
-	}
-	return r.window(mid, hi, false)
+	r.window(lo, mid, false)
+	r.window(mid, hi, false)
 }
 
 // windowCost sums the priced round charges of exchange ops ex[lo:hi].
@@ -264,30 +239,17 @@ func (r *resilientRun) windowCost(lo, hi int) int {
 // execute runs exchange ops ex[lo:hi] once under the current epoch:
 // stalled endpoints are waited out (a recovery round per stalled
 // round), dropped exchanges are retransmitted (a recovery round per
-// attempt, bounded), surviving pairs are batched into sub-programs for
-// the inner backend, and per-phase corruption is applied to the key
-// array between segments so it propagates through later phases exactly
-// as a live flipped bit would. Pairs within a phase recover in
-// parallel, so a phase's recovery charge is the worst pair's, not the
-// sum.
-func (r *resilientRun) execute(lo, hi int) error {
+// attempt, bounded), surviving pairs are exchanged in place, and
+// per-phase corruption is applied to the key array right after its
+// phase so it propagates through later phases exactly as a live
+// flipped bit would. Pairs within a phase recover in parallel, so a
+// phase's recovery charge is the worst pair's, not the sum.
+func (r *resilientRun) execute(lo, hi int) {
 	var delta faults.Counters
-	pending := r.pending[:0]
-	pendingS2 := false // S2 bracket state encoded in the pending stream
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		sub := &Program{net: r.prog.net, engine: r.prog.engine, sig: r.prog.sig, ops: pending}
-		_, err := r.inner.Run(sub, r.keys)
-		pending = pending[:0]
-		pendingS2 = false // sub-programs start outside the S2 bracket
-		return err
-	}
 	for w := lo; w < hi; w++ {
 		j := r.ex[w]
 		op := &r.prog.ops[j]
-		kept := make([][2]int, 0, len(op.Pairs))
+		kept := r.kept[:0]
 		phaseExtra := 0
 		phaseStalls, phaseRetrans, phaseLost := 0, 0, 0
 		for _, pr := range op.Pairs {
@@ -352,34 +314,26 @@ func (r *resilientRun) execute(lo, hi int) error {
 				r.trace(obs.Recovery{Kind: obs.RecoveryReplay, Lo: lo, Hi: hi, Phase: j, Rounds: phaseExtra})
 			}
 		}
-		if len(kept) > 0 {
-			// Re-emit S2 bracket markers so a tracing inner backend
-			// attributes replayed phases to the right stage.
-			if s2 := r.exS2[w]; s2 != pendingS2 {
-				marker := OpEndS2
-				if s2 {
-					marker = OpBeginS2
-				}
-				pending = append(pending, Op{Kind: marker})
-				pendingS2 = s2
-			}
-			pending = append(pending, Op{Kind: op.Kind, Pairs: kept, Cost: op.Cost, Dim: op.Dim})
+		r.kept = kept
+		if r.tracer != nil && len(kept) > 0 {
+			// The event counts the pairs this attempt exchanged.
+			ev := phaseEvent(op, j, r.exS2[w])
+			ev.Pairs = len(kept)
+			r.tracer.PhaseBegin(ev)
+			simnet.Exchange(r.keys, kept)
+			r.tracer.PhaseEnd(ev)
+		} else {
+			simnet.Exchange(r.keys, kept)
 		}
 		if node, mask, ok := r.plan.Corruption(r.epoch, j, len(r.keys)); ok {
-			if err := flush(); err != nil {
-				return err
-			}
 			r.keys[node] ^= simnet.Key(mask)
 			delta.Corrupted++
 			delta.Injected++
 		}
 	}
-	err := flush()
-	r.pending = pending[:0]
 	if delta != (faults.Counters{}) {
 		r.plan.Add(delta)
 	}
-	return err
 }
 
 // finalClock assembles the replay's clock: the priced base program
@@ -395,10 +349,11 @@ func (r *resilientRun) finalClock() simnet.Clock {
 
 // degradeProgram binds the plan's dead links against prog's factors
 // and, when any link is dead, re-prices every phase on the surviving
-// product network: an exchange whose link died becomes a routed
-// exchange at its measured detour cost — the graceful degradation to a
-// slower program. Returns the priced program (prog itself when no link
-// is dead) and the number of pair occurrences forced onto detours.
+// product network by replaying the program into a Builder over it: an
+// exchange whose link died becomes a routed exchange at its measured
+// detour cost — the graceful degradation to a slower program. Returns
+// the priced program (prog itself when no link is dead) and the number
+// of pair occurrences forced onto detours.
 func degradeProgram(prog *Program, plan *faults.Plan) (*Program, int, error) {
 	net := prog.net
 	deadTotal := 0
@@ -421,58 +376,21 @@ func degradeProgram(prog *Program, plan *faults.Plan) (*Program, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("schedule: surviving network: %w", err)
 	}
-	cm := simnet.NewCostModel()
-	ops := make([]Op, len(prog.ops))
-	var clk simnet.Clock
-	inS2 := false
+	b := NewBuilder(surv)
+	ReplayOnMachine(prog, b)
 	rerouted := 0
-	charge := func(c int) {
-		clk.Rounds += c
-		if inS2 {
-			clk.S2Rounds += c
-		} else {
-			clk.SweepRounds += c
-		}
-	}
 	for i := range prog.ops {
-		op := prog.ops[i]
-		switch op.Kind {
-		case OpCompareExchange, OpRoutedExchange:
-			cost := cm.PhaseCost(surv, op.Pairs)
-			kind := OpCompareExchange
-			if cost > 1 {
-				kind = OpRoutedExchange
-				clk.RoutedPhases++
+		for _, pr := range prog.ops[i].Pairs {
+			if net.Adjacent(pr[0], pr[1]) && !surv.Adjacent(pr[0], pr[1]) {
+				rerouted++
 			}
-			for _, pr := range op.Pairs {
-				if net.Adjacent(pr[0], pr[1]) && !surv.Adjacent(pr[0], pr[1]) {
-					rerouted++
-				}
-			}
-			ops[i] = Op{Kind: kind, Pairs: op.Pairs, Cost: cost, Dim: op.Dim}
-			clk.ComparePhases++
-			clk.CompareOps += len(op.Pairs)
-			charge(cost)
-		case OpIdle:
-			ops[i] = op
-			charge(1)
-		case OpBeginS2:
-			inS2 = true
-			ops[i] = op
-		case OpEndS2:
-			inS2 = false
-			ops[i] = op
-		case OpS2Marker:
-			clk.S2Phases++
-			ops[i] = op
-		case OpSweepMarker:
-			clk.SweepPhases++
-			ops[i] = op
 		}
 	}
-	// Execution still targets the original network (the inner backend
-	// exchanges over surviving routes); only the pricing degrades.
-	return &Program{net: net, engine: prog.engine, sig: prog.sig + "+degraded", ops: ops, clock: clk}, rerouted, nil
+	// Execution still targets the original network (the keys are
+	// exchanged over surviving routes); only the pricing degrades.
+	priced := b.Program(prog.engine, prog.sig+"+degraded")
+	priced.net = net
+	return priced, rerouted, nil
 }
 
 // snakeSorted reports whether keys (indexed by node id) are

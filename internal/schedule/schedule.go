@@ -12,11 +12,11 @@
 // structural signature. Every later sort on a structurally identical
 // network replays the cached program with zero schedule construction.
 //
-// The program is consumed by pluggable backends: the in-place op
-// replay (ExecBackend), the live simulator replay, the columnar
-// batch replay of the lowered comparator stream, merge-split block
-// sorting (package blocksort), and the message-passing SPMD engine
-// (package spmd). All of them observe identical round accounting
+// The program is consumed by several replays: the in-place op replay
+// (ExecBackend) and its faulted variant (ResilientBackend), the live
+// simulator replay (ReplayOnMachine), the columnar batch replay of the
+// lowered comparator stream, merge-split block sorting (package
+// blocksort), and the message-passing SPMD engine (package spmd). All of them observe identical round accounting
 // because the charges are part of the IR, precomputed per Lemma 3 /
 // Theorem 1.
 package schedule

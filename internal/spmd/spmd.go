@@ -451,24 +451,6 @@ func (e *Engine) RunProgram(prog *schedule.Program) {
 	}
 }
 
-// Backend adapts the message-passing engine to the schedule.Backend
-// interface: keys (indexed by node id) are sorted in place by goroutine
-// processors relaying over physical edges, and the program's
-// precomputed clock is returned (the engine tracks messages, not
-// rounds).
-type Backend struct{}
-
-// Run implements schedule.Backend.
-func (Backend) Run(prog *schedule.Program, keys []simnet.Key) (simnet.Clock, error) {
-	e, err := New(prog.Net(), keys)
-	if err != nil {
-		return simnet.Clock{}, err
-	}
-	e.RunProgram(prog)
-	copy(keys, e.keys)
-	return prog.Clock(), nil
-}
-
 // Sort runs the full multiway-merge sort as a message-passing program
 // on PG_r of factor g: the oblivious schedule is derived once (every
 // processor of a real machine could compute it locally from N and r)

@@ -263,32 +263,3 @@ func TestSynchronizedEmptyPhase(t *testing.T) {
 		t.Error("synchronized exchange did not order keys")
 	}
 }
-
-// TestBackendRunsCompiledProgram: the spmd Backend sorts node-indexed
-// keys in place and echoes the program's precomputed clock.
-func TestBackendRunsCompiledProgram(t *testing.T) {
-	net := product.MustNew(graph.Star(4), 2) // relayed exchanges exercised
-	prog, err := schedule.Compile(net, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snake := randomKeys(net.Nodes(), 3)
-	byNode := make([]Key, len(snake))
-	for pos, k := range snake {
-		byNode[net.NodeAtSnake(pos)] = k
-	}
-	clk, err := Backend{}.Run(prog, byNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clk != prog.Clock() {
-		t.Errorf("backend clock %+v != program clock %+v", clk, prog.Clock())
-	}
-	want := append([]Key(nil), snake...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for pos := 0; pos < net.Nodes(); pos++ {
-		if got := byNode[net.NodeAtSnake(pos)]; got != want[pos] {
-			t.Fatalf("snake position %d: got %d want %d", pos, got, want[pos])
-		}
-	}
-}

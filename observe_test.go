@@ -143,7 +143,7 @@ func TestTracedSortResilient(t *testing.T) {
 	if got := rec.RecoveryRounds(); got != res.Faults.RecoveryRounds {
 		t.Errorf("recovery events carry %d rounds, report charged %d", got, res.Faults.RecoveryRounds)
 	}
-	// Retried windows replay phases through the traced inner backend, so
+	// Retried windows replay and trace their phases again, so
 	// the phase stream covers at least the base program's rounds.
 	if base := res.Rounds - res.Faults.RecoveryRounds; rec.RoundTotal() < base {
 		t.Errorf("phase events sum to %d rounds, below the %d base rounds", rec.RoundTotal(), base)

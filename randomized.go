@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 
-	"productsort/internal/faults"
 	"productsort/internal/randsort"
 	"productsort/internal/simnet"
 )
@@ -26,9 +25,8 @@ var ErrRoundCap = randsort.ErrRoundCap
 // RandomizedConfig configures SortRandomized. The zero value selects
 // the uniform q distribution, the package defaults, and no faults.
 type RandomizedConfig struct {
-	// Q names the pair distribution: "uniform" (default), "dim-weighted"
-	// (equal draw mass per dimension), or "snake-biased" (snake steps
-	// up-weighted 4x).
+	// Q names the pair distribution: "uniform" (default) or
+	// "snake-biased" (snake steps up-weighted 4x).
 	Q string
 	// Seed drives every random choice — pair draws, sortedness samples,
 	// verifier vectors. Runs are reproducible per (network, config).
@@ -105,13 +103,12 @@ func (c *CompiledNetwork) SortRandomized(keys []Key, cfg RandomizedConfig) (*Res
 	if err != nil {
 		return nil, err
 	}
-	var plan *faults.Plan
-	if !quietFaults(cfg.Faults) {
-		if plan, err = cfg.Faults.plan(c.nw.Dims()); err != nil {
-			return nil, err
-		}
-	} else if err := cfg.Faults.validate(c.nw.Dims()); err != nil {
+	plan, err := cfg.Faults.plan(c.nw.Dims())
+	if err != nil {
 		return nil, err
+	}
+	if plan.Config().Quiet() {
+		plan = nil
 	}
 	eng, err := randsort.New(c.nw.net, randsort.Config{
 		Variant:       variant,
@@ -122,7 +119,6 @@ func (c *CompiledNetwork) SortRandomized(keys []Key, cfg RandomizedConfig) (*Res
 		SamplePairs:   cfg.SamplePairs,
 		VerifyVectors: cfg.VerifyVectors,
 		Faults:        plan,
-		Inner:         nil,
 		Tracer:        c.tracer,
 	})
 	if err != nil {
@@ -163,11 +159,4 @@ func (c *CompiledNetwork) SortRandomized(keys []Key, cfg RandomizedConfig) (*Res
 		}
 	}
 	return res, err
-}
-
-// quietFaults reports whether cfg injects nothing (mirrors
-// faults.Config.Quiet over the public fields).
-func quietFaults(cfg FaultConfig) bool {
-	return cfg.DropRate == 0 && cfg.StallRate == 0 && cfg.CorruptRate == 0 &&
-		cfg.LinkFailRate == 0 && len(cfg.DeadLinks) == 0
 }

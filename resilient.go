@@ -198,7 +198,6 @@ func (c *CompiledNetwork) SortResilient(keys []Key, cfg FaultConfig) (*Result, e
 		byNode[c.nw.net.NodeAtSnake(pos)] = k
 	}
 	rb := schedule.ResilientBackend{
-		Inner:           schedule.ExecBackend{Tracer: c.tracer},
 		Plan:            plan,
 		CheckpointEvery: cfg.CheckpointEvery,
 		MaxRetries:      cfg.MaxRetries,

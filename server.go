@@ -94,10 +94,8 @@ func DefaultServingNetworks(maxKeys int) []*Network {
 			break
 		}
 	}
-	for r := 2; ; r++ {
-		if pow(4, r) > nets[len(nets)-1].Nodes() {
-			break
-		}
+	cover := nets[len(nets)-1].Nodes() // the largest hypercube
+	for r := 2; pow(4, r) <= cover; r++ {
 		if g, err := Grid(4, r); err == nil {
 			nets = append(nets, g)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -198,22 +199,25 @@ func TestServerCustomNetworks(t *testing.T) {
 }
 
 // TestDefaultServingNetworks: the stock set covers [1, maxKeys] and
-// includes non-hypercube alternatives for the planner to price.
+// holds every hypercube up to the cover plus the side-4 grid and torus
+// of every dimension whose node count the largest hypercube covers.
 func TestDefaultServingNetworks(t *testing.T) {
-	nets := productsort.DefaultServingNetworks(1000)
-	maxNodes, grids := 0, 0
-	for _, nw := range nets {
-		if nw.Nodes() > maxNodes {
-			maxNodes = nw.Nodes()
+	for _, tc := range []struct {
+		maxKeys int
+		want    []string
+	}{
+		{2, []string{"K2^1"}},
+		{64, []string{"K2^1", "K2^2", "K2^3", "K2^4", "K2^5", "K2^6",
+			"path4^2", "cycle4^2", "path4^3", "cycle4^3"}},
+		{1000, []string{"K2^1", "K2^2", "K2^3", "K2^4", "K2^5", "K2^6", "K2^7", "K2^8", "K2^9", "K2^10",
+			"path4^2", "cycle4^2", "path4^3", "cycle4^3", "path4^4", "cycle4^4", "path4^5", "cycle4^5"}},
+	} {
+		var got []string
+		for _, nw := range productsort.DefaultServingNetworks(tc.maxKeys) {
+			got = append(got, nw.Name())
 		}
-		if nw.FactorSize() == 4 {
-			grids++
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("DefaultServingNetworks(%d) = %v, want %v", tc.maxKeys, got, tc.want)
 		}
-	}
-	if maxNodes < 1000 {
-		t.Fatalf("default set covers only %d keys, want >= 1000", maxNodes)
-	}
-	if grids == 0 {
-		t.Fatal("default set has no side-4 candidates")
 	}
 }
