@@ -85,19 +85,24 @@ cover:
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Bounds-check-elimination gate: the columnar kernel's inner min/max
-# loop (internal/schedule/kernel.go) must compile with zero IsInBounds
-# checks — the per-element checks the BCE idiom (`hi = hi[:len(lo)]` +
-# `for s := range lo`) exists to remove. Per-comparator IsSliceInBounds
-# checks are amortized over the column width and allowed. The Go build
-# cache replays compiler diagnostics on cache hits, so the grep is
-# reliable without cache-busting.
+# loop (internal/schedule/kernel.go) and the scalar 2-way merge loop
+# (internal/extsort/kernel.go) must compile with zero IsInBounds
+# checks — the per-element checks the BCE idioms (`hi = hi[:len(lo)]` +
+# `for s := range lo`; unsigned input indices under the loop test)
+# exist to remove. IsSliceInBounds checks, once per comparator or per
+# merge call, are amortized and allowed. The Go build cache replays
+# compiler diagnostics on cache hits, so the grep is reliable without
+# cache-busting.
+BCE_KERNELS = schedule extsort
 bce:
-	@out=$$($(GO) build -gcflags='productsort/internal/schedule=-d=ssa/check_bce' ./internal/schedule/ 2>&1); \
-	echo "$$out" | grep 'kernel.go' || true; \
-	if echo "$$out" | grep 'kernel\.go' | grep -q 'Found IsInBounds'; then \
-		echo "bce: kernel.go inner loop has per-element bounds checks"; exit 1; \
-	fi; \
-	echo "bce: kernel.go inner loop is bounds-check free"
+	@for pkg in $(BCE_KERNELS); do \
+		out=$$($(GO) build -gcflags="productsort/internal/$$pkg=-d=ssa/check_bce" ./internal/$$pkg/ 2>&1); \
+		echo "$$out" | grep "internal/$$pkg/kernel\.go" || true; \
+		if echo "$$out" | grep "internal/$$pkg/kernel\.go" | grep -q 'Found IsInBounds'; then \
+			echo "bce: internal/$$pkg/kernel.go inner loop has per-element bounds checks"; exit 1; \
+		fi; \
+		echo "bce: internal/$$pkg/kernel.go inner loop is bounds-check free"; \
+	done
 
 # Run every program under examples/; a non-zero exit (an example's
 # log.Fatal on a failed self-check) fails the target.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"runtime"
@@ -54,6 +55,9 @@ type extsortHost struct {
 	CPU        string `json:"cpu"`
 	NumCPU     int    `json:"numCPU"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Kernel is the dispatched vector body (schedule.KernelName): it
+	// picks the run kernel's body and the merge kernel's.
+	Kernel string `json:"kernel"`
 }
 
 // spread is the middle of a set of repeated measurements: the median
@@ -85,7 +89,38 @@ type extsortReport struct {
 	// RunBatchSweep holds RunBatch 16, 32, 64, 128 and the budget-derived
 	// default (the last entry).
 	RunBatchSweep []extsortEntry `json:"runBatchSweep"`
+	// Merge holds the merge kernel's cost cells, measured first.
+	Merge []mergeEntry `json:"merge"`
 }
+
+// mergeEntry is one merge-cost cell: Merges independent merges of
+// Runs sorted runs of RunKeys keys each, through extsort.Merge, timed
+// mergeRepeats times. A merge of k runs is ⌈log₂ k⌉ levels of 2-way
+// merges, so the cost per key per level is the time over keys·levels.
+type mergeEntry struct {
+	Runs    int `json:"runs"`
+	RunKeys int `json:"runKeys"`
+	// Merges is how many distinct inputs one timing merges, one after
+	// the other: many for the 2-way level over a working set larger
+	// than the caches, one (repeated until a timing covers mergeMinKeys
+	// keys) for a whole merge of k runs.
+	Merges           int    `json:"merges"`
+	Levels           int    `json:"levels"`
+	NsPerKeyPerLevel spread `json:"nsPerKeyPerLevel"`
+}
+
+// mergeCells are the merge-cost cells: one 2-way level over 512 pairs
+// of 1024-key runs (8 MiB of input), then whole merges of k = 2, 8, 64
+// and 170 runs of 1024 keys (170 is the default pre-merge batch on 2
+// CPUs).
+var mergeCells = []struct{ runs, merges int }{{2, 512}, {2, 1}, {8, 1}, {64, 1}, {170, 1}}
+
+// mergeRepeats is how often each merge cell is timed; mergeMinKeys is
+// the fewest keys one timing merges.
+const (
+	mergeRepeats = 5
+	mergeMinKeys = 1 << 20
+)
 
 // extsortRepeats is how often the default configuration runs at the
 // second-largest size: enough for a median and quartiles.
@@ -96,10 +131,11 @@ const extsortRepeats = 5
 var runBatchSweep = []int{16, 32, 64, 128, 0}
 
 // runExtsortBench measures the streaming external sort tier (certified
-// run formation + loser-tree merge) against slices.Sort and writes the
-// report to path. Every cell runs extsort.Sort with the network run
-// sorter — the call SortStream makes — and is verified equal to
-// slices.Sort before its numbers are recorded.
+// run formation + trees of 2-way merge kernels) against slices.Sort and
+// writes the report to path. It times the merge kernel alone first;
+// then every cell runs extsort.Sort with the network run sorter — the
+// call SortStream makes — and is verified equal to slices.Sort before
+// its numbers are recorded.
 func runExtsortBench(path, sizesCSV string, seed int64) error {
 	sizes, err := parseInts("extsortsizes", sizesCSV)
 	if err != nil {
@@ -121,6 +157,12 @@ func runExtsortBench(path, sizesCSV string, seed int64) error {
 		Nodes:     nw.Nodes(),
 	}
 	fmt.Printf("extsort bench: %s (%d nodes) on %s, GOMAXPROCS %d\n", rep.Network, rep.Nodes, rep.Host.CPU, rep.Host.GOMAXPROCS)
+	for _, mc := range mergeCells {
+		e := mergeCell(mc.runs, mc.merges, seed)
+		rep.Merge = append(rep.Merge, e)
+		fmt.Printf("  merge %3d runs x %d keys (%3d merges): %.2f ns/key/level median [Q1 %.2f, Q3 %.2f], %d levels\n",
+			e.Runs, e.RunKeys, e.Merges, e.NsPerKeyPerLevel.Median, e.NsPerKeyPerLevel.Q1, e.NsPerKeyPerLevel.Q3, e.Levels)
+	}
 	// The first batch replay lowers the program once (about 50 ms at
 	// K2^10, BENCH_schedule.json's pruneNs); keep it out of the cells.
 	if _, err := extsortCell(sorter, 1, extsort.Config{}, seed); err != nil {
@@ -166,6 +208,40 @@ func runExtsortBench(path, sizesCSV string, seed int64) error {
 			e.RunBatch, batchN, e.StreamKeysPerSec, e.Ratio, e.MergePasses, e.SpilledBytes)
 	}
 	return writeJSONArtifact(path, &rep)
+}
+
+// mergeCell times merges of runs sorted runs of 1024 keys: merges
+// distinct inputs per pass, passes repeated until a timing covers
+// mergeMinKeys keys, mergeRepeats timings.
+func mergeCell(runs, merges int, seed int64) mergeEntry {
+	const runKeys = 1024
+	rng := rand.New(rand.NewSource(seed + int64(runs*merges)))
+	inputs := make([][][]extsort.Key, merges)
+	for m := range inputs {
+		inputs[m] = make([][]extsort.Key, runs)
+		for r := range inputs[m] {
+			run := extsortKeys(rng, runKeys)
+			slices.Sort(run)
+			inputs[m][r] = run
+		}
+	}
+	keys := runs * runKeys
+	dst, tmp := make([]extsort.Key, keys), make([]extsort.Key, keys)
+	passes := max(1, mergeMinKeys/(keys*merges))
+	levels := bits.Len(uint(runs - 1))
+	e := mergeEntry{Runs: runs, RunKeys: runKeys, Merges: merges, Levels: levels}
+	var ns []float64
+	for range mergeRepeats {
+		start := time.Now()
+		for range passes {
+			for _, in := range inputs {
+				extsort.Merge(dst, tmp, in)
+			}
+		}
+		ns = append(ns, float64(time.Since(start).Nanoseconds())/float64(passes*merges*keys*levels))
+	}
+	e.NsPerKeyPerLevel = spreadOf(ns)
+	return e
 }
 
 // extsortCell runs one measurement: n keys through extsort.Sort with
@@ -231,6 +307,7 @@ func hostInfo() extsortHost {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernel:     schedule.KernelName(),
 	}
 	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,8 @@ import (
 
 // TestRunExtsortBench: every size runs once, the second-largest runs
 // extsortRepeats times with its spread recorded, the RunBatch sweep
-// runs at the largest size, and the report names its host.
+// runs at the largest size, every merge-cost cell is recorded, and the
+// report names its host and kernel.
 func TestRunExtsortBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "extsort.json")
 	if err := runExtsortBench(path, "500,2000,9000", 1); err != nil {
@@ -38,6 +40,14 @@ func TestRunExtsortBench(t *testing.T) {
 	for i, e := range rep.RunBatchSweep {
 		if want := runBatchSweep[i]; e.Keys != 9000 || want != 0 && e.RunBatch != want {
 			t.Fatalf("batch cell %d: %+v, want RunBatch %d at 9000 keys", i, e, want)
+		}
+	}
+	if len(rep.Merge) != len(mergeCells) || rep.Host.Kernel == "" {
+		t.Fatalf("%d merge cells, kernel %q; want %d cells and a kernel", len(rep.Merge), rep.Host.Kernel, len(mergeCells))
+	}
+	for i, e := range rep.Merge {
+		if e.Runs != mergeCells[i].runs || e.Levels != bits.Len(uint(e.Runs-1)) || e.NsPerKeyPerLevel.Median <= 0 {
+			t.Fatalf("merge cell %d: %+v", i, e)
 		}
 	}
 	for _, s := range []spread{rep.RepeatKeysPerSec, rep.RepeatRatio} {

@@ -10,36 +10,41 @@
 // run is the output of a machine-certified sorting network. Each sorted
 // batch of runs is then pre-merged by a background worker into one
 // long merge leaf while the caller reads and sorts the next batch. The
-// merges are loser-tree k-way merges, software's image of the paper's
-// Section 3 multiway merge: at every step the tree holds the pairwise
-// losers along the winner's path, so replacing the winner costs
-// ⌈log₂ k⌉ comparisons, the same per-level compare-exchange cascade the
-// network performs in hardware. The agglomeration law for sorting
-// networks (arXiv 1701.00635) supplies the composition argument lifted
-// into THEORY.md §15: certified runs plus a correct k-way merge compose
-// into a provably correct sorter for any input length, at every level
-// of the composition.
+// merges are k-way merges built as a balanced tree of 2-way merges,
+// software's image of the paper's Section 3 multiway merge, whose
+// 2-way case is Batcher's merging network: on AVX-512 hosts every
+// 2-way merge runs a 16-key bitonic merger in vector registers, eight
+// keys a step, and elsewhere a branch-free scalar loop, so a k-way
+// merge costs ⌈log₂ k⌉ passes of that kernel over its keys. The
+// agglomeration law for sorting networks (arXiv 1701.00635) supplies
+// the composition argument lifted into THEORY.md §15: certified runs
+// plus a correct k-way merge compose into a provably correct sorter
+// for any input length, at every level of the composition.
 //
 // The final merge is split into key ranges: every leaf records every
 // 512th key (its fences) while it is in memory, evenly spaced fences
 // in the total order (key, leaf, index) become splitters, and
 // GOMAXPROCS workers merge the chunks between consecutive splitters —
 // about one pre-merge leaf's worth of keys each, but at least 1024 per
-// final leaf — side by side, the way the
-// paper's Section 3 merge splits its inputs (THEORY.md §15 proves the
-// concatenated chunks are the full merge).
+// final leaf — side by side, the way the paper's Section 3 merge
+// splits its inputs (THEORY.md §15 proves the concatenated chunks are
+// the full merge). Intermediate passes cut their groups the same way.
 //
 // Memory is bounded: leaves beyond the configured resident-key budget
 // spill to a temp file (segments reserved in input order, positional
-// reads) and an intermediate merge pass streams spill-to-spill, so peak
-// residency is O(MemoryKeys + fan-in·buffer + workers·RunBatch·run size)
-// regardless of input length; the default RunBatch keeps the last term
-// within MemoryKeys/2. The final merge stays inside the same terms: its
-// at most GOMAXPROCS+1 chunk buffers of about RunBatch·run size keys
-// take the place of the pre-merge workers' buffers, which are free by
-// then (or hold 1024 keys per leaf, a quarter of a leaf's read buffer,
-// when that is more), and its workers split one merge's read buffers
-// between them.
+// reads) and an intermediate merge pass streams spill-to-spill a chunk
+// at a time, so peak residency is
+// O(MemoryKeys + workers·(RunBatch·run size + fan-in·512)) regardless
+// of input length (THEORY.md §15). Run formation holds GOMAXPROCS+2
+// batches, and each pre-merge worker a merge scratch and a spill
+// buffer of one leaf; the default RunBatch keeps all of it within
+// ¾·MemoryKeys. The final merge's at most GOMAXPROCS+1 chunk buffers,
+// and its workers' merge scratch and stage buffers, each the size of
+// the largest chunk (RunBatch·run size plus 512 keys per leaf, or
+// 1536 keys per leaf when that is more), take the place of the
+// run-formation buffers, which are free by then. Every merging
+// goroutine allocates its buffers when it first needs them and reuses
+// them for the rest of the Sort call.
 // The whole pipeline is cancellable via context and instrumented with
 // extsort.* counters and per-stage latency histograms.
 //
@@ -48,8 +53,8 @@
 // of them needs to be safe for concurrent use. The pre-merge workers
 // and the final merge's chunk workers touch only sorted key buffers and
 // the spill file (the chunk workers read it with ReadAt at their own
-// offsets and hand each chunk's merged blocks to Sort's goroutine,
-// which writes them in chunk order), and every one of them has exited
+// offsets and hand each merged chunk to Sort's goroutine, which writes
+// the chunks in order), and every one of them has exited
 // by the time Sort returns, on every path.
 package extsort
 
@@ -106,8 +111,9 @@ type RunSorter interface {
 // Config parametrizes Sort. The zero value of every field selects a
 // sensible default. The run size and the merge fan-in are not settable:
 // runs are min(1024, sorter.MaxRun()) keys, and the fan-in is the
-// largest F with (F+1)·4096 ≤ MemoryKeys — every spilled input of a
-// merge holds a 4096-key read buffer — but at least 16: 511 at the
+// largest F with (F+1)·4096 ≤ MemoryKeys — a merge of F leaves cuts
+// its chunks at 1024 keys per leaf or more, so its buffers grow with F,
+// and F·512 ≤ MemoryKeys/8 bounds them — but at least 16: 511 at the
 // default budget. The merge is correct at any fan-in (THEORY.md §15),
 // so both follow from the budget and the sorter.
 type Config struct {
@@ -117,12 +123,13 @@ type Config struct {
 	// merge leaf. The default is derived from the budget: the largest B
 	// with (2·GOMAXPROCS+2)·B·runSize ≤ MemoryKeys/2, so the batches in
 	// flight plus the workers' spill-leaf buffers hold at most half the
-	// budget, but at least 16: 170 at the default budget and run size on
-	// 2 CPUs. Min 1.
+	// budget, and with the workers' merge scratch under three quarters,
+	// but at least 16: 170 at the default budget and run size on 2 CPUs.
+	// Min 1.
 	RunBatch int
 	// MemoryKeys bounds resident sorted keys: leaves beyond it spill to
-	// disk (default 1<<21 keys = 16 MiB; raised to 17·4096 so a merge
-	// at the floor fan-in of 16 always has buffer room).
+	// disk (default 1<<21 keys = 16 MiB; raised to 17·4096, the budget
+	// the floor fan-in of 16 derives from).
 	MemoryKeys int
 	// SpillDir is where the spill file lives (default os.TempDir()).
 	SpillDir string
@@ -254,8 +261,8 @@ func (cfg Config) normalize(sorter RunSorter) (params, error) {
 	if cfg.MemoryKeys == 0 {
 		cfg.MemoryKeys = 1 << 21
 	}
-	// The merge needs one read buffer per spilled input plus the output
-	// block; below this floor spilling would thrash.
+	// Below this floor the derived fan-in would drop under minFanIn,
+	// and a small budget would buy many passes over the spill file.
 	cfg.MemoryKeys = max(cfg.MemoryKeys, (minFanIn+1)*spillBufKeys)
 	p := params{Config: cfg, runSize: min(defaultRunSize, maxRun), fanIn: cfg.MemoryKeys/spillBufKeys - 1}
 	if p.RunBatch == 0 {

@@ -341,65 +341,38 @@ func TestSortEmptyStream(t *testing.T) {
 	}
 }
 
-// blockStream hands out a sorted run in blocks of random sizes, so the
-// tree's refill path runs at every position of a block.
-type blockStream struct {
-	keys []Key
-	rng  *rand.Rand
-}
-
-func (s *blockStream) next() []Key {
-	n := min(len(s.keys), 1+s.rng.Intn(5))
-	b := s.keys[:n]
-	s.keys = s.keys[n:]
-	return b
-}
-
-func (s *blockStream) fail() error { return nil }
-
-// TestLoserTreeMerge: the tree against a heap-free reference across
-// widths 1..33, including exhausted-at-start and duplicate-heavy
-// streams, the extreme keys (MaxInt64 is also the exhausted-leaf key),
-// multi-block cursors, and output blocks of every small size.
-func TestLoserTreeMerge(t *testing.T) {
+// TestMergeParts: the part-based merge against slices.Sort across
+// part counts 1..33 (odd counts leave a part unpaired in the tree),
+// with empty parts, duplicate-heavy parts and the extreme keys; parts
+// at least 8 long run the vector body on AVX-512 hosts, shorter ones
+// its scalar fallback. Spare slots past dst and tmp must stay
+// untouched.
+func TestMergeParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	alphabet := []Key{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	const spare = Key(-12345)
 	for k := 1; k <= 33; k++ {
 		var all []Key
-		streams := make([]keyStream, k)
-		for i := range streams {
-			n := rng.Intn(20) // sometimes zero: exhausted before the first pop
-			run := make([]Key, n)
-			for j := range run {
-				run[j] = alphabet[rng.Intn(len(alphabet))]
+		parts := make([][]Key, k)
+		for i := range parts {
+			part := make([]Key, rng.Intn(40)) // sometimes empty
+			for j := range part {
+				part[j] = alphabet[rng.Intn(len(alphabet))]
 				if rng.Intn(2) == 0 {
-					run[j] = Key(rng.Intn(50))
+					part[j] = Key(rng.Intn(50))
 				}
 			}
-			slices.Sort(run)
-			all = append(all, run...)
-			if i%2 == 0 {
-				streams[i] = &memStream{keys: run}
-			} else {
-				streams[i] = &blockStream{keys: run, rng: rng}
-			}
+			slices.Sort(part)
+			all = append(all, part...)
+			parts[i] = part
 		}
-		lt := newLoserTree(streams, len(all))
-		out := make([]Key, 1+k%7)
-		var got []Key
-		for {
-			n := lt.fill(out)
-			got = append(got, out[:n]...)
-			if n < len(out) {
-				break
-			}
+		dst := make([]Key, len(all)+1)
+		tmp := make([]Key, len(all)+1)
+		dst[len(all)], tmp[len(all)] = spare, spare
+		Merge(dst[:len(all)], tmp[:len(all)], parts)
+		if dst[len(all)] != spare || tmp[len(all)] != spare {
+			t.Fatalf("k=%d: merge wrote past its buffers", k)
 		}
-		if err := lt.fail(); err != nil {
-			t.Fatal(err)
-		}
-		if n := lt.fill(out); n != 0 {
-			t.Fatalf("k=%d: drained tree produced %d more keys", k, n)
-		}
-		checkEqual(t, all, got, fmt.Sprintf("k=%d", k))
+		checkEqual(t, all, dst[:len(all)], fmt.Sprintf("k=%d", k))
 	}
 }

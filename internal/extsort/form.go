@@ -45,9 +45,8 @@ type preMerger struct {
 	store *runStore
 	// jobs and free hold the batches between them, so a send on either
 	// never blocks.
-	jobs     chan mergeJob
-	free     chan *runBatch
-	leafKeys int // RunBatch·runSize, the largest leaf
+	jobs chan mergeJob
+	free chan *runBatch
 
 	wg      sync.WaitGroup
 	cancel  context.CancelFunc
@@ -69,11 +68,10 @@ func formRuns(ctx context.Context, src Reader, sorter RunSorter, p params, store
 	// allocates its run buffers on first use.
 	batches := workers + 2
 	pm := &preMerger{
-		store:    store,
-		jobs:     make(chan mergeJob, batches),
-		free:     make(chan *runBatch, batches),
-		leafKeys: p.RunBatch * p.runSize,
-		cancel:   cancel,
+		store:  store,
+		jobs:   make(chan mergeJob, batches),
+		free:   make(chan *runBatch, batches),
+		cancel: cancel,
 	}
 	for range batches {
 		pm.free <- &runBatch{}
@@ -178,7 +176,7 @@ func (pm *preMerger) sortAndSubmit(ctx context.Context, b *runBatch, sorter RunS
 // or cancellation it only recycles what is still queued.
 func (pm *preMerger) work(ctx context.Context) {
 	defer pm.wg.Done()
-	var bufs spillBufs
+	var bufs mergeBufs
 	for job := range pm.jobs {
 		if ctx.Err() == nil {
 			if err := pm.merge(job, &bufs); err != nil {
@@ -189,36 +187,30 @@ func (pm *preMerger) work(ctx context.Context) {
 	}
 }
 
-// spillBufs are one worker's buffers for leaves that spill: the merged
-// leaf and its encoding. Allocated on the first spill.
-type spillBufs struct {
-	leaf []Key
-	raw  []byte
-}
-
 // merge checks that every run of the job's batch is sorted, merges the
-// batch into its leaf and records the leaf's fences, writing the leaf's
-// spill segment when it has no resident buffer.
-func (pm *preMerger) merge(job mergeJob, bufs *spillBufs) error {
+// batch into its leaf and records the leaf's fences. A leaf with no
+// resident buffer is merged into bufs.out and written to its spill
+// segment. The worker's merge scratch and spill buffer hold one leaf,
+// at most RunBatch·runSize keys, each.
+func (pm *preMerger) merge(job mergeJob, bufs *mergeBufs) error {
 	for _, run := range job.batch.runs {
 		if !sortedKeys(run) {
 			return fmt.Errorf("%w (run of %d keys)", ErrRunUnsorted, len(run))
 		}
 	}
 	leaf := job.leaf
+	bufs.tmp = ensure(bufs.tmp, leaf.count)
+	out := leaf.mem
+	if out == nil {
+		bufs.out = ensure(bufs.out, leaf.count)
+		out = bufs.out[:leaf.count]
+	}
+	Merge(out, bufs.tmp, job.batch.runs)
+	recordFences(leaf.fences, out, 0)
 	if leaf.mem != nil {
-		mergeInto(leaf.mem, job.batch.runs)
-		recordFences(leaf.fences, leaf.mem, 0)
 		return nil
 	}
-	if bufs.leaf == nil {
-		bufs.leaf = make([]Key, pm.leafKeys)
-		bufs.raw = make([]byte, spillBufKeys*keyBytes)
-	}
-	out := bufs.leaf[:leaf.count]
-	mergeInto(out, job.batch.runs)
-	recordFences(leaf.fences, out, 0)
-	if err := pm.store.writeAt(out, leaf.off, bufs.raw); err != nil {
+	if err := pm.store.writeAt(out, leaf.off, bufs.rawBuf()); err != nil {
 		return err
 	}
 	pm.store.spilled(leaf.count)

@@ -1,30 +1,60 @@
-// The k-way merge: a loser tree over run cursors, the software image
-// of the paper's Section 3 multiway merge. The tree's internal nodes
-// hold the losers of the matches along each winner's path to the root,
-// so emitting the minimum and reseating its replacement costs exactly
-// ⌈log₂ k⌉ comparisons — the same per-level compare cascade the
-// merging network performs in one parallel step, serialized. Cursors
-// hand the tree whole blocks, so the per-key work is slice indexing and
-// the cascade; a cursor is called once per block.
+// The k-way merge: a balanced tree of 2-way merges over sorted parts,
+// the software image of the paper's Section 3 multiway merge, whose
+// 2-way case is Batcher's merge. Each 2-way merge runs the merge
+// kernel (kernel.go, kernel_amd64.s): a 16-key bitonic merging network
+// in vector registers, eight keys a step, on AVX-512 hosts, a
+// branch-free scalar loop elsewhere. The tree is walked depth first,
+// alternating between the destination and one scratch buffer so that
+// the last merge lands in the destination, and so that the low levels
+// merge cache-resident blocks; a k-way merge costs ⌈log₂ k⌉ passes of
+// the kernel over its keys. Three sites run it: the pre-merge of a
+// batch of runs into a leaf (form.go), each chunk of an intermediate
+// pass (mergeToSpill), and each chunk of the split final merge
+// (split.go).
 //
 // When the leaf count exceeds the fan-in, earlier passes merge groups
-// of leaves into intermediate spill segments (bounded memory: a pass
-// holds one read buffer per spilled input and one output block, never
-// a whole run) until the final merge fits the fan-in — exactly the
-// recursive composition the agglomeration law certifies (THEORY.md
-// §15). The final merge is split into key ranges merged side by side
-// (split.go).
+// of leaves into intermediate spill segments until the final merge fits
+// the fan-in — exactly the recursive composition the agglomeration law
+// certifies (THEORY.md §15). A pass cuts each group into key ranges
+// with the final merge's split plan and merges and writes one chunk at
+// a time, so it holds a few chunk buffers, never a whole leaf.
 
 package extsort
 
-import (
-	"context"
-	"math"
-)
+import "context"
 
 // outBlockKeys is the merged-output block size: the granularity of
-// Writer.Write calls, context checks, and intermediate segment writes.
+// Writer.Write calls and of the context checks between them.
 const outBlockKeys = 4096
+
+// mergeBufs are one merging goroutine's buffers: a pre-merge worker's,
+// a final-merge chunk worker's, or the intermediate passes' on Sort's
+// goroutine. Each is allocated the first time it is needed, at the
+// size of the largest merge it will serve, and reused for every merge
+// after that in the same Sort call.
+type mergeBufs struct {
+	out   []Key  // a merged leaf or chunk on its way to the spill file
+	tmp   []Key  // the merge tree's scratch
+	stage []Key  // a chunk's spilled parts, decoded
+	raw   []byte // spill encoding and decoding
+}
+
+// ensure returns buf if it holds at least n keys, else a new buffer of
+// n keys.
+func ensure(buf []Key, n int) []Key {
+	if len(buf) < n {
+		return make([]Key, n)
+	}
+	return buf
+}
+
+// rawBuf returns the spill coding buffer, allocating it on first use.
+func (b *mergeBufs) rawBuf() []byte {
+	if b.raw == nil {
+		b.raw = make([]byte, spillBufKeys*keyBytes)
+	}
+	return b.raw
+}
 
 // mergeRuns merges every leaf in the store into dst, in as many passes
 // as the fan-in demands. The final pass is split into key ranges that
@@ -34,24 +64,30 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, p params, stats
 	if len(handles) == 0 {
 		return nil // empty input: nothing to write
 	}
+	var bufs mergeBufs
 	for len(handles) > p.fanIn {
 		var err error
-		if handles, err = mergePass(ctx, store, handles, p.fanIn, stats, met); err != nil {
+		if handles, err = mergePass(ctx, store, handles, p, &bufs, stats, met); err != nil {
 			return err
 		}
 		stats.MergePasses++
 	}
+	bufs = mergeBufs{} // the final merge's workers bring their own
 	// Final pass: fan the surviving leaves into the sink.
 	stats.MergePasses++
 	observeFanIn(len(handles), stats, met)
-	// A chunk is about one pre-merge leaf, but at least two fence
-	// strides per leaf and one output block: every chunk costs a cut
-	// and a read per spilled leaf, and its size is only within a fence
-	// stride per leaf of its target.
-	chunkKeys := max(p.RunBatch*p.runSize, 2*fenceStride*len(handles), outBlockKeys)
-	plan := newSplitPlan(store, handles, chunkKeys)
+	plan := newSplitPlan(store, handles, p.chunkKeys(len(handles)))
 	stats.MergeChunks = plan.chunks()
-	return mergeChunks(ctx, dst, plan.chunks(), plan.maxChunk, plan.opener)
+	return mergeChunks(ctx, dst, plan.chunks(), plan.maxChunk, plan.loader)
+}
+
+// chunkKeys is the size merges of the given number of leaves cut their
+// chunks at: about one pre-merge leaf, but at least two fence strides
+// per leaf and one output block, since every chunk costs a cut and a
+// read per spilled leaf and its size is only within a fence stride per
+// leaf of its target.
+func (p params) chunkKeys(leaves int) int {
+	return max(p.RunBatch*p.runSize, 2*fenceStride*leaves, outBlockKeys)
 }
 
 // mergePass runs one intermediate pass over handles (more than fanIn of
@@ -60,22 +96,22 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, p params, stats
 // then has exactly fanIn inputs — so only the leaves that must be
 // merged twice are read twice. Otherwise it is a full pass over groups
 // of fanIn. Merged leaves keep their place in input order.
-func mergePass(ctx context.Context, store *runStore, handles []runHandle, fanIn int, stats *Stats, met *metrics) ([]runHandle, error) {
-	if excess := len(handles) - fanIn; excess < fanIn {
-		merged, err := mergeToSpill(ctx, store, handles[:excess+1], stats, met)
+func mergePass(ctx context.Context, store *runStore, handles []runHandle, p params, bufs *mergeBufs, stats *Stats, met *metrics) ([]runHandle, error) {
+	if excess := len(handles) - p.fanIn; excess < p.fanIn {
+		merged, err := mergeToSpill(ctx, store, handles[:excess+1], p, bufs, stats, met)
 		if err != nil {
 			return nil, err
 		}
 		return append([]runHandle{merged}, handles[excess+1:]...), nil
 	}
-	next := make([]runHandle, 0, (len(handles)+fanIn-1)/fanIn)
-	for lo := 0; lo < len(handles); lo += fanIn {
-		group := handles[lo:min(lo+fanIn, len(handles))]
+	next := make([]runHandle, 0, (len(handles)+p.fanIn-1)/p.fanIn)
+	for lo := 0; lo < len(handles); lo += p.fanIn {
+		group := handles[lo:min(lo+p.fanIn, len(handles))]
 		if len(group) == 1 {
 			next = append(next, group[0])
 			continue
 		}
-		merged, err := mergeToSpill(ctx, store, group, stats, met)
+		merged, err := mergeToSpill(ctx, store, group, p, bufs, stats, met)
 		if err != nil {
 			return nil, err
 		}
@@ -84,32 +120,30 @@ func mergePass(ctx context.Context, store *runStore, handles []runHandle, fanIn 
 	return next, nil
 }
 
-// mergeToSpill merges one group of leaves into a new spill segment.
-func mergeToSpill(ctx context.Context, store *runStore, group []runHandle, stats *Stats, met *metrics) (runHandle, error) {
+// mergeToSpill merges one group of leaves into a new spill segment, a
+// chunk of the group's split plan at a time: load the chunk's parts,
+// merge them into bufs.out, record its fences and write it.
+func mergeToSpill(ctx context.Context, store *runStore, group []runHandle, p params, bufs *mergeBufs, stats *Stats, met *metrics) (runHandle, error) {
 	observeFanIn(len(group), stats, met)
 	count := countKeys(group)
 	merged := runHandle{off: store.reserve(count), count: count, fences: make([]Key, fenceCount(count))}
-	// One chunk: the split merge's cursors over whole leaves.
-	streams, _, err := newSplitPlan(store, group, count).opener()(0)
-	if err != nil {
-		return runHandle{}, err
-	}
-	lt := newLoserTree(streams, count)
-	block := make([]Key, outBlockKeys)
-	raw := make([]byte, outBlockKeys*keyBytes)
-	for at := 0; ; {
-		n := lt.fill(block)
-		if err := lt.fail(); err != nil {
-			return runHandle{}, err
-		}
-		if n == 0 {
-			break
-		}
+	plan := newSplitPlan(store, group, p.chunkKeys(len(group)))
+	load := plan.loader(bufs)
+	bufs.out = ensure(bufs.out, plan.maxChunk)
+	bufs.tmp = ensure(bufs.tmp, plan.maxChunk)
+	at := 0
+	for c := range plan.chunks() {
 		if err := ctx.Err(); err != nil {
 			return runHandle{}, err
 		}
-		recordFences(merged.fences, block[:n], at)
-		if err := store.writeAt(block[:n], merged.off+int64(at)*keyBytes, raw); err != nil {
+		parts, n, err := load(c)
+		if err != nil {
+			return runHandle{}, err
+		}
+		out := bufs.out[:n]
+		Merge(out, bufs.tmp, parts)
+		recordFences(merged.fences, out, at)
+		if err := store.writeAt(out, merged.off+int64(at)*keyBytes, bufs.rawBuf()); err != nil {
 			return runHandle{}, err
 		}
 		at += n
@@ -118,14 +152,39 @@ func mergeToSpill(ctx context.Context, store *runStore, group []runHandle, stats
 	return merged, nil
 }
 
-// mergeInto merges sorted in-memory runs into out, which must hold
-// exactly their total length.
-func mergeInto(out []Key, runs [][]Key) {
-	streams := make([]keyStream, len(runs))
-	for i, run := range runs {
-		streams[i] = &memStream{keys: run}
+// Merge merges the sorted parts into dst, which must hold exactly
+// their total length; tmp is scratch of at least that length. It is
+// the one k-way merge: the pre-merge, the intermediate passes and the
+// final merge's chunks all run it, and cmd/bench times it.
+func Merge(dst, tmp []Key, parts [][]Key) {
+	if len(parts) == 1 {
+		copy(dst, parts[0])
+		return
 	}
-	newLoserTree(streams, len(out)).fill(out)
+	mergeTree(dst, tmp, parts)
+}
+
+// mergeTree merges the sorted parts, depth first: each half of the
+// parts merges into tmp, with dst as its own scratch, and the two
+// halves merge into dst. It returns the merged keys: dst, or the only
+// part itself, uncopied. dst holds exactly the parts' total, tmp at
+// least that, and neither overlaps a part.
+func mergeTree(dst, tmp []Key, parts [][]Key) []Key {
+	switch len(parts) {
+	case 0:
+		return dst
+	case 1:
+		return parts[0]
+	}
+	mid := len(parts) / 2
+	n := 0
+	for _, part := range parts[:mid] {
+		n += len(part)
+	}
+	l := mergeTree(tmp[:n], dst[:n], parts[:mid])
+	r := mergeTree(tmp[n:len(dst)], dst[n:], parts[mid:])
+	merge2(dst, l, r)
+	return dst
 }
 
 // fenceCount is how many fences a leaf of n keys records.
@@ -157,131 +216,3 @@ func observeFanIn(k int, stats *Stats, met *metrics) {
 		met.fanIn.Observe(int64(k))
 	}
 }
-
-// exhaustedKey is the head an exhausted leaf carries: no live key is
-// larger. A live key equal to it may lose to an exhausted leaf, but
-// then every key left is exhaustedKey, so emitting it is still right;
-// the tree stops after emitting exactly the keys its streams hold.
-const exhaustedKey = Key(math.MaxInt64)
-
-// loserTree is the tournament the merge runs. Leaves are streams
-// (padded to a power of two with exhausted dummies); internal node j
-// holds the key and leaf index of the loser of the match played there,
-// and the overall winner rides in registers. Keys carry no payload, so
-// which of two equal keys wins cannot change the output; that frees
-// each match to be a branch-free min/max.
-type loserTree struct {
-	k       int // padded leaf count, power of two
-	keys    []Key
-	idx     []int // internal nodes 1..k-1
-	winKey  Key
-	winIdx  int
-	left    int     // keys still to emit
-	blocks  [][]Key // each leaf's current block
-	pos     []int   // each leaf's next position in its block
-	streams []keyStream
-	err     error // the first stream failure; the merge stops at it
-}
-
-// newLoserTree builds the tournament over streams holding total keys
-// between them and plays the initial matches.
-func newLoserTree(streams []keyStream, total int) *loserTree {
-	k := 1
-	for k < len(streams) {
-		k <<= 1
-	}
-	lt := &loserTree{
-		k:       k,
-		keys:    make([]Key, k),
-		idx:     make([]int, k),
-		left:    total,
-		blocks:  make([][]Key, k),
-		pos:     make([]int, k),
-		streams: streams,
-	}
-	// Play the full bracket bottom-up: node j's winner moves up, its
-	// loser stays at j.
-	winKey := make([]Key, 2*k)
-	winIdx := make([]int, 2*k)
-	for i := 0; i < k; i++ {
-		winKey[k+i], winIdx[k+i] = lt.advance(i), i
-	}
-	for j := k - 1; j >= 1; j-- {
-		a, b := 2*j, 2*j+1
-		if winKey[b] < winKey[a] {
-			a, b = b, a
-		}
-		winKey[j], winIdx[j] = winKey[a], winIdx[a]
-		lt.keys[j], lt.idx[j] = winKey[b], winIdx[b]
-	}
-	lt.winKey, lt.winIdx = winKey[1], winIdx[1]
-	return lt
-}
-
-// advance refills leaf i's block from its stream and returns the new
-// head, or exhaustedKey once the stream is exhausted (or has failed).
-func (lt *loserTree) advance(i int) Key {
-	if i >= len(lt.streams) {
-		return exhaustedKey
-	}
-	b := lt.streams[i].next()
-	lt.blocks[i], lt.pos[i] = b, 1
-	if len(b) == 0 {
-		if err := lt.streams[i].fail(); err != nil && lt.err == nil {
-			lt.err = err
-		}
-		return exhaustedKey
-	}
-	return b[0]
-}
-
-// fill pops up to len(out) keys into out in merged order and returns
-// how many it wrote: fewer than len(out) only once every key is out or
-// a stream has failed (see fail), so what was written before a failure
-// is a true prefix of the merge. Each pop reseats the winner's
-// replacement along its root path, the ⌈log₂ k⌉-compare cascade.
-func (lt *loserTree) fill(out []Key) int {
-	if lt.err != nil {
-		return 0
-	}
-	k, keys, idx := lt.k, lt.keys, lt.idx
-	key, i := lt.winKey, lt.winIdx
-	out = out[:min(len(out), lt.left)]
-	n := 0
-	for ; n < len(out); n++ {
-		out[n] = key
-		leaf := i
-		if b, p := lt.blocks[leaf], lt.pos[leaf]; p < len(b) {
-			key = b[p]
-			lt.pos[leaf] = p + 1
-		} else if key = lt.advance(leaf); lt.err != nil {
-			n++
-			break
-		}
-		for j := (leaf + k) >> 1; j >= 1; j >>= 1 {
-			// Branch-free match: m is all ones when the resident loser
-			// beats the rising key, and the pair then swaps.
-			lk, li := keys[j], idx[j]
-			m := -b2i(lk < key)
-			wi := i ^ ((i ^ li) & m)
-			keys[j], idx[j] = max(lk, key), li^i^wi
-			key, i = min(lk, key), wi
-		}
-	}
-	lt.winKey, lt.winIdx = key, i
-	lt.left -= n
-	return n
-}
-
-// b2i is 1 for true and 0 for false; it compiles to a flag set, not a
-// branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// fail surfaces the first stream read error, distinguishing a failed
-// spill read from a cleanly exhausted merge.
-func (lt *loserTree) fail() error { return lt.err }

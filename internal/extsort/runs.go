@@ -21,8 +21,9 @@ import (
 	"time"
 )
 
-// spillBufKeys is the per-stream read buffer and the spill write
-// granularity, in keys (4096 keys = 32 KiB).
+// spillBufKeys is the spill coding granularity, in keys (4096 keys =
+// 32 KiB): every spill write and read encodes or decodes through a
+// buffer this wide. The fan-in is derived in units of it.
 const spillBufKeys = 4096
 
 // keyBytes is the on-disk key width.
@@ -205,57 +206,4 @@ func (st *runStore) close() {
 		st.file.Close()
 		st.file = nil
 	}
-}
-
-// keyStream is a pull cursor over one sorted run, a block at a time.
-type keyStream interface {
-	// next returns the stream's next block, valid until the following
-	// call; an empty block marks the end — or a read error, which fail()
-	// then reports, so an exhausted stream is never conflated with a
-	// failed one.
-	next() []Key
-	// fail returns the first read error, nil on a clean stream.
-	fail() error
-}
-
-// memStream cursors a resident run: the whole run is one block.
-type memStream struct {
-	keys []Key
-}
-
-func (s *memStream) next() []Key {
-	b := s.keys
-	s.keys = nil
-	return b
-}
-
-func (s *memStream) fail() error { return nil }
-
-// spillStream cursors a spill segment through positional reads; every
-// stream shares the file descriptor safely because every read is an
-// offset ReadAt.
-type spillStream struct {
-	st        *runStore
-	off       int64
-	remaining int
-	buf       []Key
-	raw       []byte // shared by one merge's spill streams
-	err       error
-}
-
-func (s *spillStream) fail() error { return s.err }
-
-// next reads and decodes the next block of the segment.
-func (s *spillStream) next() []Key {
-	if s.remaining == 0 || s.err != nil {
-		return nil
-	}
-	n := min(s.remaining, len(s.buf))
-	buf := s.buf[:n]
-	if s.err = s.st.readAt(buf, s.off, s.raw); s.err != nil {
-		return nil
-	}
-	s.off += int64(n) * keyBytes
-	s.remaining -= n
-	return buf
 }

@@ -6,12 +6,14 @@
 // of it are the splitters, and each splitter cuts every leaf at the
 // number of that leaf's keys that come before it in the same order.
 // Chunk c is the keys between splitters c−1 and c. GOMAXPROCS workers
-// merge the chunks, each with its own loser tree, and Sort's goroutine
-// writes their blocks to the sink in chunk order as they fill. Because
-// every cut is taken in one total order, concatenating the chunk
-// merges is the full merge (THEORY.md §15); ties broken by (leaf,
-// index) keep the chunks balanced even when a splitter falls inside a
-// run of equal keys.
+// load and merge the chunks — a resident leaf's range is merged where
+// it lies, a spilled one is decoded into the worker's stage buffer
+// with one positional read — and Sort's goroutine writes each merged
+// chunk to the sink in chunk order. Because every cut is taken in one
+// total order, concatenating the chunk merges is the full merge
+// (THEORY.md §15); ties broken by (leaf, index) keep the chunks
+// balanced even when a splitter falls inside a run of equal keys.
+// Intermediate passes cut their groups with the same plan.
 
 package extsort
 
@@ -54,7 +56,6 @@ type splitPlan struct {
 	store     *runStore
 	leaves    []runHandle
 	splitters []splitter // chunks()−1 inner boundaries, in order
-	readKeys  int        // each worker's read buffer per spilled leaf
 	maxChunk  int        // no chunk holds more keys
 }
 
@@ -66,14 +67,7 @@ type splitPlan struct {
 // below it, so every chunk is within leaves·fenceStride keys of its
 // target. A boundary past the last fence cuts every leaf at its end.
 func newSplitPlan(store *runStore, leaves []runHandle, chunkKeys int) *splitPlan {
-	p := &splitPlan{
-		store:  store,
-		leaves: leaves,
-		// The workers' read buffers share one merge's worth of
-		// spillBufKeys per leaf, so the final merge stays within the
-		// fan-in·buffer term of the residency bound.
-		readKeys: max(spillBufKeys/runtime.GOMAXPROCS(0), fenceStride),
-	}
+	p := &splitPlan{store: store, leaves: leaves}
 	total := countKeys(leaves)
 	p.maxChunk = min(total, chunkKeys+len(leaves)*fenceStride)
 	chunks := max(1, (total+chunkKeys-1)/chunkKeys)
@@ -174,45 +168,49 @@ func bound(keys []Key, k Key, tiesBefore bool) int {
 	return lo
 }
 
-// chunkOpener opens the inputs of chunk c for the worker that owns the
-// opener: the chunk's streams and how many keys they hold.
-type chunkOpener func(c int) ([]keyStream, int, error)
+// chunkLoader loads chunk c for the worker that owns it: the chunk's
+// nonempty sorted parts and how many keys they hold.
+type chunkLoader func(c int) ([][]Key, int, error)
 
-// opener returns a chunkOpener for one worker. It owns its cuts, its
-// search block and its spill read buffers, so the workers share only
-// the read-only plan and the spill file, which they read with ReadAt
-// at their own offsets.
-func (p *splitPlan) opener() chunkOpener {
+// loader returns a chunkLoader for one worker. It owns its cuts and its
+// search block, and decodes spilled ranges into bufs.stage (maxChunk
+// keys, allocated on the first spilled range), so the workers share
+// only the read-only plan and the spill file, which they read with
+// ReadAt at their own offsets. The parts are valid until the next call.
+func (p *splitPlan) loader(bufs *mergeBufs) chunkLoader {
 	k := len(p.leaves)
 	lo, hi := make([]int, k), make([]int, k)
 	blk := make([]Key, fenceStride)
-	raw := make([]byte, p.readKeys*keyBytes)
-	streams := make([]keyStream, k)
-	mems := make([]memStream, k)
-	spills := make([]spillStream, k)
-	return func(c int) ([]keyStream, int, error) {
+	parts := make([][]Key, 0, k)
+	return func(c int) ([][]Key, int, error) {
+		raw := bufs.rawBuf()
 		if err := p.cut(c, lo, blk, raw); err != nil {
 			return nil, 0, err
 		}
 		if err := p.cut(c+1, hi, blk, raw); err != nil {
 			return nil, 0, err
 		}
-		total := 0
+		parts = parts[:0]
+		total, staged := 0, 0
 		for j, h := range p.leaves {
-			total += hi[j] - lo[j]
-			if h.mem != nil {
-				mems[j] = memStream{keys: h.mem[lo[j]:hi[j]]}
-				streams[j] = &mems[j]
+			n := hi[j] - lo[j]
+			switch {
+			case n == 0:
 				continue
+			case h.mem != nil:
+				parts = append(parts, h.mem[lo[j]:hi[j]])
+			default:
+				bufs.stage = ensure(bufs.stage, p.maxChunk)
+				part := bufs.stage[staged : staged+n]
+				if err := p.store.readAt(part, h.off+int64(lo[j])*keyBytes, raw); err != nil {
+					return nil, 0, err
+				}
+				parts = append(parts, part)
+				staged += n
 			}
-			buf := spills[j].buf
-			if buf == nil {
-				buf = make([]Key, p.readKeys)
-			}
-			spills[j] = spillStream{st: p.store, off: h.off + int64(lo[j])*keyBytes, remaining: hi[j] - lo[j], buf: buf, raw: raw}
-			streams[j] = &spills[j]
+			total += n
 		}
-		return streams, total, nil
+		return parts, total, nil
 	}
 }
 
@@ -223,11 +221,9 @@ type chunkMerge struct {
 	// free holds the chunk buffers not in use: at most workers+1 ever
 	// exist, so a send never blocks.
 	free chan []Key
-	// blocks[c] carries chunk c's merged blocks in order, so the writer
-	// can start on a chunk before it is finished; out[c] is the chunk's
-	// buffer, set before the first block is sent.
-	blocks []chan []Key
-	out    [][]Key
+	// merged[c] carries chunk c's merged keys, in its chunk buffer,
+	// from the worker that merged it to the writer; one send each.
+	merged []chan []Key
 
 	wg      sync.WaitGroup
 	cancel  context.CancelFunc
@@ -235,37 +231,36 @@ type chunkMerge struct {
 	err     error
 }
 
-// mergeChunks merges chunks 0..n−1 on GOMAXPROCS workers, each opening
-// its chunks through its own opener from newOpener, and writes them to
-// dst in chunk order, one outBlockKeys block per Write, from the
-// calling goroutine. Chunk buffers hold bufKeys keys, so a chunk that
-// size or smaller never reallocates one. A worker takes a free chunk
-// buffer before it claims the next chunk, so the lowest chunk not yet
-// written always holds a buffer or has every buffer free to take: the
-// pipeline cannot deadlock. It returns once every worker has exited; a
-// worker's failure wins over the cancellation it causes.
-func mergeChunks(ctx context.Context, dst Writer, n, bufKeys int, newOpener func() chunkOpener) error {
+// mergeChunks merges chunks 0..n−1 on GOMAXPROCS workers, each loading
+// its chunks through its own loader from newLoader and merging them
+// with its own buffers, and writes them to dst in chunk order, one
+// outBlockKeys block per Write, from the calling goroutine. Chunk
+// buffers hold bufKeys keys, so a chunk that size or smaller never
+// reallocates one. A worker takes a free chunk buffer before it claims
+// the next chunk, so the lowest chunk not yet written always holds a
+// buffer or has every buffer free to take: the pipeline cannot
+// deadlock. It returns once every worker has exited; a worker's
+// failure wins over the cancellation it causes.
+func mergeChunks(ctx context.Context, dst Writer, n, bufKeys int, newLoader func(*mergeBufs) chunkLoader) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	workers := min(runtime.GOMAXPROCS(0), n)
 	cm := &chunkMerge{
 		bufKeys: bufKeys,
 		free:    make(chan []Key, workers+1),
-		blocks:  make([]chan []Key, n),
-		out:     make([][]Key, n),
+		merged:  make([]chan []Key, n),
 		cancel:  cancel,
 	}
 	for range workers + 1 {
 		cm.free <- nil // allocated by the first worker to take it
 	}
-	for c := range cm.blocks {
-		// Room for every block of a chunk that fits its buffer, so a
-		// worker ahead of the writer does not wait on it.
-		cm.blocks[c] = make(chan []Key, (bufKeys+outBlockKeys-1)/outBlockKeys)
+	for c := range cm.merged {
+		cm.merged[c] = make(chan []Key, 1)
 	}
 	cm.wg.Add(workers)
 	for range workers {
-		go cm.work(ctx, newOpener())
+		bufs := &mergeBufs{}
+		go cm.work(ctx, newLoader(bufs), bufs)
 	}
 	err := cm.write(ctx, dst)
 	cancel()
@@ -279,33 +274,28 @@ func mergeChunks(ctx context.Context, dst Writer, n, bufKeys int, newOpener func
 // write is the caller-goroutine half: every Writer.Write call happens
 // here, one at a time, in chunk order.
 func (cm *chunkMerge) write(ctx context.Context, dst Writer) error {
-	for c, blocks := range cm.blocks {
-		for {
-			var b []Key
-			var more bool
-			select {
-			case b, more = <-blocks:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if !more {
-				break
-			}
+	for _, merged := range cm.merged {
+		var keys []Key
+		select {
+		case keys = <-merged:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		for at := 0; at < len(keys); at += outBlockKeys {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := dst.Write(b); err != nil {
+			if err := dst.Write(keys[at:min(at+outBlockKeys, len(keys))]); err != nil {
 				return err
 			}
 		}
-		cm.free <- cm.out[c]
-		cm.out[c] = nil
+		cm.free <- keys
 	}
 	return nil
 }
 
 // work merges chunks until none is left or the merge stops.
-func (cm *chunkMerge) work(ctx context.Context, open chunkOpener) {
+func (cm *chunkMerge) work(ctx context.Context, load chunkLoader, bufs *mergeBufs) {
 	defer cm.wg.Done()
 	for {
 		var buf []Key
@@ -315,10 +305,10 @@ func (cm *chunkMerge) work(ctx context.Context, open chunkOpener) {
 			return
 		}
 		c := int(cm.next.Add(1) - 1)
-		if c >= len(cm.blocks) {
+		if c >= len(cm.merged) {
 			return
 		}
-		if err := cm.merge(ctx, open, c, buf); err != nil {
+		if err := cm.merge(ctx, load, bufs, c, buf); err != nil {
 			if ctx.Err() == nil { // a stop is not the worker's failure
 				cm.fail(err)
 			}
@@ -327,35 +317,24 @@ func (cm *chunkMerge) work(ctx context.Context, open chunkOpener) {
 	}
 }
 
-// merge merges chunk c into buf, allocating it (bufKeys keys, or more
-// when the chunk does not fit) if it is too small, and sends each
-// output block to the writer as soon as it is full.
-func (cm *chunkMerge) merge(ctx context.Context, open chunkOpener, c int, buf []Key) error {
-	streams, total, err := open(c)
+// merge loads chunk c and merges it into buf, allocating buf (bufKeys
+// keys, or more when the chunk does not fit) if it is too small, then
+// hands it to the writer.
+func (cm *chunkMerge) merge(ctx context.Context, load chunkLoader, bufs *mergeBufs, c int, buf []Key) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	parts, total, err := load(c)
 	if err != nil {
 		return err
 	}
 	if cap(buf) < total {
 		buf = make([]Key, max(total, cm.bufKeys))
 	}
-	cm.out[c] = buf
-	lt := newLoserTree(streams, total)
-	for at := 0; at < total; at += outBlockKeys {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b := buf[at:min(at+outBlockKeys, total)]
-		lt.fill(b)
-		if err := lt.fail(); err != nil {
-			return err
-		}
-		select {
-		case cm.blocks[c] <- b:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	close(cm.blocks[c])
+	bufs.tmp = ensure(bufs.tmp, max(total, cm.bufKeys))
+	buf = buf[:total]
+	Merge(buf, bufs.tmp, parts)
+	cm.merged[c] <- buf
 	return nil
 }
 

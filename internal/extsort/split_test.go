@@ -114,7 +114,7 @@ func TestSplitMergeEdgeCases(t *testing.T) {
 				prev, at = at, prev
 			}
 			out := NewSliceWriter()
-			if err := mergeChunks(context.Background(), out, chunks, plan.maxChunk, plan.opener); err != nil {
+			if err := mergeChunks(context.Background(), out, chunks, plan.maxChunk, plan.loader); err != nil {
 				t.Fatal(err)
 			}
 			checkEqual(t, all, out.Keys(), tc.name)
@@ -140,61 +140,37 @@ func TestSortStreamSplitShapes(t *testing.T) {
 	}
 }
 
-// failingStream hands out its keys in one block and then fails, like
-// a spill read that breaks partway through a leaf.
-type failingStream struct {
-	keys []Key
-	err  error
-}
-
-func (s *failingStream) next() []Key {
-	b := s.keys
-	s.keys = nil
-	return b
-}
-
-func (s *failingStream) fail() error {
-	if s.keys == nil {
-		return s.err
-	}
-	return nil
-}
-
-// TestChunkMergeWorkerFails: one chunk's input fails partway. The
-// failure is the merge's error, every worker is joined, and dst holds
-// a sorted prefix that ends inside the failed chunk at the latest.
+// TestChunkMergeWorkerFails: loading one chunk fails, as a spill read
+// of one of its ranges would. The failure is the merge's error, every
+// worker is joined, and dst holds a sorted prefix that ends before the
+// failed chunk.
 func TestChunkMergeWorkerFails(t *testing.T) {
 	const chunks, per, failing = 16, 3 * outBlockKeys, 9
 	errRead := errors.New("injected read failure")
 	baseline := runtime.NumGoroutine()
-	newOpener := func() chunkOpener {
-		rng := rand.New(rand.NewSource(1)) // one per worker
-		return func(c int) ([]keyStream, int, error) {
+	newLoader := func(*mergeBufs) chunkLoader {
+		return func(c int) ([][]Key, int, error) {
+			if c == failing {
+				return nil, 0, errRead
+			}
 			// Chunk c is the keys c·per .. (c+1)·per−1, dealt to three
-			// streams.
-			var parts [3][]Key
+			// parts.
+			parts := make([][]Key, 3)
 			for i := range per {
 				parts[i%3] = append(parts[i%3], Key(c*per+i))
 			}
-			if c == failing {
-				return []keyStream{&failingStream{keys: parts[0], err: errRead}}, per, nil
-			}
-			streams := make([]keyStream, 3)
-			for i := range parts {
-				streams[i] = &blockStream{keys: parts[i], rng: rng}
-			}
-			return streams, per, nil
+			return parts, per, nil
 		}
 	}
 	out := NewSliceWriter()
-	err := mergeChunks(context.Background(), out, chunks, per, newOpener)
+	err := mergeChunks(context.Background(), out, chunks, per, newLoader)
 	if !errors.Is(err, errRead) {
 		t.Fatalf("err = %v, want the injected read failure", err)
 	}
 	waitGoroutines(t, baseline)
 	got := out.Keys()
-	if len(got) >= (failing+1)*per {
-		t.Fatalf("%d keys written, but chunk %d failed before key %d", len(got), failing, (failing+1)*per)
+	if len(got) > failing*per {
+		t.Fatalf("%d keys written, but chunk %d failed before key %d", len(got), failing, failing*per)
 	}
 	for i, k := range got {
 		if k != Key(i) {

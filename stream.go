@@ -3,11 +3,12 @@
 // a run-formation-then-merge pipeline that sorts key streams of any
 // length — chunk the stream into runs, sort each run through a
 // certified fixed-size network (sentinel padding for the ragged tail,
-// THEORY.md §12), loser-tree k-way merge the runs (the paper's Section
-// 3 multiway merge in software), spilling past the memory budget to
-// disk. THEORY.md §15 gives the agglomeration argument: certified
-// runs plus a correct k-way merge compose into a provably correct
-// sorter for unbounded inputs.
+// THEORY.md §12), k-way merge the runs as a tree of 2-way merges, each
+// a 16-key bitonic merging network in vector registers on AVX-512
+// hosts (the paper's Section 3 multiway merge in software), spilling
+// past the memory budget to disk. THEORY.md §15 gives the
+// agglomeration argument: certified runs plus a correct k-way merge
+// compose into a provably correct sorter for unbounded inputs.
 
 package productsort
 
@@ -60,10 +61,11 @@ type StreamConfig struct {
 // network's certified batch replay, pre-merged a batch at a time by
 // background workers (the largest batch whose buffers fit half of
 // MemoryKeys, at least 16 runs: 170 at the defaults on 2 CPUs), and
-// merged with loser-tree k-way merges, the last one split into key
-// ranges merged on every CPU. src.Read and dst.Write are called only from
-// the calling goroutine, one at a time, and every background worker
-// has exited when SortStream returns. Cancellable via ctx; on error dst
+// merged with trees of 2-way merges (a vector merging network on
+// AVX-512 hosts, a branch-free scalar loop elsewhere), the last merge
+// split into key ranges merged on every CPU. src.Read and dst.Write
+// are called only from the calling goroutine, one at a time, and every
+// background worker has exited when SortStream returns. Cancellable via ctx; on error dst
 // may hold a sorted prefix. Safe for concurrent use — each call owns
 // its run and merge state.
 func (c *CompiledNetwork) SortStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestSortStreamMillionKeysOracle is the tier's acceptance bar: one
-// million keys through certified 1024-node-network runs and the
-// loser-tree merge, verified against sort.Slice key for key. CI's
+// million keys through certified 1024-node-network runs and the tree
+// of 2-way merge kernels, verified against sort.Slice key for key. CI's
 // extsort job runs it under -race.
 func TestSortStreamMillionKeysOracle(t *testing.T) {
 	n := 1_000_000
