@@ -93,34 +93,6 @@ func TestMergeBodiesMatchScalar(t *testing.T) {
 	}
 }
 
-// TestMergeStepsCutAndResume: one call into assembly emits exactly 8
-// keys per step up to its bound and hands back the carry, and a second
-// call resumed from what the first consumed continues the same merge.
-func TestMergeStepsCutAndResume(t *testing.T) {
-	if !vectorMerge {
-		t.Skip("no avx512 on this host")
-	}
-	rng := rand.New(rand.NewSource(5))
-	a, b := sortedDraw(rng, 400, true, 0), sortedDraw(rng, 300, true, 0)
-	want := make([]Key, len(a)+len(b))
-	mergeScalar(want, a, b)
-	out := make([]Key, len(want))
-	var carry [8]Key
-	copy(carry[:], a)
-	ia, ib := 8, 0
-	for _, steps := range []int{5, 7} {
-		da, db := mergeStepsAVX512(&out[ia+ib-8], &a[ia], &b[ib], len(a)-ia, len(b)-ib, steps, &carry)
-		if da+db != 8*steps {
-			t.Fatalf("a call of %d steps consumed %d+%d keys, want %d", steps, da, db, 8*steps)
-		}
-		ia += da
-		ib += db
-		if !slices.Equal(out[:ia+ib-8], want[:ia+ib-8]) {
-			t.Fatalf("after %d keys: emitted prefix differs from the scalar merge", ia+ib-8)
-		}
-	}
-}
-
 // TestMergerZeroOne certifies the 16-key merger in kernel_amd64.s by
 // the 0-1 principle: it is a comparator network (data-oblivious
 // permutes, mins and maxes), so it merges every pair of sorted 8-key

@@ -72,7 +72,7 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, p params, stats
 		}
 		stats.MergePasses++
 	}
-	bufs = mergeBufs{} // the final merge's workers bring their own
+	bufs = mergeBufs{} // released: the final merge's workers bring their own
 	// Final pass: fan the surviving leaves into the sink.
 	stats.MergePasses++
 	observeFanIn(len(handles), stats, met)
