@@ -72,7 +72,6 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, p params, stats
 		}
 		stats.MergePasses++
 	}
-	bufs = mergeBufs{} // released: the final merge's workers bring their own
 	// Final pass: fan the surviving leaves into the sink.
 	stats.MergePasses++
 	observeFanIn(len(handles), stats, met)
