@@ -174,13 +174,18 @@ bench-serve:
 	$(GO) run ./cmd/bench -mode serve
 
 # Streaming external sort battery, race-enabled: the extsort package's
-# oracle/property/cancel tests at GOMAXPROCS 1, 2 and 4 (one final-merge
+# oracle/property/cancel tests at GOMAXPROCS 1, 2 and 4 (one merge pool
 # worker, then several merging key ranges side by side), the serve
 # large-request lane, and the root-level acceptance tests (1e6-key
 # oracle under -race, chaos-leg run formation through SortResilient,
 # spill-path oracle, extreme keys through the spilling server lane).
+# Then the failure and cancellation tests run twenty times each, so a
+# timing-dependent hang in the merge pool's chunk window or in run
+# formation's drain fails here instead of once in a hundred runs.
+EXTSORT_GATE_TESTS = TestChunkMergeWorkerFails|TestFinalMergeSpillReadFails|TestIntermediatePassSpillReadFails|TestIntermediatePassSpillWriteFails|TestIntermediatePassCancelled|TestSortStreamSourceOrSorterFails|TestSortStreamSpillCreateFails|TestRunCheckCatchesBrokenSorter|TestSortStreamCancelMidStream|TestSortStreamCancelBeforeStart|TestSortStreamCancelInFirstWrite|TestSortStreamSinkFails
 extsort-battery:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/extsort/
+	$(GO) test -race -count=20 -run '^($(EXTSORT_GATE_TESTS))$$' ./internal/extsort/
 	$(GO) test -race -count=1 -run 'SubmitStream' ./internal/serve/
 	$(GO) test -race -count=1 \
 		-run 'TestSortStream|TestServerSubmitStreamRoot' .

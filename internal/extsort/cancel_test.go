@@ -111,7 +111,7 @@ func (f writerFunc) Write(keys []Key) error { return f(keys) }
 
 // TestSortStreamCancelInFirstWrite: the sink cancels the context inside
 // the first Write of a spilling, split final merge. Sort returns
-// context.Canceled after that one Write, every chunk worker has exited,
+// context.Canceled after that one Write, every pool worker has exited,
 // and dst holds a sorted prefix.
 func TestSortStreamCancelInFirstWrite(t *testing.T) {
 	keys := randomKeys(43, 300_000)
@@ -145,8 +145,8 @@ func TestSortStreamCancelInFirstWrite(t *testing.T) {
 }
 
 // TestSortStreamSinkFails: the sink fails on its third Write while the
-// chunk workers are still merging. Sort returns the sink's error, not
-// the cancellation that stops the workers, and joins every worker.
+// pool workers are still merging chunks. Sort returns the sink's error,
+// not the cancellation that stops the workers, and joins every worker.
 func TestSortStreamSinkFails(t *testing.T) {
 	errSink := errors.New("sink full")
 	keys := randomKeys(47, 300_000)

@@ -9,8 +9,10 @@
 // for the ragged tail exactly as THEORY.md §12 proves safe — so every
 // run is the output of a machine-certified sorting network. Each sorted
 // batch of runs is then pre-merged by a background worker into one
-// long merge leaf while the caller reads and sorts the next batch. The
-// merges are k-way merges built as a balanced tree of 2-way merges,
+// long merge leaf while the caller reads and sorts the next batch.
+// Every merge of a Sort call runs on one pool of GOMAXPROCS workers:
+// the pre-merges, and each chunk of every merge pass. The merges are
+// k-way merges built as a balanced tree of 2-way merges,
 // software's image of the paper's Section 3 multiway merge, whose
 // 2-way case is Batcher's merging network: on AVX-512 hosts every
 // 2-way merge runs a 16-key bitonic merger in vector registers, eight
@@ -23,8 +25,8 @@
 //
 // The final merge is split into key ranges: every leaf records every
 // 512th key (its fences) while it is in memory, evenly spaced fences
-// in the total order (key, leaf, index) become splitters, and
-// GOMAXPROCS workers merge the chunks between consecutive splitters —
+// in the total order (key, leaf, index) become splitters, and the
+// pool's workers merge the chunks between consecutive splitters —
 // about one pre-merge leaf's worth of keys each, but at least 1024 per
 // final leaf — side by side, the way the paper's Section 3 merge
 // splits its inputs (THEORY.md §15 proves the concatenated chunks are
@@ -35,27 +37,28 @@
 // reads) and an intermediate merge pass streams spill-to-spill a chunk
 // at a time, so peak residency is
 // O(MemoryKeys + workers·(RunBatch·run size + fan-in·512)) regardless
-// of input length (THEORY.md §15). Run formation holds GOMAXPROCS+2
-// batches, and each pre-merge worker a merge scratch and a spill
-// buffer of one leaf; the default RunBatch keeps all of it within
-// ¾·MemoryKeys. The final merge's at most GOMAXPROCS+1 chunk buffers,
-// and its workers' merge scratch and stage buffers, each the size of
-// the largest chunk (RunBatch·run size plus 512 keys per leaf, or
-// 1536 keys per leaf when that is more), take the place of the
-// run-formation buffers, which are free by then. Every merging
-// goroutine allocates its buffers when it first needs them and reuses
-// them for the rest of the Sort call.
+// of input length (THEORY.md §15). Each pool worker has one merge
+// scratch and one spill buffer for the whole Sort call, allocated when
+// a merge first needs them and replaced only by a larger one. Run
+// formation holds GOMAXPROCS+2 batches, and each worker's scratch and
+// spill buffer one leaf; the default RunBatch keeps all of it within
+// ¾·MemoryKeys. Every merge pass, intermediate or final, holds at most
+// GOMAXPROCS+1 chunk buffers, shared by all passes, besides the
+// workers' scratch and spill buffers, each the size of the largest
+// chunk (RunBatch·run size plus 512 keys per leaf, or 1536 keys per
+// leaf when that is more): 3·GOMAXPROCS+1 chunk-sized buffers, which
+// take the place of the run-formation batches, free by then.
 // The whole pipeline is cancellable via context and instrumented with
 // extsort.* counters and per-stage latency histograms.
 //
 // Concurrency contract: Sort calls Reader.Read, RunSorter.SortRuns and
 // Writer.Write only from its own goroutine, one call at a time, so none
-// of them needs to be safe for concurrent use. The pre-merge workers
-// and the final merge's chunk workers touch only sorted key buffers and
-// the spill file (the chunk workers read it with ReadAt at their own
-// offsets and hand each merged chunk to Sort's goroutine, which writes
-// the chunks in order), and every one of them has exited
-// by the time Sort returns, on every path.
+// of them needs to be safe for concurrent use. The pool workers touch
+// only sorted key buffers and the spill file (they read it with ReadAt
+// and write it with WriteAt at their own offsets, and hand each merged
+// chunk to Sort's goroutine, which sinks the chunks in order), and
+// every one of them has exited by the time Sort returns, on every
+// path.
 package extsort
 
 import (
@@ -182,7 +185,7 @@ type Stats struct {
 	MergeNs   int64 `json:"mergeNs"`
 	// SpillWriteNs and SpillReadNs are the busy time spent encoding and
 	// writing, and reading and decoding, the spill file, summed across
-	// goroutines: with pre-merge workers writing in parallel they can
+	// goroutines: with pool workers writing in parallel they can
 	// exceed the wall time they overlap.
 	SpillWriteNs int64 `json:"spillWriteNs"`
 	SpillReadNs  int64 `json:"spillReadNs"`
@@ -277,7 +280,7 @@ func (cfg Config) normalize(sorter RunSorter) (params, error) {
 // Sort drains src, sorts it, and writes the fully sorted sequence to
 // dst. It returns the run/merge/spill accounting, or the first error
 // from the source, the sink, the run sorter, the spill file, or the
-// context. On error (including cancellation) every pre-merge worker has
+// context. On error (including cancellation) every pool worker has
 // exited and the spill file is released before returning; dst may have
 // received a sorted prefix.
 func Sort(ctx context.Context, src Reader, dst Writer, sorter RunSorter, cfg Config) (*Stats, error) {
@@ -300,21 +303,25 @@ func sortParams(ctx context.Context, src Reader, dst Writer, sorter RunSorter, p
 	defer store.close()
 	defer store.foldStats(stats)
 
-	if err := formRuns(ctx, src, sorter, p, store, stats, met); err != nil {
-		return stats, err
+	pool := startPool(ctx)
+	ctx = pool.ctx
+	err := formRuns(ctx, pool, src, sorter, p, store, stats, met)
+	if err == nil {
+		if met != nil {
+			met.keys.Add(stats.Keys)
+			met.runs.Add(stats.Runs)
+		}
+		t0 := time.Now()
+		err = mergeRuns(ctx, pool, store, dst, p, stats, met)
+		stats.MergeNs += time.Since(t0).Nanoseconds()
+		if met != nil {
+			met.mergeNs.Observe(stats.MergeNs)
+			met.mergePasses.Add(int64(stats.MergePasses))
+		}
 	}
-	if met != nil {
-		met.keys.Add(stats.Keys)
-		met.runs.Add(stats.Runs)
-	}
-	t0 := time.Now()
-	err := mergeRuns(ctx, store, dst, p, stats, met)
-	stats.MergeNs += time.Since(t0).Nanoseconds()
-	if met != nil {
-		met.mergeNs.Observe(stats.MergeNs)
-		met.mergePasses.Add(int64(stats.MergePasses))
-	}
-	return stats, err
+	// Every worker is joined before the deferred calls fold the spill
+	// accounting and close the spill file.
+	return stats, pool.stop(err)
 }
 
 // sortedKeys reports whether keys are nondecreasing.

@@ -290,7 +290,7 @@ func (b *brokenSorter) SortRuns(ctx context.Context, runs [][]Key) error {
 
 // TestRunCheckCatchesBrokenSorter: with the zero Config, an unsorted
 // run is rejected with the wrapped typed error instead of feeding the
-// merge, and the pre-merge worker that caught it has exited.
+// merge, and every pool worker has exited.
 func TestRunCheckCatchesBrokenSorter(t *testing.T) {
 	keys := make([]Key, 256)
 	for i := range keys {

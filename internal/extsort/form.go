@@ -1,9 +1,9 @@
 // Run formation and pre-merging. Sort's own goroutine reads the stream
 // into runs, sorts a batch of RunBatch runs through the run sorter,
-// and hands the batch to a pool of background workers; each worker
-// checks that every run is sorted, merges its batch into one long
-// merge leaf (and spills the leaf when the store placed it on disk)
-// while the caller is already reading and sorting the next batch. The run
+// and queues the batch on the Sort call's merge pool; a worker checks
+// that every run is sorted, merges the batch into one long merge leaf
+// (and spills the leaf when the store placed it on disk) while the
+// caller is already reading and sorting the next batch. The run
 // buffers of a merged batch go back to the caller for reuse, and the
 // fixed number of batches bounds how far the caller can run ahead of
 // the workers.
@@ -14,8 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -33,128 +31,107 @@ func (b *runBatch) slot(i, runSize int) []Key {
 	return b.slots[i]
 }
 
-// mergeJob asks a worker to merge a sorted batch into its leaf: a
-// resident buffer to fill, or a reserved spill segment to write.
-type mergeJob struct {
-	batch *runBatch
-	leaf  runHandle
-}
-
-// preMerger is the background worker pool.
-type preMerger struct {
-	store *runStore
-	// jobs and free hold the batches between them, so a send on either
-	// never blocks.
-	jobs chan mergeJob
-	free chan *runBatch
-
-	wg      sync.WaitGroup
-	cancel  context.CancelFunc
-	errOnce sync.Once
-	err     error
-}
-
 // formRuns chunks src into runSize runs, sorts them RunBatch at a time
-// through the run sorter, and has the pre-merge workers check and merge
-// every batch into one leaf of the store. It returns once every worker
-// has exited; a worker's failure (an unsorted run, a spill write) wins
-// over the cancellation it causes.
-func formRuns(ctx context.Context, src Reader, sorter RunSorter, p params, store *runStore, stats *Stats, met *metrics) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := runtime.GOMAXPROCS(0)
+// through the run sorter, and has the pool check and merge every batch
+// into one leaf of the store. It returns once every batch is back from
+// the pool, so every pre-merge has finished.
+func formRuns(ctx context.Context, pool *pool, src Reader, sorter RunSorter, p params, store *runStore, stats *Stats, met *metrics) error {
 	// One batch per worker, one being filled, and one queued, so the
 	// caller keeps reading while every worker is busy. A batch
 	// allocates its run buffers on first use.
-	batches := workers + 2
-	pm := &preMerger{
-		store:  store,
-		jobs:   make(chan mergeJob, batches),
-		free:   make(chan *runBatch, batches),
-		cancel: cancel,
-	}
+	batches := pool.workers + 2
+	free := make(chan *runBatch, batches)
 	for range batches {
-		pm.free <- &runBatch{}
+		free <- &runBatch{}
 	}
-	pm.wg.Add(workers)
-	for range workers {
-		go pm.work(ctx)
-	}
-	err := pm.feed(ctx, src, sorter, p, stats, met)
+	err := feed(ctx, pool, free, src, sorter, p, store, stats, met)
 	t0 := time.Now()
-	close(pm.jobs)
-	pm.wg.Wait()
-	stats.MergeNs += time.Since(t0).Nanoseconds()
-	if pm.err != nil {
-		return pm.err
+	for range batches {
+		<-free
 	}
+	stats.MergeNs += time.Since(t0).Nanoseconds()
 	if err == nil {
-		// A cancellation after the last batch was queued may have left
-		// leaves unmerged.
+		// A cancellation, or a pre-merge's failure, after the last
+		// batch was queued may have left leaves unmerged.
 		err = ctx.Err()
 	}
 	return err
 }
 
 // feed is the caller-goroutine half: every Reader.Read and
-// RunSorter.SortRuns call happens here, one at a time.
-func (pm *preMerger) feed(ctx context.Context, src Reader, sorter RunSorter, p params, stats *Stats, met *metrics) error {
+// RunSorter.SortRuns call happens here, one at a time. Every batch it
+// takes from free goes back there: from the pool once its task has
+// run, or from here when it is not queued.
+func feed(ctx context.Context, pool *pool, free chan *runBatch, src Reader, sorter RunSorter, p params, store *runStore, stats *Stats, met *metrics) error {
 	for {
-		b, err := pm.take(ctx)
+		var b *runBatch
+		select {
+		case b = <-free:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		err := readBatch(ctx, src, b, p, stats, met) // checks ctx before every read
+		eof := errors.Is(err, errEOF)
+		if eof {
+			err = nil
+		}
+		if err == nil && len(b.runs) > 0 {
+			err = sortBatch(ctx, sorter, b, stats, met)
+		}
+		// An empty batch is the end of the stream: a batch reads until
+		// it is full or the stream ends.
+		if err != nil || len(b.runs) == 0 {
+			free <- b
+			return err
+		}
+		n := 0
+		for _, run := range b.runs {
+			n += len(run)
+		}
+		leaf := store.place(n) // in input order: a deterministic layout
+		pool.tasks <- func(bufs *mergeBufs) {
+			if ctx.Err() == nil {
+				if err := preMerge(store, b.runs, leaf, bufs); err != nil {
+					pool.fail(err)
+				}
+			}
+			free <- b
+		}
+		if eof {
+			return nil
+		}
+	}
+}
+
+// readBatch reads up to RunBatch runs from src into b. It returns
+// io.EOF at the end of the stream, with the runs read before it.
+func readBatch(ctx context.Context, src Reader, b *runBatch, p params, stats *Stats, met *metrics) error {
+	b.runs = b.runs[:0]
+	for len(b.runs) < p.RunBatch {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		t0 := time.Now()
+		run, err := readRun(src, b.slot(len(b.runs), p.runSize))
+		d := time.Since(t0).Nanoseconds()
+		stats.RunFormNs += d
+		if len(run) > 0 {
+			if met != nil {
+				met.runFormNs.Observe(d)
+			}
+			stats.Keys += int64(len(run))
+			stats.Runs++
+			b.runs = append(b.runs, run)
+		}
 		if err != nil {
 			return err
 		}
-		b.runs = b.runs[:0]
-		var rerr error
-		for len(b.runs) < p.RunBatch && rerr == nil {
-			if rerr = ctx.Err(); rerr != nil {
-				break
-			}
-			t0 := time.Now()
-			var run []Key
-			run, rerr = readRun(src, b.slot(len(b.runs), p.runSize))
-			d := time.Since(t0).Nanoseconds()
-			stats.RunFormNs += d
-			if len(run) > 0 {
-				if met != nil {
-					met.runFormNs.Observe(d)
-				}
-				stats.Keys += int64(len(run))
-				stats.Runs++
-				b.runs = append(b.runs, run)
-			}
-		}
-		if rerr != nil && !errors.Is(rerr, errEOF) {
-			return rerr
-		}
-		if len(b.runs) > 0 {
-			if err := pm.sortAndSubmit(ctx, b, sorter, stats, met); err != nil {
-				return err
-			}
-		}
-		if rerr != nil {
-			return nil // clean end of stream
-		}
 	}
+	return nil
 }
 
-// take returns an idle batch, waiting for a worker to release one.
-func (pm *preMerger) take(ctx context.Context) (*runBatch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	select {
-	case b := <-pm.free:
-		return b, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// sortAndSubmit sorts one batch, places its leaf in the store — in
-// input order, which keeps the spill layout and the accounting
-// deterministic — and queues it for a worker.
-func (pm *preMerger) sortAndSubmit(ctx context.Context, b *runBatch, sorter RunSorter, stats *Stats, met *metrics) error {
+// sortBatch sorts one batch of runs through the run sorter.
+func sortBatch(ctx context.Context, sorter RunSorter, b *runBatch, stats *Stats, met *metrics) error {
 	t0 := time.Now()
 	if err := sorter.SortRuns(ctx, b.runs); err != nil {
 		return err
@@ -164,63 +141,34 @@ func (pm *preMerger) sortAndSubmit(ctx context.Context, b *runBatch, sorter RunS
 	if met != nil {
 		met.runSortNs.Observe(d)
 	}
-	n := 0
-	for _, run := range b.runs {
-		n += len(run)
-	}
-	pm.jobs <- mergeJob{batch: b, leaf: pm.store.place(n)}
 	return nil
 }
 
-// work merges queued batches until the queue closes. After a failure
-// or cancellation it only recycles what is still queued.
-func (pm *preMerger) work(ctx context.Context) {
-	defer pm.wg.Done()
-	var bufs mergeBufs
-	for job := range pm.jobs {
-		if ctx.Err() == nil {
-			if err := pm.merge(job, &bufs); err != nil {
-				pm.fail(err)
-			}
-		}
-		pm.free <- job.batch
-	}
-}
-
-// merge checks that every run of the job's batch is sorted, merges the
-// batch into its leaf and records the leaf's fences. A leaf with no
-// resident buffer is merged into bufs.out and written to its spill
-// segment. The worker's merge scratch and spill buffer hold one leaf,
-// at most RunBatch·runSize keys, each.
-func (pm *preMerger) merge(job mergeJob, bufs *mergeBufs) error {
-	for _, run := range job.batch.runs {
+// preMerge checks that every run is sorted, merges the runs into their
+// leaf and records the leaf's fences. A leaf with no resident buffer is
+// merged into bufs.spill and written to its spill segment. The merge
+// scratch and the spill buffer hold one leaf, at most RunBatch·runSize
+// keys, each.
+func preMerge(store *runStore, runs [][]Key, leaf runHandle, bufs *mergeBufs) error {
+	for _, run := range runs {
 		if !sortedKeys(run) {
 			return fmt.Errorf("%w (run of %d keys)", ErrRunUnsorted, len(run))
 		}
 	}
-	leaf := job.leaf
 	bufs.tmp = ensure(bufs.tmp, leaf.count)
 	out := leaf.mem
 	if out == nil {
-		bufs.out = ensure(bufs.out, leaf.count)
-		out = bufs.out[:leaf.count]
+		bufs.spill = ensure(bufs.spill, leaf.count)
+		out = bufs.spill[:leaf.count]
 	}
-	Merge(out, bufs.tmp, job.batch.runs)
+	Merge(out, bufs.tmp, runs)
 	recordFences(leaf.fences, out, 0)
 	if leaf.mem != nil {
 		return nil
 	}
-	if err := pm.store.writeAt(out, leaf.off, bufs.rawBuf()); err != nil {
+	if err := store.writeAt(out, leaf.off, bufs.rawBuf()); err != nil {
 		return err
 	}
-	pm.store.spilled(leaf.count)
+	store.spilled(leaf.count)
 	return nil
-}
-
-// fail records the first worker error and stops the pipeline.
-func (pm *preMerger) fail(err error) {
-	pm.errOnce.Do(func() {
-		pm.err = err
-		pm.cancel()
-	})
 }

@@ -79,6 +79,14 @@ func (w *SliceWriter) Write(keys []Key) error {
 	return nil
 }
 
+// Grow makes room for n more keys, if necessary, so the next n keys
+// written cost no further allocation, as bytes.Buffer.Grow does.
+func (w *SliceWriter) Grow(n int) {
+	if cap(w.keys)-len(w.keys) < n {
+		w.keys = append(make([]Key, 0, len(w.keys)+n), w.keys...)
+	}
+}
+
 // Keys returns everything written so far, in order.
 func (w *SliceWriter) Keys() []Key { return w.keys }
 

@@ -77,10 +77,10 @@ func randomKeys(seed int64, n int) []Key {
 }
 
 // TestSortStreamCallerContract: Read, SortRuns and Write are entered
-// one at a time, from Sort's goroutine, while pre-merge workers spill
-// in the background and the final merge's chunk workers merge key
-// ranges side by side with the writes. Run it under -race at several
-// GOMAXPROCS (make extsort-battery does).
+// one at a time, from Sort's goroutine, while the pool workers pre-merge
+// and spill in the background and merge key ranges side by side with
+// the writes. Run it under -race at several GOMAXPROCS (make
+// extsort-battery does).
 func TestSortStreamCallerContract(t *testing.T) {
 	keys := randomKeys(31, 200_000)
 	c := &contract{}
@@ -103,7 +103,7 @@ func TestSortStreamCallerContract(t *testing.T) {
 }
 
 // TestSortStreamSpillCreateFails: the spill file cannot be created (its
-// directory is missing), so the first leaf a pre-merge worker tries to
+// directory is missing), so the first leaf a pool worker tries to
 // spill fails. Sort returns the wrapped error, every worker has exited,
 // and dst holds at most a sorted prefix.
 func TestSortStreamSpillCreateFails(t *testing.T) {
@@ -120,6 +120,58 @@ func TestSortStreamSpillCreateFails(t *testing.T) {
 	want := oracle(keys)
 	if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
 		t.Fatalf("dst holds %d keys that are not a prefix of the sorted input", len(got))
+	}
+}
+
+// failingSorter is a run sorter whose fail-th SortRuns call fails.
+type failingSorter struct {
+	RunSorter
+	fail, calls int
+	err         error
+}
+
+func (f *failingSorter) SortRuns(ctx context.Context, runs [][]Key) error {
+	if f.calls++; f.calls == f.fail {
+		return f.err
+	}
+	return f.RunSorter.SortRuns(ctx, runs)
+}
+
+// TestSortStreamSourceOrSorterFails: mid-stream, the source returns an
+// error that is not io.EOF after five batches, or the run sorter fails
+// on its first to fourth call, while earlier batches are still being
+// pre-merged and spilled. Sort returns that error, with every worker
+// joined and every batch back from the pool.
+func TestSortStreamSourceOrSorterFails(t *testing.T) {
+	// Batches of 32 runs of 1024 keys: the third spills.
+	keys := randomKeys(53, 300_000)
+	cfg := Config{RunBatch: 32, MemoryKeys: 1, SpillDir: t.TempDir()}
+	sortWith := func(src Reader, sorter RunSorter) error {
+		_, err := Sort(context.Background(), src, NewSliceWriter(), sorter, cfg)
+		return err
+	}
+	baseline := runtime.NumGoroutine()
+	errSource := errors.New("source failed")
+	in, read := NewSliceReader(keys), 0
+	src := FuncReader(func(dst []Key) (int, error) {
+		if read >= 5*32*1024 {
+			return 0, errSource
+		}
+		n, err := in.Read(dst)
+		read += n
+		return n, err
+	})
+	if err := sortWith(src, SliceSorter{Max: 1024}); !errors.Is(err, errSource) {
+		t.Fatalf("err = %v, want the source's error", err)
+	}
+	waitGoroutines(t, baseline)
+	errSorter := errors.New("run sorter failed")
+	for call := 1; call <= 4; call++ {
+		sorter := &failingSorter{RunSorter: SliceSorter{Max: 1024}, fail: call, err: errSorter}
+		if err := sortWith(NewSliceReader(keys), sorter); !errors.Is(err, errSorter) {
+			t.Fatalf("run sorter failing on call %d: err = %v, want its error", call, err)
+		}
+		waitGoroutines(t, baseline)
 	}
 }
 
@@ -207,7 +259,7 @@ func TestMergeTelescopes(t *testing.T) {
 
 // TestSortStreamSpillAccounting: spilling runs the spill instruments,
 // and the placement-driven accounting repeats exactly run to run even
-// though the pre-merge workers finish in any order.
+// though the pool workers finish in any order.
 func TestSortStreamSpillAccounting(t *testing.T) {
 	keys := randomKeys(41, 150_000)
 	var first *Stats

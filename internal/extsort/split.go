@@ -5,26 +5,23 @@
 // the fences are a sample of the whole merge; evenly spaced elements
 // of it are the splitters, and each splitter cuts every leaf at the
 // number of that leaf's keys that come before it in the same order.
-// Chunk c is the keys between splitters c−1 and c. GOMAXPROCS workers
-// load and merge the chunks — a resident leaf's range is merged where
-// it lies, a spilled one is decoded into the worker's stage buffer
-// with one positional read — and Sort's goroutine writes each merged
-// chunk to the sink in chunk order. Because every cut is taken in one
-// total order, concatenating the chunk merges is the full merge
-// (THEORY.md §15); ties broken by (leaf, index) keep the chunks
-// balanced even when a splitter falls inside a run of equal keys.
-// Intermediate passes cut their groups with the same plan.
+// Chunk c is the keys between splitters c−1 and c. The Sort call's
+// pool workers load and merge the chunks (mergeChunks) — a resident
+// leaf's range is merged where it lies, a spilled one is decoded into
+// the worker's spill buffer with one positional read — and Sort's
+// goroutine hands each merged chunk to the pass's sink in chunk order.
+// Because every cut is taken in one total order, concatenating the
+// chunk merges is the full merge (THEORY.md §15); ties broken by
+// (leaf, index) keep the chunks balanced even when a splitter falls
+// inside a run of equal keys. Intermediate passes cut their groups
+// with the same plan.
 
 package extsort
 
 import (
 	"cmp"
-	"context"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // fenceStride is the fence spacing in keys. A cut into a spilled leaf
@@ -50,8 +47,8 @@ func (a splitter) cmp(b splitter) int {
 	return a.index - b.index
 }
 
-// splitPlan cuts the final merge's leaves into chunks. It is read-only
-// once built, so the chunk workers share it.
+// splitPlan cuts a merge's leaves into chunks. It is read-only once
+// built, so the pool workers share it.
 type splitPlan struct {
 	store     *runStore
 	leaves    []runHandle
@@ -102,9 +99,9 @@ func newSplitPlan(store *runStore, leaves []runHandle, chunkKeys int) *splitPlan
 func (p *splitPlan) chunks() int { return len(p.splitters) + 1 }
 
 // cut sets at[j] to the number of leaf j's keys before boundary b —
-// 0 at the first boundary, the leaf's length at the last. blk and raw
-// are the calling worker's search buffers.
-func (p *splitPlan) cut(b int, at []int, blk []Key, raw []byte) error {
+// 0 at the first boundary, the leaf's length at the last. It searches
+// spilled leaves with the calling worker's buffers.
+func (p *splitPlan) cut(b int, at []int, bufs *mergeBufs) error {
 	switch b {
 	case 0:
 		clear(at)
@@ -123,7 +120,7 @@ func (p *splitPlan) cut(b int, at []int, blk []Key, raw []byte) error {
 		}
 		// Equal keys of an earlier leaf come before the splitter, those
 		// of a later leaf after it.
-		n, err := p.rank(h, s.key, j < s.leaf, blk, raw)
+		n, err := p.rank(h, s.key, j < s.leaf, bufs)
 		if err != nil {
 			return err
 		}
@@ -136,7 +133,7 @@ func (p *splitPlan) cut(b int, at []int, blk []Key, raw []byte) error {
 // when tiesBefore is set. A spilled leaf is searched through its
 // fences and then the one block between two fences that holds the
 // answer.
-func (p *splitPlan) rank(h runHandle, k Key, tiesBefore bool, blk []Key, raw []byte) (int, error) {
+func (p *splitPlan) rank(h runHandle, k Key, tiesBefore bool, bufs *mergeBufs) (int, error) {
 	if h.mem != nil {
 		return bound(h.mem, k, tiesBefore), nil
 	}
@@ -146,8 +143,9 @@ func (p *splitPlan) rank(h runHandle, k Key, tiesBefore bool, blk []Key, raw []b
 	}
 	// Fence q−1 comes before k and fence q, if there is one, does not.
 	lo, hi := (q-1)*fenceStride+1, min(q*fenceStride, h.count)
-	blk = blk[:hi-lo]
-	if err := p.store.readAt(blk, h.off+int64(lo)*keyBytes, raw); err != nil {
+	bufs.blk = ensure(bufs.blk, fenceStride)
+	blk := bufs.blk[:hi-lo]
+	if err := p.store.readAt(blk, h.off+int64(lo)*keyBytes, bufs.rawBuf()); err != nil {
 		return 0, err
 	}
 	return lo + bound(blk, k, tiesBefore), nil
@@ -168,180 +166,42 @@ func bound(keys []Key, k Key, tiesBefore bool) int {
 	return lo
 }
 
-// chunkLoader loads chunk c for the worker that owns it: the chunk's
-// nonempty sorted parts and how many keys they hold.
-type chunkLoader func(c int) ([][]Key, int, error)
-
-// loader returns a chunkLoader for one worker. It owns its cuts and its
-// search block, and decodes spilled ranges into bufs.stage (maxChunk
-// keys, allocated on the first spilled range), so the workers share
-// only the read-only plan and the spill file, which they read with
-// ReadAt at their own offsets. The parts are valid until the next call.
-func (p *splitPlan) loader(bufs *mergeBufs) chunkLoader {
+// load loads chunk c with a worker's buffers: the chunk's nonempty
+// sorted parts and how many keys they hold. A resident leaf's range is
+// a part where it lies; a spilled one is decoded into bufs.spill
+// (maxChunk keys, allocated on the first spilled range) with one
+// positional read. Workers share only the read-only plan and the spill
+// file, which they read with ReadAt at their own offsets. The parts are
+// valid until the next load with the same buffers.
+func (p *splitPlan) load(c int, bufs *mergeBufs) ([][]Key, int, error) {
 	k := len(p.leaves)
-	lo, hi := make([]int, k), make([]int, k)
-	blk := make([]Key, fenceStride)
-	parts := make([][]Key, 0, k)
-	return func(c int) ([][]Key, int, error) {
-		raw := bufs.rawBuf()
-		if err := p.cut(c, lo, blk, raw); err != nil {
-			return nil, 0, err
-		}
-		if err := p.cut(c+1, hi, blk, raw); err != nil {
-			return nil, 0, err
-		}
-		parts = parts[:0]
-		total, staged := 0, 0
-		for j, h := range p.leaves {
-			n := hi[j] - lo[j]
-			switch {
-			case n == 0:
-				continue
-			case h.mem != nil:
-				parts = append(parts, h.mem[lo[j]:hi[j]])
-			default:
-				bufs.stage = ensure(bufs.stage, p.maxChunk)
-				part := bufs.stage[staged : staged+n]
-				if err := p.store.readAt(part, h.off+int64(lo[j])*keyBytes, raw); err != nil {
-					return nil, 0, err
-				}
-				parts = append(parts, part)
-				staged += n
+	bufs.lo, bufs.hi = ensure(bufs.lo, k)[:k], ensure(bufs.hi, k)[:k]
+	if err := p.cut(c, bufs.lo, bufs); err != nil {
+		return nil, 0, err
+	}
+	if err := p.cut(c+1, bufs.hi, bufs); err != nil {
+		return nil, 0, err
+	}
+	parts := bufs.parts[:0]
+	total, staged := 0, 0
+	for j, h := range p.leaves {
+		lo, hi := bufs.lo[j], bufs.hi[j]
+		switch {
+		case lo == hi:
+			continue
+		case h.mem != nil:
+			parts = append(parts, h.mem[lo:hi])
+		default:
+			bufs.spill = ensure(bufs.spill, p.maxChunk)
+			part := bufs.spill[staged : staged+hi-lo]
+			if err := p.store.readAt(part, h.off+int64(lo)*keyBytes, bufs.rawBuf()); err != nil {
+				return nil, 0, err
 			}
-			total += n
+			parts = append(parts, part)
+			staged += hi - lo
 		}
-		return parts, total, nil
+		total += hi - lo
 	}
-}
-
-// chunkMerge is the final merge's worker pool.
-type chunkMerge struct {
-	next    atomic.Int64 // the next chunk to claim
-	bufKeys int
-	// free holds the chunk buffers not in use: at most workers+1 ever
-	// exist, so a send never blocks.
-	free chan []Key
-	// merged[c] carries chunk c's merged keys, in its chunk buffer,
-	// from the worker that merged it to the writer; one send each.
-	merged []chan []Key
-
-	wg      sync.WaitGroup
-	cancel  context.CancelFunc
-	errOnce sync.Once
-	err     error
-}
-
-// mergeChunks merges chunks 0..n−1 on GOMAXPROCS workers, each loading
-// its chunks through its own loader from newLoader and merging them
-// with its own buffers, and writes them to dst in chunk order, one
-// outBlockKeys block per Write, from the calling goroutine. Chunk
-// buffers hold bufKeys keys, so a chunk that size or smaller never
-// reallocates one. A worker takes a free chunk buffer before it claims
-// the next chunk, so the lowest chunk not yet written always holds a
-// buffer or has every buffer free to take: the pipeline cannot
-// deadlock. It returns once every worker has exited; a worker's
-// failure wins over the cancellation it causes.
-func mergeChunks(ctx context.Context, dst Writer, n, bufKeys int, newLoader func(*mergeBufs) chunkLoader) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := min(runtime.GOMAXPROCS(0), n)
-	cm := &chunkMerge{
-		bufKeys: bufKeys,
-		free:    make(chan []Key, workers+1),
-		merged:  make([]chan []Key, n),
-		cancel:  cancel,
-	}
-	for range workers + 1 {
-		cm.free <- nil // allocated by the first worker to take it
-	}
-	for c := range cm.merged {
-		cm.merged[c] = make(chan []Key, 1)
-	}
-	cm.wg.Add(workers)
-	for range workers {
-		bufs := &mergeBufs{}
-		go cm.work(ctx, newLoader(bufs), bufs)
-	}
-	err := cm.write(ctx, dst)
-	cancel()
-	cm.wg.Wait()
-	if cm.err != nil {
-		return cm.err
-	}
-	return err
-}
-
-// write is the caller-goroutine half: every Writer.Write call happens
-// here, one at a time, in chunk order.
-func (cm *chunkMerge) write(ctx context.Context, dst Writer) error {
-	for _, merged := range cm.merged {
-		var keys []Key
-		select {
-		case keys = <-merged:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		for at := 0; at < len(keys); at += outBlockKeys {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := dst.Write(keys[at:min(at+outBlockKeys, len(keys))]); err != nil {
-				return err
-			}
-		}
-		cm.free <- keys
-	}
-	return nil
-}
-
-// work merges chunks until none is left or the merge stops.
-func (cm *chunkMerge) work(ctx context.Context, load chunkLoader, bufs *mergeBufs) {
-	defer cm.wg.Done()
-	for {
-		var buf []Key
-		select {
-		case buf = <-cm.free:
-		case <-ctx.Done():
-			return
-		}
-		c := int(cm.next.Add(1) - 1)
-		if c >= len(cm.merged) {
-			return
-		}
-		if err := cm.merge(ctx, load, bufs, c, buf); err != nil {
-			if ctx.Err() == nil { // a stop is not the worker's failure
-				cm.fail(err)
-			}
-			return
-		}
-	}
-}
-
-// merge loads chunk c and merges it into buf, allocating buf (bufKeys
-// keys, or more when the chunk does not fit) if it is too small, then
-// hands it to the writer.
-func (cm *chunkMerge) merge(ctx context.Context, load chunkLoader, bufs *mergeBufs, c int, buf []Key) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	parts, total, err := load(c)
-	if err != nil {
-		return err
-	}
-	if cap(buf) < total {
-		buf = make([]Key, max(total, cm.bufKeys))
-	}
-	bufs.tmp = ensure(bufs.tmp, max(total, cm.bufKeys))
-	buf = buf[:total]
-	Merge(buf, bufs.tmp, parts)
-	cm.merged[c] <- buf
-	return nil
-}
-
-// fail records the first worker error and stops the merge.
-func (cm *chunkMerge) fail(err error) {
-	cm.errOnce.Do(func() {
-		cm.err = err
-		cm.cancel()
-	})
+	bufs.parts = parts
+	return parts, total, nil
 }

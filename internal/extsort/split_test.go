@@ -3,11 +3,14 @@ package extsort
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -45,16 +48,12 @@ func splitShapes() []struct {
 	}
 }
 
-// placeLeaves sorts each leaf and stores it the way the pre-merge
-// workers do: in memory while half the keys fit, spilled after that,
-// with its fences recorded.
-func placeLeaves(t *testing.T, leaves [][]Key) *runStore {
+// placeLeaves sorts each leaf and stores it the way the pre-merge does:
+// in memory while the budget allows, spilled after that, with its
+// fences recorded.
+func placeLeaves(t *testing.T, leaves [][]Key, budget int) *runStore {
 	t.Helper()
-	total := 0
-	for _, l := range leaves {
-		total += len(l)
-	}
-	st := newRunStore(t.TempDir(), total/2, nil)
+	st := newRunStore(t.TempDir(), budget, nil)
 	t.Cleanup(st.close)
 	raw := make([]byte, spillBufKeys*keyBytes)
 	for _, l := range leaves {
@@ -73,6 +72,26 @@ func placeLeaves(t *testing.T, leaves [][]Key) *runStore {
 	return st
 }
 
+// totalKeys counts the keys of every leaf.
+func totalKeys(leaves [][]Key) int {
+	n := 0
+	for _, l := range leaves {
+		n += len(l)
+	}
+	return n
+}
+
+// onPool runs f on a fresh pool and returns its error once every worker
+// has been joined, the way Sort does: a task's failure wins over the
+// cancellation it causes.
+func onPool(ctx context.Context, f func(ctx context.Context, pool *pool) error) error {
+	pool := startPool(ctx)
+	return pool.stop(f(pool.ctx, pool))
+}
+
+// mergeParams merge at fan-in 16, in chunks of 1024 keys per leaf.
+var mergeParams = params{Config: Config{RunBatch: 1}, runSize: 1024, fanIn: 16}
+
 // TestSplitMergeEdgeCases: for every shape, concatenating the chunk
 // merges equals slices.Sort of all the keys, the cuts never move
 // backwards, and every chunk holds within leaves·fenceStride keys of
@@ -80,7 +99,7 @@ func placeLeaves(t *testing.T, leaves [][]Key) *runStore {
 func TestSplitMergeEdgeCases(t *testing.T) {
 	for _, tc := range splitShapes() {
 		t.Run(tc.name, func(t *testing.T) {
-			st := placeLeaves(t, tc.leaves)
+			st := placeLeaves(t, tc.leaves, totalKeys(tc.leaves)/2)
 			var all []Key
 			for _, l := range tc.leaves {
 				all = append(all, l...)
@@ -92,9 +111,9 @@ func TestSplitMergeEdgeCases(t *testing.T) {
 			}
 			k := len(st.runs)
 			prev, at := make([]int, k), make([]int, k)
-			blk, raw := make([]Key, fenceStride), make([]byte, spillBufKeys*keyBytes)
+			var bufs mergeBufs
 			for b := 1; b <= chunks; b++ {
-				if err := plan.cut(b, at, blk, raw); err != nil {
+				if err := plan.cut(b, at, &bufs); err != nil {
 					t.Fatal(err)
 				}
 				size := 0
@@ -114,7 +133,10 @@ func TestSplitMergeEdgeCases(t *testing.T) {
 				prev, at = at, prev
 			}
 			out := NewSliceWriter()
-			if err := mergeChunks(context.Background(), out, chunks, plan.maxChunk, plan.loader); err != nil {
+			err := onPool(context.Background(), func(ctx context.Context, pool *pool) error {
+				return mergeChunks(ctx, pool, chunks, plan.maxChunk, plan.load, out.Write)
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			checkEqual(t, all, out.Keys(), tc.name)
@@ -148,22 +170,21 @@ func TestChunkMergeWorkerFails(t *testing.T) {
 	const chunks, per, failing = 16, 3 * outBlockKeys, 9
 	errRead := errors.New("injected read failure")
 	baseline := runtime.NumGoroutine()
-	newLoader := func(*mergeBufs) chunkLoader {
-		return func(c int) ([][]Key, int, error) {
-			if c == failing {
-				return nil, 0, errRead
-			}
-			// Chunk c is the keys c·per .. (c+1)·per−1, dealt to three
-			// parts.
-			parts := make([][]Key, 3)
-			for i := range per {
-				parts[i%3] = append(parts[i%3], Key(c*per+i))
-			}
-			return parts, per, nil
+	load := func(c int, _ *mergeBufs) ([][]Key, int, error) {
+		if c == failing {
+			return nil, 0, errRead
 		}
+		// Chunk c is the keys c·per .. (c+1)·per−1, dealt to three parts.
+		parts := make([][]Key, 3)
+		for i := range per {
+			parts[i%3] = append(parts[i%3], Key(c*per+i))
+		}
+		return parts, per, nil
 	}
 	out := NewSliceWriter()
-	err := mergeChunks(context.Background(), out, chunks, per, newLoader)
+	err := onPool(context.Background(), func(ctx context.Context, pool *pool) error {
+		return mergeChunks(ctx, pool, chunks, per, load, out.Write)
+	})
 	if !errors.Is(err, errRead) {
 		t.Fatalf("err = %v, want the injected read failure", err)
 	}
@@ -184,20 +205,129 @@ func TestChunkMergeWorkerFails(t *testing.T) {
 // joined.
 func TestFinalMergeSpillReadFails(t *testing.T) {
 	shape := splitShapes()[len(splitShapes())-1]
-	st := placeLeaves(t, shape.leaves)
+	st := placeLeaves(t, shape.leaves, totalKeys(shape.leaves)/2)
 	if st.file == nil {
 		t.Fatal("no leaf spilled")
 	}
 	st.file.Close() // reads now fail with os.ErrClosed
 	baseline := runtime.NumGoroutine()
 	stats := &Stats{}
-	err := mergeRuns(context.Background(), st, NewSliceWriter(),
-		params{Config: Config{RunBatch: 1}, runSize: 1024, fanIn: 16}, stats, nil)
+	err := onPool(context.Background(), func(ctx context.Context, pool *pool) error {
+		return mergeRuns(ctx, pool, st, NewSliceWriter(), mergeParams, stats, nil)
+	})
 	if !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("err = %v, want a wrapped os.ErrClosed", err)
 	}
 	if stats.MergeChunks < 2 {
 		t.Fatalf("MergeChunks %d, want a split merge", stats.MergeChunks)
+	}
+	waitGoroutines(t, baseline)
+}
+
+// twentyLeaves are 20 leaves of 6000 random keys: at fan-in 16 one
+// intermediate pass merges the first five, in six chunks.
+func twentyLeaves() [][]Key {
+	leaves := make([][]Key, 20)
+	for i := range leaves {
+		leaves[i] = randomKeys(int64(60+i), 6000)
+	}
+	return leaves
+}
+
+// TestIntermediatePassSpillReadFails: every spill read of the
+// intermediate pass over 20 spilled leaves fails. The pass returns the
+// wrapped error before it counts, with every worker joined.
+func TestIntermediatePassSpillReadFails(t *testing.T) {
+	st := placeLeaves(t, twentyLeaves(), 0)
+	st.file.Close() // reads now fail with os.ErrClosed
+	baseline := runtime.NumGoroutine()
+	stats := &Stats{}
+	err := onPool(context.Background(), func(ctx context.Context, pool *pool) error {
+		return mergeRuns(ctx, pool, st, NewSliceWriter(), mergeParams, stats, nil)
+	})
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("err = %v, want a wrapped os.ErrClosed", err)
+	}
+	if stats.MergePasses != 0 {
+		t.Fatalf("MergePasses %d, want the intermediate pass to fail", stats.MergePasses)
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestIntermediatePassSpillWriteFails: the intermediate pass merges 20
+// resident leaves, but its segment cannot be written (the spill file
+// is open read-only). The pass returns the write's error with every
+// worker joined.
+func TestIntermediatePassSpillWriteFails(t *testing.T) {
+	leaves := twentyLeaves()
+	st := placeLeaves(t, leaves, totalKeys(leaves))
+	path := filepath.Join(t.TempDir(), "read-only")
+	if err := os.WriteFile(path, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.file = f // closed by placeLeaves' cleanup
+	baseline := runtime.NumGoroutine()
+	stats := &Stats{}
+	err = onPool(context.Background(), func(ctx context.Context, pool *pool) error {
+		return mergeRuns(ctx, pool, st, NewSliceWriter(), mergeParams, stats, nil)
+	})
+	var pe *fs.PathError
+	if !errors.As(err, &pe) || pe.Op != "write" {
+		t.Fatalf("err = %v, want the spill file's write error", err)
+	}
+	if stats.MergePasses != 0 || st.spilledRuns.Load() != 0 {
+		t.Fatalf("MergePasses %d, %d segments spilled: want the intermediate pass to fail",
+			stats.MergePasses, st.spilledRuns.Load())
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestIntermediatePassCancelled: the context is cancelled while the
+// intermediate pass waits for its first chunk, with its window queued
+// behind tasks that hold every worker. The pass returns
+// context.Canceled, and the queued chunks drain without merging once
+// the workers are released.
+func TestIntermediatePassCancelled(t *testing.T) {
+	st := placeLeaves(t, twentyLeaves(), 0)
+	written := st.writeNs.Load()
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pool := startPool(ctx)
+	var held sync.WaitGroup
+	held.Add(pool.workers)
+	hold := make(chan struct{})
+	for range pool.workers {
+		pool.tasks <- func(*mergeBufs) {
+			held.Done()
+			<-hold
+		}
+	}
+	held.Wait()
+	chunks := newSplitPlan(st, st.runs[:5], mergeParams.chunkKeys(5)).chunks()
+	window := min(chunks, pool.workers+1)
+	stats := &Stats{}
+	done := make(chan error, 1)
+	go func() {
+		done <- mergeRuns(pool.ctx, pool, st, NewSliceWriter(), mergeParams, stats, nil)
+	}()
+	// Every worker holds, so the queue fills with the window and stays.
+	for len(pool.tasks) < window {
+		runtime.Gosched()
+	}
+	cancel()
+	close(hold)
+	err := pool.stop(<-done)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.MergePasses != 0 || st.writeNs.Load() != written {
+		t.Fatalf("MergePasses %d, the pass wrote to the spill file: want it stopped before its first chunk",
+			stats.MergePasses)
 	}
 	waitGoroutines(t, baseline)
 }

@@ -74,9 +74,11 @@ func (c *CompiledNetwork) SortStream(ctx context.Context, src KeyReader, dst Key
 }
 
 // SortStreamKeys is the in-memory convenience: sort keys of any length
-// through the streaming tier and return a fresh sorted slice.
+// through the streaming tier and return a fresh sorted slice, allocated
+// once at len(keys).
 func (c *CompiledNetwork) SortStreamKeys(ctx context.Context, keys []Key, cfg StreamConfig) ([]Key, *StreamStats, error) {
 	out := NewKeysWriter()
+	out.Grow(len(keys))
 	stats, err := c.SortStream(ctx, NewKeysReader(keys), out, cfg)
 	if err != nil {
 		return nil, stats, err

@@ -13,8 +13,9 @@ import (
 
 // TestSortStreamMillionKeysOracle is the tier's acceptance bar: one
 // million keys through certified 1024-node-network runs and the tree
-// of 2-way merge kernels, verified against sort.Slice key for key. CI's
-// extsort job runs it under -race.
+// of 2-way merge kernels, verified against sort.Slice key for key, into
+// a result allocated once at its final length. CI's extsort job runs
+// it under -race.
 func TestSortStreamMillionKeysOracle(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
@@ -41,6 +42,9 @@ func TestSortStreamMillionKeysOracle(t *testing.T) {
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(got) != len(want) {
 		t.Fatalf("%d keys out, want %d", len(got), len(want))
+	}
+	if cap(got) != n {
+		t.Fatalf("result capacity %d: the output regrew instead of being allocated once at %d keys", cap(got), n)
 	}
 	for i := range want {
 		if got[i] != want[i] {
