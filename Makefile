@@ -132,9 +132,15 @@ chaos:
 # snake order rests on: rank/unrank round-trips and the split-position
 # lemma for any radix/dimension. The columnar equivalence target proves
 # RunBatchColumnar matches the scalar ExecBackend replay on arbitrary
-# batches (mixed sizes, all-sentinel items, size-1). Bounded so it fits
-# in CI.
+# batches (mixed sizes, all-sentinel items, size-1). FuzzEveryEntryPoint
+# is the differential harness over every public way to sort (product,
+# multiway and periodic networks; both servers; a spilling stream): each
+# output must equal slices.Sort and the unpruned replay. Its servers run
+# goroutines, so coverage is not deterministic and new inputs would
+# each be minimized for up to a minute; -fuzzminimizetime keeps the
+# budget on fuzzing. Bounded so it fits in CI.
 fuzz:
+	$(GO) test . -run=^$$ -fuzz=FuzzEveryEntryPoint -fuzztime=20s -fuzzminimizetime=2s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzScrubDetectsCorruption -fuzztime=20s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzFaultPlanDeterminism -fuzztime=10s
 	$(GO) test ./internal/gray/ -run=^$$ -fuzz=FuzzRankUnrank -fuzztime=10s
