@@ -95,7 +95,12 @@ func (s *Sorter) Sort(m sort2d.Machine) {
 // Precondition: for every value u, the keys of each slab with digit u at
 // dimension k are nondecreasing in the slab's local snake order over
 // dimensions 1..k-1.
+//
+// The merge first marks its stage (m.BeginMerge(k)): the compiled
+// program's staged certificate and pass read those markers as the
+// boundaries of the recursion (THEORY.md §18).
 func (s *Sorter) Merge(m sort2d.Machine, k int) {
+	m.BeginMerge(k)
 	s.merge(m, dimRange(k), false)
 }
 

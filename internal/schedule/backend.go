@@ -101,6 +101,8 @@ func ReplayOnMachine(prog *Program, m sort2d.Machine) {
 			m.AddS2Phase()
 		case OpSweepMarker:
 			m.AddSweepPhase()
+		case OpMergeMarker:
+			m.BeginMerge(op.Dim)
 		}
 	}
 }

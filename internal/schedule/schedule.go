@@ -54,6 +54,11 @@ const (
 	// OpSweepMarker records one completed inter-subgraph transposition
 	// sweep ((r-1)(r-2) per sort, Theorem 1).
 	OpSweepMarker
+	// OpMergeMarker opens the merge along dimension Dim (core.Sorter's
+	// Merge, k = 3..r); the ops before the first one are the base S_2
+	// sort. The staged pass (stage.go) reads the markers as the
+	// recursion's stage boundaries.
+	OpMergeMarker
 )
 
 // String names the op kind for diagnostics.
@@ -73,6 +78,8 @@ func (k OpKind) String() string {
 		return "s2-marker"
 	case OpSweepMarker:
 		return "sweep-marker"
+	case OpMergeMarker:
+		return "merge-marker"
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
@@ -92,6 +99,7 @@ type Op struct {
 	// differs in, or 0 when the op mixes dimensions (or is not an
 	// exchange). It is part of the IR so tracing can attribute round
 	// charges per dimension without re-deriving digits at replay time.
+	// A merge marker carries its merge dimension k here.
 	Dim int
 }
 
@@ -379,6 +387,12 @@ func (b *Builder) AddS2Phase() {
 func (b *Builder) AddSweepPhase() {
 	b.clock.SweepPhases++
 	b.ops = append(b.ops, Op{Kind: OpSweepMarker})
+}
+
+// BeginMerge implements sort2d.Machine: it records the merge marker
+// that opens merge k.
+func (b *Builder) BeginMerge(k int) {
+	b.ops = append(b.ops, Op{Kind: OpMergeMarker, Dim: k})
 }
 
 // charge accrues a round cost with S2/sweep attribution.

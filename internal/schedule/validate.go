@@ -17,7 +17,8 @@ import (
 // node-disjoint (a node may appear in at most one pair per parallel
 // phase — two comparators writing the same cell in one synchronous step
 // would make the op's semantics order-dependent). Round-consuming ops
-// must carry a positive cost, and S2 brackets must be balanced.
+// must carry a positive cost, S2 brackets must be balanced, and a merge
+// marker must name a merge dimension of the network.
 //
 // Compile runs Validate on every freshly built program, so a cached
 // *Program is always structurally sound by construction; the certifier
@@ -73,6 +74,10 @@ func (p *Program) Validate() error {
 			}
 		case OpS2Marker, OpSweepMarker:
 			// markers carry no structure
+		case OpMergeMarker:
+			if op.Dim < 3 || op.Dim > p.net.R() {
+				return fmt.Errorf("schedule: op %d: merge marker for dimension %d outside [3,%d]", i, op.Dim, p.net.R())
+			}
 		default:
 			return fmt.Errorf("schedule: op %d: unknown kind %d", i, uint8(op.Kind))
 		}

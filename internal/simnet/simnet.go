@@ -264,6 +264,10 @@ func (m *Machine) AddS2Phase() { m.clock.S2Phases++ }
 // AddSweepPhase records a completed inter-subgraph transposition sweep.
 func (m *Machine) AddSweepPhase() { m.clock.SweepPhases++ }
 
+// BeginMerge implements sort2d.Machine: a live machine keeps no stage
+// boundaries.
+func (m *Machine) BeginMerge(int) {}
+
 // BeginS2 and EndS2 bracket the rounds attributable to PG_2 sorting so
 // the clock can split Rounds into S2Rounds and SweepRounds.
 func (m *Machine) BeginS2() { m.inS2 = true }

@@ -48,6 +48,10 @@ type Machine interface {
 	AddS2Phase()
 	// AddSweepPhase records one inter-subgraph transposition sweep.
 	AddSweepPhase()
+	// BeginMerge marks the start of the merge along dimension k
+	// (Section 3.3: one merge per dimension 3..r after the base S_2
+	// sort); it moves no data and costs nothing.
+	BeginMerge(k int)
 }
 
 // Engine sorts every PG_2 block spanned by two dimensions.
