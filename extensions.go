@@ -210,7 +210,8 @@ type BlockStats struct {
 	// schedule depth, independent of block size.
 	Rounds int
 	// MergeSplits is the number of merge-splits executed: one per
-	// comparator that can swap (THEORY.md §17), at most Size().
+	// comparator the known-order pass keeps (THEORY.md §8, §17), at
+	// most Size().
 	MergeSplits int
 	// KeysMoved counts keys shipped between processors.
 	KeysMoved int

@@ -11,8 +11,10 @@
 // oblivious, its compiled program (package schedule) is exactly such a
 // network, so the parallel round count is *unchanged* while each round
 // moves a block instead of a key. The merge-splits run over the
-// program's executed comparator stream: the known-order pass's drops
-// are the identity on blocks too (THEORY.md §8).
+// program's known-order stream (schedule.Program.KnownOrderComparators):
+// the known-order pass's drops are the identity on blocks too
+// (THEORY.md §8). The stage-dead drops of the executed stream are proved
+// only for keys, so block sort does not take them.
 package blocksort
 
 import (
@@ -33,14 +35,14 @@ type Stats struct {
 	// size).
 	Rounds int
 	// MergeSplits is the number of merge-splits executed: one per
-	// comparator of the program's executed stream.
+	// comparator of the program's known-order stream.
 	MergeSplits int
 	// KeysMoved counts keys transferred between processors (every
 	// merge-split ships one block each way).
 	KeysMoved int
 }
 
-// Sort sorts keys in place by replaying prog's executed comparator
+// Sort sorts keys in place by replaying prog's known-order comparator
 // stream with merge-split operators, blockSize keys per processor.
 // len(keys) must equal prog.Nodes() × blockSize. On return, keys is
 // globally sorted: block i (the keys of snake position i's processor)
@@ -60,7 +62,7 @@ func Sort(prog *schedule.Program, keys []Key, blockSize int) (Stats, error) {
 		slices.Sort(keys[p*blockSize : (p+1)*blockSize])
 	}
 	buf := make([]Key, 2*blockSize)
-	comps := prog.LoweredComparators()
+	comps := prog.KnownOrderComparators()
 	for _, c := range comps {
 		lo, hi := int(c.Lo)*blockSize, int(c.Hi)*blockSize
 		mergeSplit(keys[lo:lo+blockSize], keys[hi:hi+blockSize], buf)

@@ -114,10 +114,11 @@ func TestSortsAcrossNetworksAndBlockSizes(t *testing.T) {
 			if depth := prog.Clock().ComparePhases; st.Rounds != depth {
 				t.Errorf("%s block=%d: rounds %d != schedule depth %d", name, bs, st.Rounds, depth)
 			}
-			if st.MergeSplits != prog.Executed() {
-				t.Errorf("%s block=%d: merge-splits %d != executed %d", name, bs, st.MergeSplits, prog.Executed())
+			known := len(prog.KnownOrderComparators())
+			if st.MergeSplits != known {
+				t.Errorf("%s block=%d: merge-splits %d != known-order stream %d", name, bs, st.MergeSplits, known)
 			}
-			if st.KeysMoved != 2*bs*prog.Executed() {
+			if st.KeysMoved != 2*bs*known {
 				t.Errorf("%s block=%d: keys moved %d", name, bs, st.KeysMoved)
 			}
 		}
@@ -217,7 +218,7 @@ func BenchmarkBlocksort64x16(b *testing.B) {
 }
 
 // TestSortProgramMatchesScheduleSort: merge-splits over the program's
-// executed stream give the same blocks, byte for byte, as merge-splits
+// known-order stream give the same blocks, byte for byte, as merge-splits
 // over the full schedule (every comparator, the unpruned reference):
 // each dropped comparator is the identity on blocks (THEORY.md §8).
 func TestSortProgramMatchesScheduleSort(t *testing.T) {
@@ -231,8 +232,9 @@ func TestSortProgramMatchesScheduleSort(t *testing.T) {
 	for _, c := range cfgs {
 		prog := compile(t, c.g, c.r)
 		ref := unpruned(t, prog)
-		if prog.Executed() >= prog.Size() {
-			t.Errorf("%s: pass dropped nothing (%d of %d)", prog.Net().Name(), prog.Executed(), prog.Size())
+		known := len(prog.KnownOrderComparators())
+		if known >= prog.Size() {
+			t.Errorf("%s: pass dropped nothing (%d of %d)", prog.Net().Name(), known, prog.Size())
 		}
 		for _, bs := range []int{1, 3, 8} {
 			keys := randomKeys(prog.Nodes()*bs, int64(7*bs))
@@ -254,9 +256,9 @@ func TestSortProgramMatchesScheduleSort(t *testing.T) {
 			if !isSorted(got) {
 				t.Fatalf("%s block=%d: unsorted", prog.Net().Name(), bs)
 			}
-			if st.MergeSplits != prog.Executed() || stRef.MergeSplits != prog.Size() {
-				t.Errorf("%s block=%d: merge-splits %d/%d, want executed %d / size %d",
-					prog.Net().Name(), bs, st.MergeSplits, stRef.MergeSplits, prog.Executed(), prog.Size())
+			if st.MergeSplits != known || stRef.MergeSplits != prog.Size() {
+				t.Errorf("%s block=%d: merge-splits %d/%d, want known-order %d / size %d",
+					prog.Net().Name(), bs, st.MergeSplits, stRef.MergeSplits, known, prog.Size())
 			}
 			if st.Rounds != stRef.Rounds {
 				t.Errorf("%s block=%d: rounds %d != reference %d", prog.Net().Name(), bs, st.Rounds, stRef.Rounds)

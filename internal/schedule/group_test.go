@@ -12,9 +12,10 @@ import (
 )
 
 // programOrder returns prog's executed set in program order: the
-// known-order pass's output before grouping.
+// pruning pass's output before grouping.
 func programOrder(prog *Program) ([]Comparator, []int32) {
-	return pruneComparators(prog.unprunedLowered(), prog.Nodes())
+	all := prog.unprunedLowered()
+	return pruneComparators(all, prog.Nodes(), prog.stageDead(all))
 }
 
 // replayBoth runs the program-order and the grouped stream over copies

@@ -20,6 +20,11 @@ func applyComparatorsAVX512(slab *simnet.Key, comps *Comparator, n, width int)
 //go:noescape
 func applyComparatorsAVX2(slab *simnet.Key, comps *Comparator, n, width int)
 
+// exchangeBitsAVX2 is implemented in kernel_amd64.s.
+//
+//go:noescape
+func exchangeBitsAVX2(a, b *uint64, n int) (swapped uint64)
+
 // cpuid and xgetbv0 are implemented in kernel_amd64.s.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -99,4 +104,18 @@ func runComparators(slab []simnet.Key, comps []Comparator, ends []int32, width i
 		}
 		start = int(end)
 	}
+}
+
+// exchangeBits applies one 0-1 comparator to the lanes of a and b (min
+// = AND into a, max = OR into b) and returns the lanes in which it
+// swapped: the AVX2 body over whole 8-word groups on any vector host,
+// the scalar loop for the rest. Both compute the same words (pinned by
+// TestExchangeBitsMatchesScalar).
+func exchangeBits(a, b []uint64) uint64 {
+	b = b[:len(a)]
+	n := len(a) &^ 7
+	if kernelBody == bodyScalar || n == 0 {
+		return exchangeWords(a, b)
+	}
+	return exchangeBitsAVX2(&a[0], &b[0], n) | exchangeWords(a[n:], b[n:])
 }

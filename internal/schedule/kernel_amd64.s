@@ -145,6 +145,53 @@ done2:
 	VZEROUPPER
 	RET
 
+// func exchangeBitsAVX2(a, b *uint64, n int) (swapped uint64)
+//
+// The staged pass's 0-1 comparator (stage.go): over n words (n a
+// multiple of 8) a[i], b[i] = a[i] AND b[i], a[i] OR b[i], and the
+// result ORs a[i] AND NOT b[i] over all i — the lanes that swapped.
+TEXT ·exchangeBitsAVX2(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ n+16(FP), CX
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ AX, AX
+	TESTQ CX, CX
+	JLE bitsdone
+
+bitsloop:
+	VMOVDQU (SI)(AX*8), Y0
+	VMOVDQU (DI)(AX*8), Y1
+	VMOVDQU 32(SI)(AX*8), Y2
+	VMOVDQU 32(DI)(AX*8), Y3
+	VPANDN Y0, Y1, Y4 // a AND NOT b
+	VPANDN Y2, Y3, Y5
+	VPOR Y4, Y6, Y6
+	VPOR Y5, Y7, Y7
+	VPAND Y1, Y0, Y4
+	VPOR Y1, Y0, Y0
+	VPAND Y3, Y2, Y5
+	VPOR Y3, Y2, Y2
+	VMOVDQU Y4, (SI)(AX*8)
+	VMOVDQU Y0, (DI)(AX*8)
+	VMOVDQU Y5, 32(SI)(AX*8)
+	VMOVDQU Y2, 32(DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT bitsloop
+
+bitsdone:
+	VPOR Y7, Y6, Y6
+	VEXTRACTI128 $1, Y6, X7
+	VPOR X7, X6, X6
+	VPSHUFD $0x4E, X6, X7
+	VPOR X7, X6, X6
+	MOVQ X6, AX
+	VZEROUPPER
+	MOVQ AX, swapped+24(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -75,3 +75,38 @@ func TestDetectBodyConsistent(t *testing.T) {
 		t.Fatalf("KernelName() = %q", name)
 	}
 }
+
+// TestExchangeBitsMatchesScalar pins the AVX2 0-1 comparator of the
+// staged pass against the scalar loop: every length 0..40 (whole 8-word
+// groups and the scalar tail), the words each side leaves, the swapped
+// lanes it returns, and no write past the rows.
+func TestExchangeBitsMatchesScalar(t *testing.T) {
+	if kernelBody < bodyAVX2 {
+		t.Skip("no avx2 on this host")
+	}
+	x := uint64(7)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x ^ x>>29
+	}
+	for n := 0; n <= 40; n++ {
+		a, b := make([]uint64, n+1), make([]uint64, n+1)
+		for i := range a {
+			a[i], b[i] = next(), next()
+		}
+		if n%3 == 0 && n > 0 {
+			b[n-1] = ^a[n-1] // a lane pattern where every lane swaps
+		}
+		wantA, wantB := append([]uint64(nil), a...), append([]uint64(nil), b...)
+		want := exchangeWords(wantA[:n], wantB[:n])
+		got := exchangeBits(a[:n], b[:n])
+		if got != want {
+			t.Fatalf("n=%d: swapped lanes %#x, scalar %#x", n, got, want)
+		}
+		for i := range a {
+			if a[i] != wantA[i] || b[i] != wantB[i] {
+				t.Fatalf("n=%d: word %d is (%#x,%#x), scalar (%#x,%#x)", n, i, a[i], b[i], wantA[i], wantB[i])
+			}
+		}
+	}
+}

@@ -18,3 +18,7 @@ func laneStride(width int) int { return width }
 func runComparators(slab []simnet.Key, comps []Comparator, _ []int32, width int) {
 	applyComparators(slab, comps, width)
 }
+
+// exchangeBits is the staged pass's 0-1 comparator: the scalar loop on
+// every port without a vector body.
+func exchangeBits(a, b []uint64) uint64 { return exchangeWords(a, b) }

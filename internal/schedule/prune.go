@@ -1,24 +1,31 @@
-// The known-order pass: drop every lowered comparator that can never
-// swap. The schedule is oblivious (Section 3.2), so which positions are
-// already in order at each point of the stream is a compile-time fact
-// the pass can track without keys (THEORY.md §17). It runs once per
-// program, lazily inside LoweredComparators, never inside Compile, and
-// it rewrites only the lowered stream: Ops, Phases, Size, Depth and
-// Rounds keep the paper's numbers.
+// The pruning pass: drop every lowered comparator that can never swap.
+// It has two fact sources. The staged certificate (stage.go) gives the
+// exact live set of a program of the paper's recursion (THEORY.md §18).
+// The known-order facts need no stage structure: the schedule is
+// oblivious (Section 3.2), so which positions are already in order at
+// each point of the stream is a compile-time fact the pass can track
+// without keys (THEORY.md §17). It runs once per program, lazily inside
+// LoweredComparators, never inside Compile, and it rewrites only the
+// lowered stream: Ops, Phases, Size, Depth and Rounds keep the paper's
+// numbers.
 
 package schedule
 
 import "math/bits"
 
 // pruneComparators returns the comparators of all (an unpruned lowered
-// stream over n snake positions) that the known-order facts do not
-// prove to be the identity, and for each kept comparator its index in
-// all. A comparator (lo, hi) is dropped when hi is already known ≥ lo:
-// min/max then leave both keys where they are, duplicates included.
-// A kept comparator rewrites only the two rows and two columns of the
-// positions it touches; every other position's key, and so every fact
-// between two untouched positions, is unchanged.
-func pruneComparators(all []Comparator, n int) (kept []Comparator, index []int32) {
+// stream over n snake positions) that neither fact source proves to be
+// the identity, and for each kept comparator its index in all. The
+// stage facts come first: dead[f] (nil when the program has none) says
+// the staged certificate proved comparator f never swaps on any input
+// (THEORY.md §18). Otherwise a comparator (lo, hi) is dropped when hi
+// is already known ≥ lo: min/max then leave both keys where they are,
+// duplicates included. A dropped comparator changes no key, so the
+// facts stand as they are. A kept comparator rewrites only the two
+// rows and two columns of the positions it touches; every other
+// position's key, and so every fact between two untouched positions,
+// is unchanged.
+func pruneComparators(all []Comparator, n int, dead []bool) (kept []Comparator, index []int32) {
 	// Row i of ge holds the positions known to hold a key ≥ the key at
 	// i on every input, row i of le those known ≤ it, as words
 	// [i*w, (i+1)*w). The matrices are transposes of each other
@@ -36,7 +43,7 @@ func pruneComparators(all []Comparator, n int) (kept []Comparator, index []int32
 	for f, c := range all {
 		a, b := int(c.Lo), int(c.Hi)
 		rowGeA, rowGeB := row(ge, a), row(ge, b)
-		if rowGeA[b>>6]>>(b&63)&1 != 0 {
+		if (dead != nil && dead[f]) || rowGeA[b>>6]>>(b&63)&1 != 0 {
 			continue
 		}
 		kept = append(kept, c)

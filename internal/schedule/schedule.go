@@ -116,10 +116,17 @@ type Program struct {
 	permOnce sync.Once
 	perm     []int // snake position -> node id, built on first use
 
-	lowOnce sync.Once
-	lowered []Comparator // executed snake-space comparator stream, built on first use
-	index   []int32      // index[k]: position of lowered[k] in the unpruned stream
-	chunks  []int32      // end offsets of the kernel's bounded slices of lowered
+	exec  loweredStream // the executed stream: stage and known-order facts
+	known loweredStream // the known-order facts alone, which block sort reads
+}
+
+// loweredStream is one pruned and grouped comparator stream of a
+// program, built on first use.
+type loweredStream struct {
+	once   sync.Once
+	comps  []Comparator // snake-space comparators, grouped
+	index  []int32      // index[k]: position of comps[k] in the unpruned stream
+	chunks []int32      // end offsets of the kernel's bounded slices of comps
 }
 
 // Comparator is one lowered compare-exchange in snake-position space:
@@ -177,8 +184,10 @@ func (p *Program) SnakePerm() []int {
 // in snake-position space. Lowering maps every exchange op's (lo, hi)
 // node-id pairs through the inverse snake permutation and concatenates
 // them in execution order (idle rounds and markers move no data, so they
-// vanish); the known-order pass (prune.go) then drops every comparator
-// that provably never swaps, and the locality pass (group.go) reorders
+// vanish); the pruning pass (prune.go) then drops every comparator
+// that provably never swaps — by the staged certificate's exact live
+// set (stage.go) where the program has one, and by the known-order
+// facts — and the locality pass (group.go) reorders
 // the rest block by block, keeping every position's own comparators in
 // program order. What remains is exactly the instruction stream the
 // columnar kernel replays, with no per-op decode and no interface
@@ -186,16 +195,41 @@ func (p *Program) SnakePerm() []int {
 // only. Replaying it over snake-indexed storage gives the same output,
 // byte for byte, as replaying the ops over node-indexed storage (pinned
 // by TestLoweredComparatorsEquivalence and FuzzColumnarEquivalence;
-// THEORY.md §13 and §17).
+// THEORY.md §13, §17 and §18).
 func (p *Program) LoweredComparators() []Comparator {
-	p.lowOnce.Do(func() {
-		comps, index := pruneComparators(p.unprunedLowered(), p.net.Nodes())
+	return p.lower(&p.exec, true).comps
+}
+
+// KnownOrderComparators returns the stream LoweredComparators would
+// be without stage facts: only the known-order pass prunes it. Block
+// sort reads it, since THEORY.md §8 proves the known-order drops, not
+// the stage-dead ones, to be the identity on sorted blocks. Built once
+// per program, on first use — read only.
+func (p *Program) KnownOrderComparators() []Comparator {
+	return p.lower(&p.known, false).comps
+}
+
+// lower builds s once: the unpruned stream, pruned with the stage facts
+// when staged is set and the program has them, then grouped. Without
+// stage facts the executed stream is the known-order one, shared.
+func (p *Program) lower(s *loweredStream, staged bool) *loweredStream {
+	s.once.Do(func() {
+		all := p.unprunedLowered()
+		var dead []bool
+		if staged {
+			if dead = p.stageDead(all); dead == nil {
+				k := p.lower(&p.known, false)
+				s.comps, s.index, s.chunks = k.comps, k.index, k.chunks
+				return
+			}
+		}
+		comps, index := pruneComparators(all, p.net.Nodes(), dead)
 		var err error
-		if p.lowered, p.index, p.chunks, err = lowerExecuted(comps, index, p.net.Nodes()); err != nil {
+		if s.comps, s.index, s.chunks, err = lowerExecuted(comps, index, p.net.Nodes()); err != nil {
 			panic(err) // the grouping pass broke its own invariant
 		}
 	})
-	return p.lowered
+	return s
 }
 
 // Executed returns the number of comparators one replay of the lowered
@@ -208,23 +242,22 @@ func (p *Program) Executed() int { return len(p.LoweredComparators()) }
 // in op order and pair order. It follows the grouped order, so it is
 // increasing only along each position's comparators. Read only.
 func (p *Program) ExecutedIndex() []int32 {
-	p.LoweredComparators()
-	return p.index
+	return p.lower(&p.exec, true).index
 }
 
 // kernelChunks returns the end offsets that cut the executed stream
 // into the slices one kernel call replays.
 func (p *Program) kernelChunks() []int32 {
-	p.LoweredComparators()
-	return p.chunks
+	return p.lower(&p.exec, true).chunks
 }
 
 // WithExecuted returns a program with p's ops (shared, read only) whose
-// executed stream is the unpruned comparators at the given increasing
-// flat indices (numbered as in ExecutedIndex), grouped as
-// LoweredComparators groups a pruned stream; the known-order pass never
-// runs on it. It exists so the certifier's mutation harness can build a
-// program whose pruning is wrong.
+// executed stream — and known-order stream — is the unpruned
+// comparators at the given increasing flat indices (numbered as in
+// ExecutedIndex), grouped as LoweredComparators groups a pruned stream;
+// no pruning pass runs on it. It exists so the certifier's mutation
+// harness can build a program whose pruning is wrong, and so tests can
+// replay the unpruned stream.
 func (p *Program) WithExecuted(index []int32) (*Program, error) {
 	all := p.unprunedLowered()
 	comps := make([]Comparator, len(index))
@@ -235,11 +268,14 @@ func (p *Program) WithExecuted(index []int32) (*Program, error) {
 		comps[k] = all[f]
 	}
 	q := &Program{net: p.net, engine: p.engine, sig: p.sig, ops: p.ops, clock: p.clock}
+	s := &q.exec
 	var err error
-	if q.lowered, q.index, q.chunks, err = lowerExecuted(comps, append([]int32(nil), index...), p.net.Nodes()); err != nil {
+	if s.comps, s.index, s.chunks, err = lowerExecuted(comps, append([]int32(nil), index...), p.net.Nodes()); err != nil {
 		return nil, err
 	}
-	q.lowOnce.Do(func() {})
+	s.once.Do(func() {})
+	q.known.comps, q.known.index, q.known.chunks = s.comps, s.index, s.chunks
+	q.known.once.Do(func() {})
 	return q, nil
 }
 
