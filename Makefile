@@ -154,14 +154,19 @@ fuzz:
 # executed comparator stream of every built-in family/engine pair sorts
 # and drops only comparators that never swap — exhaustively up to 16
 # keys in CI, sampled with coverage lint above. Fails on any
-# counterexample. Writes BENCH_cert.json. Then the certifier's own
-# checks: every mutant (broken-prune included: intact ops, one live
-# comparator missing from the executed stream) must be rejected, and
-# every exhaustive-envelope program may drop only comparators in its
-# unpruned exhaustive dead set, per an independent scalar oracle.
+# counterexample. It also writes staged certificates (every stage of
+# the recursion over its sorted 0-1 tuples) for K2^10 and every serving
+# network the staged pass covers. Writes BENCH_cert.json. Then the
+# certifier's own checks: every mutant (broken-prune included: intact
+# ops, one live comparator missing from the executed stream) must be
+# rejected; every broken-stage mutant (the same, inside one merge) must
+# be rejected by that merge's stage certificate; and every
+# exhaustive-envelope program may drop only comparators in its unpruned
+# exhaustive dead set, per an independent scalar oracle, with the
+# staged certificate's live set equal to that oracle's.
 cert:
 	$(GO) run ./cmd/bench -mode cert -certmax 16
-	$(GO) test -count=1 -run '^(TestMutationHarness|TestEmittedMutationHarness|TestDroppedComparatorsAreExhaustivelyDead)$$' ./internal/cert/
+	$(GO) test -count=1 -run '^(TestMutationHarness|TestEmittedMutationHarness|TestBrokenStageMutants|TestDroppedComparatorsAreExhaustivelyDead)$$' ./internal/cert/
 
 # Serving soak: the batching sort server hammered from many goroutines
 # under the race detector for a few seconds — deadlines, cancellations,

@@ -29,6 +29,15 @@
 // the first op index at which the sorted-prefix metric breaks — the
 // shortest human-checkable refutation the engine can produce.
 //
+// Staged mode proves programs of the paper's recursion far above the
+// exhaustive envelope: it replays each stage over the 0-1 vectors that
+// stage can receive (every vector of a PG_2 block for the base S_2 sort,
+// every tuple of sorted slabs for a merge) and checks that each stage
+// leaves its output sorted in the layout the next stage assumes
+// (THEORY.md §18). It is the same pass that chooses the executed
+// stream (schedule.CertifyStages), run over the executed stream with
+// every dropped comparator probed.
+//
 // Above the exhaustive envelope, Sampled mode replays seeded uniform
 // random 0-1 vectors instead. A sampled pass cannot prove correctness,
 // but it keeps the same witness machinery and adds a coverage lint:
@@ -187,8 +196,28 @@ type Result struct {
 	Dead []DeadComparator `json:"dead,omitempty"`
 	// Elapsed is the wall time of the run.
 	Elapsed time.Duration `json:"elapsedNs"`
-	// Witness is the minimized failing input; nil when Certified.
+	// Witness is the minimized failing input; nil when Certified (and
+	// always nil for a staged run, which reports StageFailure).
 	Witness *Witness `json:"witness,omitempty"`
+	// Staged reports a staged run: Stages lists the program's stages,
+	// and Vectors and Words sum over those it replayed (up to the
+	// first failing one).
+	Staged bool             `json:"staged,omitempty"`
+	Stages []schedule.Stage `json:"stages,omitempty"`
+	// StageFailure says which stage of a staged run failed and why.
+	StageFailure *StageFailure `json:"stageFailure,omitempty"`
+}
+
+// StageFailure is the first stage a staged certificate rejects.
+type StageFailure struct {
+	// K is the stage's dimension: 2 for the base S_2 sort, k for the
+	// merge along dimension k.
+	K int `json:"k"`
+	// Reason says what failed.
+	Reason string `json:"reason"`
+	// LiveDrop, when set, is the comparator the executed stream drops
+	// although it swaps on a vector of this stage.
+	LiveDrop *DeadComparator `json:"liveDrop,omitempty"`
 }
 
 // Run certifies prog: exhaustively over all 2^n 0-1 vectors when n is
@@ -226,4 +255,60 @@ func Sampled(prog *schedule.Program, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("cert: invalid program: %w", err)
 	}
 	return sampled(prog, opt)
+}
+
+// Staged certifies prog stage by stage (THEORY.md §18): it replays the
+// executed stream of each stage of the recursion over that stage's 0-1
+// vectors, probing every dropped comparator, and checks each stage's
+// output in the next stage's layout. A certified staged run is a proof
+// that the executed stream sorts every input and drops only comparators
+// that never swap; its Dead list is then the exact dead set. It fails
+// with schedule.ErrNotStaged on programs without the stage structure
+// (emitted families, r < 2, or a stage over the vector cap).
+func Staged(prog *schedule.Program, opt Options) (*Result, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, fmt.Errorf("cert: invalid program: %w", err)
+	}
+	start := time.Now()
+	lay := newLayout(prog)
+	probe := make([]bool, len(lay.comps))
+	for f, c := range lay.comps {
+		probe[f] = c.dropped
+	}
+	rep, err := schedule.CertifyStages(prog, probe, opt.workers())
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Certified:   rep.Certified,
+		Staged:      true,
+		Stages:      rep.Stages,
+		Keys:        lay.n,
+		Ops:         lay.ops,
+		Comparators: len(lay.comps),
+		Executed:    lay.executed,
+	}
+	for s, st := range rep.Stages {
+		if rep.Failed >= 0 && s > rep.Failed {
+			break // not replayed
+		}
+		res.Vectors += st.Vectors
+		res.Words += st.Words
+		for f := st.First; f < st.End; f++ {
+			if !probe[f] {
+				res.WordOps += st.Words
+			}
+		}
+	}
+	if rep.Certified {
+		res.Dead = lay.deadComparators(rep.Live)
+	} else {
+		res.StageFailure = &StageFailure{K: rep.Stages[rep.Failed].K, Reason: rep.Reason}
+		if f := rep.LiveDrop; f >= 0 {
+			c := lay.comps[f]
+			res.StageFailure.LiveDrop = &DeadComparator{Op: c.op, Pair: c.pair, Lo: c.lo, Hi: c.hi}
+		}
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }

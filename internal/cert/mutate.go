@@ -27,9 +27,12 @@ type Mutant struct {
 // Operators names the mutation operators Mutants applies. All but
 // broken-prune corrupt the ops; broken-prune keeps the ops intact and
 // drops one live comparator from the executed stream — a wrong
-// known-order pass, which the certifier must reject even when the
-// shortened stream still happens to sort.
-var Operators = []string{"drop-op", "swap-lohi", "perturb-endpoint", "reorder-phases", "drop-pair", "broken-prune"}
+// pruning pass, which the certifier must reject even when the
+// shortened stream still happens to sort. broken-stage does the same
+// with a comparator of one merge that swaps on some sorted tuple of
+// that merge, and that merge's stage certificate (Staged) must reject
+// it.
+var Operators = []string{"drop-op", "swap-lohi", "perturb-endpoint", "reorder-phases", "drop-pair", "broken-prune", "broken-stage"}
 
 // Mutants generates up to perOp deterministic mutants per operator from
 // prog, using a seeded PRNG to pick mutation sites. Every returned
@@ -122,6 +125,7 @@ func Mutants(prog *schedule.Program, perOp int, seed int64) []Mutant {
 		}
 	}
 	out = append(out, brokenPrunes(prog, perOp, seed)...)
+	out = append(out, BrokenStages(prog, perOp, seed)...)
 	return dedupeMutants(out)
 }
 
@@ -165,6 +169,52 @@ func brokenPrunes(prog *schedule.Program, n int, seed int64) []Mutant {
 		})
 	}
 	return out
+}
+
+// BrokenStages returns up to n programs with prog's ops whose executed
+// stream additionally drops one comparator of a merge stage (k ≥ 3)
+// that swaps on some sorted 0-1 tuple of its stage in a certified
+// staged run of prog. Each is named "broken-stage@merge<k>.op<i>.<j>",
+// and the staged certificate must reject it in merge k, naming that
+// comparator. It draws from its own PRNG; a program without a staged
+// certificate yields none.
+func BrokenStages(prog *schedule.Program, n int, seed int64) []Mutant {
+	rep, err := schedule.CertifyStages(prog, nil, 1)
+	if err != nil || !rep.Certified {
+		return nil
+	}
+	lay := newLayout(prog)
+	index := prog.ExecutedIndex()
+	stageOf := make([]int, len(lay.comps))
+	for _, st := range rep.Stages {
+		for f := st.First; f < st.End; f++ {
+			stageOf[f] = st.K
+		}
+	}
+	var live []int // positions in index of executed merge comparators that swap
+	for k, f := range index {
+		if stageOf[f] >= 3 && rep.Live[f] {
+			live = append(live, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x57A6E))
+	var out []Mutant
+	for m := 0; m < n && len(live) > 0; m++ {
+		k := live[rng.Intn(len(live))]
+		keep := append(append([]int32(nil), index[:k]...), index[k+1:]...)
+		slices.Sort(keep) // WithExecuted takes the set in program order
+		mp, err := prog.WithExecuted(keep)
+		if err != nil {
+			panic(fmt.Sprintf("cert: broken-stage mutant invalid: %v", err))
+		}
+		c := lay.comps[index[k]]
+		out = append(out, Mutant{
+			Name:     fmt.Sprintf("broken-stage@merge%d.op%d.%d", stageOf[index[k]], c.op, c.pair),
+			Operator: "broken-stage",
+			Prog:     mp,
+		})
+	}
+	return dedupeMutants(out)
 }
 
 // cloneOps deep-copies an op list (ops and their pair slices) so a

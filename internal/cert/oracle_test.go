@@ -128,3 +128,62 @@ func TestOracleMatchesExecBackend(t *testing.T) {
 		}
 	}
 }
+
+// oracleStageMerges reports whether merge k of prog — its exchange ops
+// between the merge marker for k and the next marker — takes every
+// tuple of sorted 0-1 slabs to blocks sorted in their snake order. It
+// replays one tuple at a time in node space, reading the layouts
+// straight from the network, independently of the staged pass.
+func oracleStageMerges(prog *schedule.Program, k int) bool {
+	net := prog.Net()
+	in, out := make([]int, k-1), make([]int, k)
+	for i := range out {
+		out[i] = i + 1
+	}
+	copy(in, out)
+	var pairs [][2]int
+	cur := 2
+	for _, op := range prog.Ops() {
+		switch op.Kind {
+		case schedule.OpMergeMarker:
+			cur = op.Dim
+		case schedule.OpCompareExchange, schedule.OpRoutedExchange:
+			if cur == k {
+				pairs = append(pairs, op.Pairs...)
+			}
+		}
+	}
+	m, slabs, n := net.BlockSize(in), net.Radix(k), net.Nodes()
+	z := make([]int, slabs)
+	keys := make([]int, n)
+	for {
+		for node := range keys {
+			keys[node] = 0
+			if net.BlockSnakePos(node, in) >= z[net.Digit(node, k)] {
+				keys[node] = 1
+			}
+		}
+		for _, pr := range pairs {
+			if keys[pr[0]] > keys[pr[1]] {
+				keys[pr[0]], keys[pr[1]] = keys[pr[1]], keys[pr[0]]
+			}
+		}
+		for _, base := range net.BlockBases(out) {
+			for p := 1; p < net.BlockSize(out); p++ {
+				if keys[net.NodeInBlock(base, out, p-1)] > keys[net.NodeInBlock(base, out, p)] {
+					return false
+				}
+			}
+		}
+		u := 0
+		for ; u < slabs; u++ { // next tuple, odometer order
+			if z[u]++; z[u] <= m {
+				break
+			}
+			z[u] = 0
+		}
+		if u == slabs {
+			return true
+		}
+	}
+}
