@@ -112,8 +112,12 @@ examples:
 		$(GO) run ./$$d >/dev/null || exit 1; \
 	done
 
+# The timed artifacts carry a host header with the binary's VCS stamp,
+# which `go run` records only under -buildvcs=true.
+BENCH_RUN = $(GO) run -buildvcs=true ./cmd/bench
+
 bench-schedule:
-	$(GO) run ./cmd/bench -mode schedule
+	$(BENCH_RUN) -mode schedule
 
 # Chaos smoke: resilient sorts under injected faults across topologies,
 # plus the fault-rate x engine sweep (deterministic replay vs the
@@ -165,7 +169,7 @@ fuzz:
 # exhaustive dead set, per an independent scalar oracle, with the
 # staged certificate's live set equal to that oracle's.
 cert:
-	$(GO) run ./cmd/bench -mode cert -certmax 16
+	$(BENCH_RUN) -mode cert -certmax 16
 	$(GO) test -count=1 -run '^(TestMutationHarness|TestEmittedMutationHarness|TestBrokenStageMutants|TestDroppedComparatorsAreExhaustivelyDead)$$' ./internal/cert/
 
 # Serving soak: the batching sort server hammered from many goroutines
@@ -215,7 +219,7 @@ extsort-fuzz:
 # (median and quartiles, run first), the size sweep and a run batch sweep
 # at the largest; writes BENCH_extsort.json with its host.
 bench-extsort:
-	$(GO) run ./cmd/bench -mode extsort
+	$(BENCH_RUN) -mode extsort
 
 # The repository benchmark (BENCHMARK.json): build perfbench/ from this
 # checkout and run one workload. The build cache, spill files and traces

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"time"
 
 	"productsort"
+	"productsort/internal/cert"
+	"productsort/internal/graph"
+	"productsort/internal/product"
+	"productsort/internal/schedule"
 	"productsort/internal/stats"
 )
 
@@ -16,7 +21,7 @@ type certEntry struct {
 	Engine      string  `json:"engine"`
 	Family      string  `json:"family"`
 	Nodes       int     `json:"nodes"`
-	Mode        string  `json:"mode"` // "exhaustive" or "sampled"
+	Mode        string  `json:"mode"` // "exhaustive", "sampled" or "staged"
 	Certified   bool    `json:"certified"`
 	Vectors     uint64  `json:"vectors"`
 	Words       uint64  `json:"words"`
@@ -27,11 +32,15 @@ type certEntry struct {
 	Dead        int     `json:"deadComparators"`
 	ElapsedMs   float64 `json:"elapsedMs"`
 	Witness     string  `json:"witness,omitempty"`
+	// Stages lists a staged run's stages: the base S_2 sort (k = 2)
+	// and each merge k, with the 0-1 vectors and words each replays.
+	Stages []schedule.Stage `json:"stages,omitempty"`
 }
 
 // certReport is the BENCH_cert.json document.
 type certReport struct {
 	Generated         string      `json:"generated"`
+	Host              hostHeader  `json:"host"`
 	MaxExhaustiveKeys int         `json:"maxExhaustiveKeys"`
 	SampleVectors     int         `json:"sampleVectors"`
 	Entries           []certEntry `json:"entries"`
@@ -89,6 +98,7 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 
 	report := certReport{
 		Generated:         time.Now().UTC().Format(time.RFC3339),
+		Host:              hostInfo(),
 		MaxExhaustiveKeys: maxKeys,
 		SampleVectors:     sample,
 	}
@@ -202,8 +212,39 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 		}
 	}
 
+	for _, net := range servingNetworks() {
+		prog, err := schedule.Compile(net, nil)
+		if err != nil {
+			return err
+		}
+		if _, err := prog.Stages(); errors.Is(err, schedule.ErrNotStaged) {
+			continue
+		}
+		res, err := cert.Staged(prog, cert.Options{Workers: workers})
+		if err != nil {
+			return fmt.Errorf("cert bench: %s staged: %w", net.Name(), err)
+		}
+		e := certEntry{
+			Network: net.Name(), Engine: prog.Engine(), Family: productsort.FamilyProduct, Nodes: net.Nodes(),
+			Mode: "staged", Certified: res.Certified, Vectors: res.Vectors, Words: res.Words,
+			WordOps: res.WordOps, Ops: res.Ops, Comparators: res.Comparators, Executed: res.Executed,
+			Dead: len(res.Dead), ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond), Stages: res.Stages,
+		}
+		verdict := "CERTIFIED (staged)"
+		if !res.Certified {
+			failures++
+			verdict = "FAILED"
+			e.Witness = fmt.Sprintf("%+v", *res.StageFailure)
+		}
+		report.Entries = append(report.Entries, e)
+		table.Add(e.Network, e.Family, e.Engine, e.Nodes, e.Mode, e.Vectors, e.Comparators, e.Executed, e.Dead,
+			verdict, fmt.Sprintf("%.1fms", e.ElapsedMs))
+	}
+
 	table.Note("exhaustive: all 2^keys 0-1 vectors replayed bitsliced (64/word) — a sorting proof "+
-		"by the 0-1 principle; sampled: %d seeded random vectors (refutation + dead-comparator lint only)", sample)
+		"by the 0-1 principle; sampled: %d seeded random vectors (refutation + dead-comparator lint only); "+
+		"staged: every 0-1 vector of a PG_2 block, then every sorted 0-1 tuple of each merge — a sorting "+
+		"proof by THEORY.md §18, run for every default serving network the staged pass covers", sample)
 	table.Render(os.Stdout)
 
 	if err := writeJSONArtifact(path, report); err != nil {
@@ -214,4 +255,19 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 		return fmt.Errorf("cert bench: %d certification failure(s)", failures)
 	}
 	return nil
+}
+
+// servingNetworks returns the default serving networks of a 4096-key
+// server (productsort.DefaultServingNetworks(4096)) as internal
+// networks, so their programs can be certified stage by stage;
+// TestServingNetworksMatchDefault keeps the two lists equal.
+func servingNetworks() []*product.Network {
+	var nets []*product.Network
+	for r := 1; r <= 12; r++ {
+		nets = append(nets, product.MustNew(graph.K2(), r))
+	}
+	for r := 2; r <= 6; r++ {
+		nets = append(nets, product.MustNew(graph.Path(4), r), product.MustNew(graph.Cycle(4), r))
+	}
+	return nets
 }

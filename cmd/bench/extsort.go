@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
 	"strconv"
@@ -47,19 +46,6 @@ type extsortEntry struct {
 	Ratio              float64 `json:"ratio"`
 }
 
-// extsortHost names the machine a report was measured on.
-type extsortHost struct {
-	GoVersion  string `json:"goVersion"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	CPU        string `json:"cpu"`
-	NumCPU     int    `json:"numCPU"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Kernel is the dispatched vector body (schedule.KernelName): it
-	// picks the run kernel's body and the merge kernel's.
-	Kernel string `json:"kernel"`
-}
-
 // spread is the middle of a set of repeated measurements: the median
 // and the quartiles (nearest rank), so the interquartile distance
 // Q3−Q1 is the run-to-run noise a comparison has to beat.
@@ -75,7 +61,7 @@ type spread struct {
 // the largest size, measured in that order.
 type extsortReport struct {
 	Generated string         `json:"generated"`
-	Host      extsortHost    `json:"host"`
+	Host      hostHeader     `json:"host"`
 	Network   string         `json:"network"`
 	Nodes     int            `json:"nodes"`
 	SizeSweep []extsortEntry `json:"sizeSweep"`
@@ -296,28 +282,6 @@ func spreadOf(xs []float64) spread {
 	slices.Sort(s)
 	rank := func(q float64) float64 { return s[max(int(math.Ceil(q*float64(len(s))))-1, 0)] }
 	return spread{Median: rank(0.5), Q1: rank(0.25), Q3: rank(0.75)}
-}
-
-// hostInfo describes this machine; CPU is empty where /proc/cpuinfo
-// cannot be read.
-func hostInfo() extsortHost {
-	h := extsortHost{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Kernel:     schedule.KernelName(),
-	}
-	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if name, value, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
-				h.CPU = strings.TrimSpace(value)
-				break
-			}
-		}
-	}
-	return h
 }
 
 // extsortKeys draws n keys over the whole int64 range with duplicates

@@ -87,10 +87,11 @@ type scheduleReport struct {
 	Generated string `json:"generated"`
 	Sets      int    `json:"sets"`
 	Workers   int    `json:"workers"`
-	// Kernel is the body dispatched for batches of at least four sets
-	// on the measuring host (avx512, avx2 or scalar); KernelLanes is
-	// the batch width every entry's NsPerCompLane is measured at.
-	Kernel      string          `json:"kernel"`
+	// Host names the machine and build; its Kernel is the body
+	// dispatched for batches of at least four sets (avx512, avx2 or
+	// scalar). KernelLanes is the batch width every entry's
+	// NsPerCompLane is measured at.
+	Host        hostHeader      `json:"host"`
 	KernelLanes int             `json:"kernelLanes"`
 	Entries     []scheduleEntry `json:"entries"`
 	// Families is the product-vs-multiway-vs-periodic head-to-head at a
@@ -150,7 +151,7 @@ func runScheduleBench(path string, sets, workers int) error {
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 		Sets:        sets,
 		Workers:     workers,
-		Kernel:      schedule.KernelName(),
+		Host:        hostInfo(),
 		KernelLanes: kernelLanes,
 	}
 	for _, tp := range nets {
@@ -248,7 +249,7 @@ func runScheduleBench(path string, sets, workers int) error {
 	if err := writeJSONArtifact(path, report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d sets, %d workers, %s kernel)\n", path, sets, workers, report.Kernel)
+	fmt.Printf("wrote %s (%d sets, %d workers, %s kernel)\n", path, sets, workers, report.Host.Kernel)
 	return nil
 }
 

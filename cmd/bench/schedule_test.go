@@ -92,8 +92,8 @@ func TestRunScheduleBench(t *testing.T) {
 	if rep.Sets != 4 || rep.Workers != 1 || len(rep.Entries) != 6 {
 		t.Fatalf("report header: sets %d workers %d entries %d, want 4/1/6", rep.Sets, rep.Workers, len(rep.Entries))
 	}
-	if rep.Kernel != schedule.KernelName() || rep.KernelLanes != kernelLanes {
-		t.Fatalf("report header: kernel %q at %d lanes, want %q at %d", rep.Kernel, rep.KernelLanes, schedule.KernelName(), kernelLanes)
+	if rep.Host.Kernel != schedule.KernelName() || rep.KernelLanes != kernelLanes {
+		t.Fatalf("report header: kernel %q at %d lanes, want %q at %d", rep.Host.Kernel, rep.KernelLanes, schedule.KernelName(), kernelLanes)
 	}
 	for _, e := range rep.Entries {
 		if e.ColdNs <= 0 || e.WarmPerSetNs <= 0 || e.ColsPerSetNs <= 0 || e.Rounds < 1 || e.NsPerCompLane <= 0 {

@@ -20,10 +20,13 @@ func applyComparatorsAVX512(slab *simnet.Key, comps *Comparator, n, width int)
 //go:noescape
 func applyComparatorsAVX2(slab *simnet.Key, comps *Comparator, n, width int)
 
-// exchangeBitsAVX2 is implemented in kernel_amd64.s.
+// exchangeBitsAVX2 and swapBitsAVX2 are implemented in kernel_amd64.s.
 //
 //go:noescape
 func exchangeBitsAVX2(a, b *uint64, n int) (swapped uint64)
+
+//go:noescape
+func swapBitsAVX2(a, b *uint64, n int) (lanes uint64)
 
 // cpuid and xgetbv0 are implemented in kernel_amd64.s.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -118,4 +121,16 @@ func exchangeBits(a, b []uint64) uint64 {
 		return exchangeWords(a, b)
 	}
 	return exchangeBitsAVX2(&a[0], &b[0], n) | exchangeWords(a[n:], b[n:])
+}
+
+// swapBits returns the lanes in which a 0-1 comparator (a, b) would
+// swap — a holds a 1 and b a 0 — without applying it, through the same
+// bodies as exchangeBits.
+func swapBits(a, b []uint64) uint64 {
+	b = b[:len(a)]
+	n := len(a) &^ 7
+	if kernelBody == bodyScalar || n == 0 {
+		return swaps(a, b)
+	}
+	return swapBitsAVX2(&a[0], &b[0], n) | swaps(a[n:], b[n:])
 }

@@ -192,6 +192,43 @@ bitsdone:
 	MOVQ AX, swapped+24(FP)
 	RET
 
+// func swapBitsAVX2(a, b *uint64, n int) (lanes uint64)
+//
+// The staged pass's probe (stage.go): over n words (n a multiple of 8)
+// the OR of a[i] AND NOT b[i] — the lanes in which comparator (a, b)
+// would swap — with no store.
+TEXT ·swapBitsAVX2(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ n+16(FP), CX
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ AX, AX
+	TESTQ CX, CX
+	JLE probedone
+
+probeloop:
+	VMOVDQU (DI)(AX*8), Y1
+	VMOVDQU 32(DI)(AX*8), Y3
+	VPANDN (SI)(AX*8), Y1, Y4 // a AND NOT b
+	VPANDN 32(SI)(AX*8), Y3, Y5
+	VPOR Y4, Y6, Y6
+	VPOR Y5, Y7, Y7
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT probeloop
+
+probedone:
+	VPOR Y7, Y6, Y6
+	VEXTRACTI128 $1, Y6, X7
+	VPOR X7, X6, X6
+	VPSHUFD $0x4E, X6, X7
+	VPOR X7, X6, X6
+	MOVQ X6, AX
+	VZEROUPPER
+	MOVQ AX, lanes+24(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

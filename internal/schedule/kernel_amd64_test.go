@@ -76,10 +76,10 @@ func TestDetectBodyConsistent(t *testing.T) {
 	}
 }
 
-// TestExchangeBitsMatchesScalar pins the AVX2 0-1 comparator of the
-// staged pass against the scalar loop: every length 0..40 (whole 8-word
-// groups and the scalar tail), the words each side leaves, the swapped
-// lanes it returns, and no write past the rows.
+// TestExchangeBitsMatchesScalar pins the AVX2 0-1 comparator and probe
+// of the staged pass against the scalar loops: every length 0..40
+// (whole 8-word groups and the scalar tail), the words each side
+// leaves, the swapped lanes returned, and no write past the rows.
 func TestExchangeBitsMatchesScalar(t *testing.T) {
 	if kernelBody < bodyAVX2 {
 		t.Skip("no avx2 on this host")
@@ -96,6 +96,9 @@ func TestExchangeBitsMatchesScalar(t *testing.T) {
 		}
 		if n%3 == 0 && n > 0 {
 			b[n-1] = ^a[n-1] // a lane pattern where every lane swaps
+		}
+		if got, want := swapBits(a[:n], b[:n]), swaps(a[:n], b[:n]); got != want {
+			t.Fatalf("n=%d: probed lanes %#x, scalar %#x", n, got, want)
 		}
 		wantA, wantB := append([]uint64(nil), a...), append([]uint64(nil), b...)
 		want := exchangeWords(wantA[:n], wantB[:n])

@@ -22,3 +22,7 @@ func runComparators(slab []simnet.Key, comps []Comparator, _ []int32, width int)
 // exchangeBits is the staged pass's 0-1 comparator: the scalar loop on
 // every port without a vector body.
 func exchangeBits(a, b []uint64) uint64 { return exchangeWords(a, b) }
+
+// swapBits is the staged pass's probe: the scalar loop on every port
+// without a vector body.
+func swapBits(a, b []uint64) uint64 { return swaps(a, b) }

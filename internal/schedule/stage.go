@@ -288,7 +288,7 @@ func (g *stageGeometry) replay(all []Comparator, st Stage, probe []bool, workers
 					a := state[int(c.Lo)*width : int(c.Lo)*width+nw]
 					b := state[int(c.Hi)*width : int(c.Hi)*width+nw]
 					if probe != nil && probe[f] {
-						if swaps(a, b) != 0 && (res.liveDrop < 0 || f < res.liveDrop) {
+						if swapBits(a, b) != 0 && (res.liveDrop < 0 || f < res.liveDrop) {
 							res.liveDrop = f
 						}
 						continue
@@ -415,7 +415,7 @@ func (g *stageGeometry) unsorted(state []uint64, width, nw int) bool {
 	for b := 0; b < len(g.order); b += g.blockN {
 		blk := g.order[b : b+g.blockN]
 		for j := 1; j < len(blk); j++ {
-			bad |= swaps(state[int(blk[j-1])*width:int(blk[j-1])*width+nw], state[int(blk[j])*width:int(blk[j])*width+nw])
+			bad |= swapBits(state[int(blk[j-1])*width:int(blk[j-1])*width+nw], state[int(blk[j])*width:int(blk[j])*width+nw])
 		}
 	}
 	return bad != 0
