@@ -13,19 +13,6 @@ import (
 	"productsort/internal/schedule"
 )
 
-// lowPat[p] is the periodic bit pattern of digit p over one 64-vector
-// block: bit j is set iff bit p of j is set. Vector index bits below 6
-// cycle inside a 64-aligned block, so initialization needs no per-lane
-// work.
-var lowPat = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
 // comparator is one exchange pair of the program, flattened in
 // execution order: the op index and pair index it came from, its node
 // ids, and whether the program's executed stream drops it.
@@ -163,7 +150,7 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 				for node := 0; node < n; node++ {
 					p := lay.pos[node]
 					if p < 6 {
-						words[node] = lowPat[p]
+						words[node] = schedule.LanePatterns[p]
 					} else if (base>>p)&1 == 1 {
 						words[node] = ^uint64(0)
 					} else {

@@ -125,7 +125,7 @@ func Mutants(prog *schedule.Program, perOp int, seed int64) []Mutant {
 		}
 	}
 	out = append(out, brokenPrunes(prog, perOp, seed)...)
-	out = append(out, BrokenStages(prog, perOp, seed)...)
+	out = append(out, brokenStages(prog, perOp, seed)...)
 	return dedupeMutants(out)
 }
 
@@ -171,14 +171,14 @@ func brokenPrunes(prog *schedule.Program, n int, seed int64) []Mutant {
 	return out
 }
 
-// BrokenStages returns up to n programs with prog's ops whose executed
+// brokenStages returns up to n programs with prog's ops whose executed
 // stream additionally drops one comparator of a merge stage (k ≥ 3)
 // that swaps on some sorted 0-1 tuple of its stage in a certified
 // staged run of prog. Each is named "broken-stage@merge<k>.op<i>.<j>",
 // and the staged certificate must reject it in merge k, naming that
 // comparator. It draws from its own PRNG; a program without a staged
 // certificate yields none.
-func BrokenStages(prog *schedule.Program, n int, seed int64) []Mutant {
+func brokenStages(prog *schedule.Program, n int, seed int64) []Mutant {
 	rep, err := schedule.CertifyStages(prog, nil, 1)
 	if err != nil || !rep.Certified {
 		return nil

@@ -151,7 +151,7 @@ func TestBrokenStageMutants(t *testing.T) {
 	rejected := 0
 	for _, b := range bases {
 		prog := compileNet(t, b.g, b.r, "auto")
-		ms := BrokenStages(prog, 16, 3)
+		ms := brokenStages(prog, 16, 3)
 		if len(ms) == 0 {
 			t.Fatalf("%s: no broken-stage mutants", b.name)
 		}

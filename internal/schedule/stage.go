@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // maxStageVectors caps the 0-1 vectors one stage may replay: 2^21,
@@ -71,11 +70,10 @@ type StageReport struct {
 	// replayed vector. On a certified report it is the exact live set:
 	// comparator f can swap on some input of the program iff Live[f].
 	Live []bool
-	// LiveDrop is the first probed comparator (flat index) seen
-	// swapping, or -1.
+	// LiveDrop is a probed comparator (flat index) seen swapping on a
+	// vector on which no earlier probed comparator swapped — so one the
+	// unpruned program swaps too — or -1.
 	LiveDrop int
-	// Elapsed is the wall time of the replay.
-	Elapsed time.Duration
 }
 
 // Stages splits the program into the stages of the paper's recursion:
@@ -150,9 +148,9 @@ func dimRange(k int) []int {
 
 // CertifyStages replays every stage of prog over its 0-1 vectors on up
 // to workers goroutines. A comparator f with probe[f] set is probed,
-// not applied: the report's LiveDrop names the first one seen swapping
-// (probe may be nil). It fails with ErrNotStaged when the program has
-// no stage structure (see Stages).
+// not applied: the report's LiveDrop names one seen swapping (probe may
+// be nil). It fails with ErrNotStaged when the program has no stage
+// structure (see Stages).
 func CertifyStages(prog *Program, probe []bool, workers int) (*StageReport, error) {
 	return certifyStages(prog, prog.unprunedLowered(), probe, workers)
 }
@@ -160,7 +158,6 @@ func CertifyStages(prog *Program, probe []bool, workers int) (*StageReport, erro
 // certifyStages is CertifyStages over the already lowered unpruned
 // stream all.
 func certifyStages(prog *Program, all []Comparator, probe []bool, workers int) (*StageReport, error) {
-	start := time.Now()
 	stages, err := prog.Stages()
 	if err != nil {
 		return nil, err
@@ -189,7 +186,6 @@ func certifyStages(prog *Program, all []Comparator, probe []bool, workers int) (
 		}
 	}
 	rep.Certified = rep.Failed < 0
-	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
@@ -259,7 +255,7 @@ func (g *stageGeometry) local(comps []Comparator) string {
 // stageResult is one stage's replay outcome.
 type stageResult struct {
 	live     []bool // per stage comparator
-	liveDrop int    // first probed comparator seen swapping, or -1
+	liveDrop int    // lowest probed comparator seen swapping, or -1
 	unsorted bool
 }
 
@@ -316,8 +312,10 @@ func (g *stageGeometry) replay(all []Comparator, st Stage, probe []bool, workers
 	return out
 }
 
-// lowPat[p] is bit p of the lane index, for the 64 lanes of one word.
-var lowPat = [6]uint64{
+// LanePatterns[p] is bit p of the lane index, for the 64 lanes of one
+// word: the low six bits of the vector index of each lane when a word
+// holds 64 consecutive 0-1 vectors. The bitsliced certifier shares it.
+var LanePatterns = [6]uint64{
 	0xAAAAAAAAAAAAAAAA,
 	0xCCCCCCCCCCCCCCCC,
 	0xF0F0F0F0F0F0F0F0,
@@ -339,7 +337,7 @@ func (g *stageGeometry) load(state []uint64, width, w0, nw int, vectors uint64, 
 			row := state[pos*width : pos*width+nw]
 			for i := range row {
 				if rk < 6 {
-					row[i] = lowPat[rk]
+					row[i] = LanePatterns[rk]
 				} else {
 					row[i] = -(uint64(w0+i) >> (rk - 6) & 1)
 				}
@@ -363,8 +361,9 @@ func (g *stageGeometry) load(state []uint64, width, w0, nw int, vectors uint64, 
 		for ii := 0; ii < group; ii++ {
 			clear(first)
 			t := uint64(w0+i0+ii) * 64
-			for u := range digits {
-				digits[u] = int(t / pow(uint64(m+1), u) % uint64(m+1))
+			for u, x := 0, t; u < slabs; u++ {
+				digits[u] = int(x % uint64(m+1))
+				x /= uint64(m + 1)
 			}
 			for j := 0; j < 64; j++ {
 				if t+uint64(j) >= vectors {
@@ -397,15 +396,6 @@ func (g *stageGeometry) load(state []uint64, width, w0, nw int, vectors uint64, 
 		}
 	}
 	return scratch
-}
-
-// pow returns b^e.
-func pow(b uint64, e int) uint64 {
-	out := uint64(1)
-	for ; e > 0; e-- {
-		out *= b
-	}
-	return out
 }
 
 // unsorted reports whether some lane leaves some output block unsorted:
@@ -449,7 +439,7 @@ func swaps(a, b []uint64) (lanes uint64) {
 // stage structure or a stage fails its certificate: then no stage fact
 // is used.
 func (p *Program) stageDead(all []Comparator) []bool {
-	rep, err := certifyStages(p, all, nil, stageWorkers())
+	rep, err := certifyStages(p, all, nil, runtime.GOMAXPROCS(0))
 	if err != nil || !rep.Certified {
 		return nil
 	}
@@ -459,6 +449,3 @@ func (p *Program) stageDead(all []Comparator) []bool {
 	}
 	return dead
 }
-
-// stageWorkers is the goroutine count of the lazy staged pass.
-func stageWorkers() int { return runtime.GOMAXPROCS(0) }
