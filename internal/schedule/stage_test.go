@@ -182,3 +182,40 @@ func TestFailedStageUsesNoStageFacts(t *testing.T) {
 		t.Fatalf("probed live comparator %d: certified=%v liveDrop=%d failed=%d", last, rep.Certified, rep.LiveDrop, rep.Failed)
 	}
 }
+
+// TestLoweringConcurrentFirstUse: goroutines racing to the first use of
+// both streams of a fresh program — the executed stream builds the
+// known-order one on the way — all get the same slices.
+func TestLoweringConcurrentFirstUse(t *testing.T) {
+	for _, net := range []*product.Network{product.MustNew(graph.K2(), 6), product.MustNew(graph.Path(8), 2)} {
+		prog, err := CompileUncached(net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers = 8
+		got := make([][2][]Comparator, callers)
+		done := make(chan int)
+		for g := 0; g < callers; g++ {
+			go func(g int) {
+				if g%2 == 0 { // half the callers ask for the executed stream first
+					got[g][1] = prog.LoweredComparators()
+					got[g][0] = prog.KnownOrderComparators()
+				} else {
+					got[g][0] = prog.KnownOrderComparators()
+					got[g][1] = prog.LoweredComparators()
+				}
+				done <- g
+			}(g)
+		}
+		for range got {
+			<-done
+		}
+		for g := 1; g < callers; g++ {
+			for s := range got[g] {
+				if len(got[g][s]) == 0 || &got[g][s][0] != &got[0][s][0] {
+					t.Fatalf("%s: caller %d got a different stream %d", net.Name(), g, s)
+				}
+			}
+		}
+	}
+}
