@@ -199,10 +199,9 @@ type Result struct {
 	// Witness is the minimized failing input; nil when Certified (and
 	// always nil for a staged run, which reports StageFailure).
 	Witness *Witness `json:"witness,omitempty"`
-	// Staged reports a staged run: Stages lists the program's stages,
-	// and Vectors and Words sum over those it replayed (up to the
+	// Stages, set only by a staged run, lists the program's stages;
+	// Vectors and Words then sum over those it replayed (up to the
 	// first failing one).
-	Staged bool             `json:"staged,omitempty"`
 	Stages []schedule.Stage `json:"stages,omitempty"`
 	// StageFailure says which stage of a staged run failed and why.
 	StageFailure *StageFailure `json:"stageFailure,omitempty"`
@@ -281,7 +280,6 @@ func Staged(prog *schedule.Program, opt Options) (*Result, error) {
 	}
 	res := &Result{
 		Certified:   rep.Certified,
-		Staged:      true,
 		Stages:      rep.Stages,
 		Keys:        lay.n,
 		Ops:         lay.ops,

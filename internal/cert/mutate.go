@@ -155,17 +155,11 @@ func brokenPrunes(prog *schedule.Program, n int, seed int64) []Mutant {
 	var out []Mutant
 	for m := 0; m < n && len(live) > 0; m++ {
 		k := live[rng.Intn(len(live))]
-		keep := append(append([]int32(nil), index[:k]...), index[k+1:]...)
-		slices.Sort(keep) // WithExecuted takes the set in program order
-		mp, err := prog.WithExecuted(keep)
-		if err != nil {
-			panic(fmt.Sprintf("cert: broken-prune mutant invalid: %v", err))
-		}
 		c := lay.comps[index[k]]
 		out = append(out, Mutant{
 			Name:     fmt.Sprintf("broken-prune@op%d.%d", c.op, c.pair),
 			Operator: "broken-prune",
-			Prog:     mp,
+			Prog:     withoutExecuted(prog, index, k),
 		})
 	}
 	return out
@@ -201,20 +195,26 @@ func brokenStages(prog *schedule.Program, n int, seed int64) []Mutant {
 	var out []Mutant
 	for m := 0; m < n && len(live) > 0; m++ {
 		k := live[rng.Intn(len(live))]
-		keep := append(append([]int32(nil), index[:k]...), index[k+1:]...)
-		slices.Sort(keep) // WithExecuted takes the set in program order
-		mp, err := prog.WithExecuted(keep)
-		if err != nil {
-			panic(fmt.Sprintf("cert: broken-stage mutant invalid: %v", err))
-		}
 		c := lay.comps[index[k]]
 		out = append(out, Mutant{
 			Name:     fmt.Sprintf("broken-stage@merge%d.op%d.%d", stageOf[index[k]], c.op, c.pair),
 			Operator: "broken-stage",
-			Prog:     mp,
+			Prog:     withoutExecuted(prog, index, k),
 		})
 	}
 	return dedupeMutants(out)
+}
+
+// withoutExecuted returns prog with the executed stream index minus its
+// k-th comparator.
+func withoutExecuted(prog *schedule.Program, index []int32, k int) *schedule.Program {
+	keep := append(append([]int32(nil), index[:k]...), index[k+1:]...)
+	slices.Sort(keep) // WithExecuted takes the set in program order
+	mp, err := prog.WithExecuted(keep)
+	if err != nil {
+		panic(fmt.Sprintf("cert: executed-stream mutant invalid: %v", err))
+	}
+	return mp
 }
 
 // cloneOps deep-copies an op list (ops and their pair slices) so a
