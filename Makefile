@@ -113,8 +113,10 @@ examples:
 	done
 
 # The timed artifacts carry a host header with the binary's VCS stamp,
-# which `go run` records only under -buildvcs=true.
-BENCH_RUN = $(GO) run -buildvcs=true ./cmd/bench
+# which `go run` records only under -buildvcs=true; outside a git work
+# tree that flag fails the build, so it is set only inside one.
+BUILDVCS ?= $(shell git rev-parse --is-inside-work-tree >/dev/null 2>&1 && echo true || echo false)
+BENCH_RUN = $(GO) run -buildvcs=$(BUILDVCS) ./cmd/bench
 
 bench-schedule:
 	$(BENCH_RUN) -mode schedule

@@ -26,7 +26,8 @@ type hostHeader struct {
 	// Revision and Modified are the VCS stamp of the binary
 	// (debug.ReadBuildInfo: vcs.revision, vcs.modified); Revision is
 	// empty when the build carries none, as under a plain `go run`
-	// (the Makefile's bench targets pass -buildvcs=true).
+	// (the Makefile's bench targets pass -buildvcs=true in a git work
+	// tree).
 	Revision string `json:"revision"`
 	Modified bool   `json:"modified"`
 }
