@@ -25,8 +25,6 @@ type CertifyOptions struct {
 	SampleVectors int
 	// Seed drives sampled-mode vector generation.
 	Seed int64
-	// ForceSampled samples even inside the exhaustive envelope.
-	ForceSampled bool
 }
 
 // DeadComparator identifies a comparator never observed exchanging
@@ -81,8 +79,8 @@ type Certificate struct {
 	// total comparator count.
 	Ops, Comparators int
 	// Executed is how many of the comparators the lowered stream runs —
-	// what SortBatch, SortStream and the server execute; the known-order
-	// pass proved the rest never swap.
+	// what SortBatch, SortBlocks, SortStream and the server execute; the
+	// pruning pass proved the rest never swap.
 	Executed int
 	// Dead lists comparators never observed exchanging, the dropped
 	// ones included (nil after a failed run).
@@ -112,7 +110,6 @@ func (c *CompiledNetwork) Certify(opts *CertifyOptions) (*Certificate, error) {
 			MaxExhaustiveKeys: opts.MaxExhaustiveKeys,
 			SampleVectors:     opts.SampleVectors,
 			Seed:              opts.Seed,
-			ForceSampled:      opts.ForceSampled,
 		}
 	}
 	res, err := cert.Run(c.prog, o)

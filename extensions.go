@@ -210,7 +210,7 @@ type BlockStats struct {
 	// schedule depth, independent of block size.
 	Rounds int
 	// MergeSplits is the number of merge-splits executed: one per
-	// comparator the known-order pass keeps (THEORY.md §8, §17), at
+	// comparator of the executed stream (THEORY.md §8, §17, §18), at
 	// most Size().
 	MergeSplits int
 	// KeysMoved counts keys shipped between processors.

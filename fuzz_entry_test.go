@@ -28,7 +28,10 @@ const entryStreamKeys = 80_000
 // CompiledNetwork.Sort, the in-tree oracle for the pruned streams. The
 // networks cover the three families: a product network with merge
 // stages (K₂⁴), one without (grid 3²), and the emitted multiway and
-// periodic networks over 16 keys.
+// periodic networks over 16 keys. Fault-free SortResilient and
+// SortRandomized run on the product networks, and a quarter of the
+// inputs each go through a spilling SortStreamKeys and a server's
+// SubmitStream.
 func FuzzEveryEntryPoint(f *testing.F) {
 	f.Add([]byte{0}, uint8(0))
 	f.Add([]byte{7, 7, 7, 0, 0, 0, 3, 3}, uint8(1))
@@ -78,7 +81,7 @@ func FuzzEveryEntryPoint(f *testing.F) {
 
 // entryBody is one FuzzEveryEntryPoint input: keys drawn from data,
 // sorted by both servers, every fixed-size entry point of every
-// network, and (on a quarter of the inputs) a spilling stream.
+// network, and (on half of the inputs) one of the two streams.
 func entryBody(t *testing.T, nets []*CompiledNetwork, productSrv, familySrv *Server, data []byte, sel uint8) {
 	keys := make([]Key, max(1, min(len(data), 64)))
 	for i := range keys {
@@ -101,22 +104,37 @@ func entryBody(t *testing.T, nets []*CompiledNetwork, productSrv, familySrv *Ser
 		checkEntryPoints(t, c, keys, int(sel))
 	}
 
-	if sel%4 == 0 { // the spilling stream is the slowest entry point; run it on a quarter of the inputs
-		long := make([]Key, entryStreamKeys)
-		for i := range long {
-			long[i] = entryKey(byte(keys[i%len(keys)]) ^ byte(i>>7))
+	if sel%4 > 1 { // the streams are the slowest entry points; run one on half of the inputs
+		return
+	}
+	long := make([]Key, entryStreamKeys)
+	for i := range long {
+		long[i] = entryKey(byte(keys[i%len(keys)]) ^ byte(i>>7))
+	}
+	if sel%4 == 1 {
+		srv := productSrv
+		if sel%8 == 5 {
+			srv = familySrv
 		}
-		c := nets[int(sel/4)%len(nets)]
-		got, st, err := c.SortStreamKeys(ctx, long, StreamConfig{MemoryKeys: 1})
-		if err != nil {
-			t.Fatalf("%s stream: %v", c.Network().Name(), err)
+		out := NewKeysWriter()
+		if _, err := srv.SubmitStream(ctx, NewKeysReader(long), out, StreamConfig{MemoryKeys: 1}); err != nil {
+			t.Fatalf("SubmitStream: %v", err)
 		}
-		if st.SpilledBytes == 0 {
-			t.Fatalf("%s stream of %d keys did not spill", c.Network().Name(), len(long))
+		if !slices.Equal(out.Keys(), sortedCopy(long)) {
+			t.Fatal("SubmitStream output differs from slices.Sort")
 		}
-		if !slices.Equal(got, sortedCopy(long)) {
-			t.Fatalf("%s stream output differs from slices.Sort", c.Network().Name())
-		}
+		return
+	}
+	c := nets[int(sel/4)%len(nets)]
+	got, st, err := c.SortStreamKeys(ctx, long, StreamConfig{MemoryKeys: 1})
+	if err != nil {
+		t.Fatalf("%s stream: %v", c.Network().Name(), err)
+	}
+	if st.SpilledBytes == 0 {
+		t.Fatalf("%s stream of %d keys did not spill", c.Network().Name(), len(long))
+	}
+	if !slices.Equal(got, sortedCopy(long)) {
+		t.Fatalf("%s stream output differs from slices.Sort", c.Network().Name())
 	}
 }
 
@@ -158,6 +176,14 @@ func checkEntryPoints(t *testing.T, c *CompiledNetwork, keys []Key, sel int) {
 			t.Fatal(err)
 		}
 		agree("Sort", res.Keys)
+		if res, err = c.SortResilient(slices.Clone(fit), FaultConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		agree("SortResilient", res.Keys)
+		if res, err = c.SortRandomized(slices.Clone(fit), RandomizedConfig{Seed: int64(sel)}); err != nil {
+			t.Fatal(err)
+		}
+		agree("SortRandomized", res.Keys)
 	}
 	batch := [][]Key{slices.Clone(fit), slices.Clone(fit), slices.Clone(fit)}
 	slices.Reverse(batch[1])

@@ -24,7 +24,7 @@ func compile(t testing.TB, g *graph.Graph, r int) *schedule.Program {
 }
 
 // unpruned returns prog with every comparator in its executed stream:
-// the reference the known-order pass is measured against.
+// the reference the pruning pass is measured against.
 func unpruned(t testing.TB, prog *schedule.Program) *schedule.Program {
 	t.Helper()
 	all := make([]int32, prog.Size())
@@ -114,11 +114,11 @@ func TestSortsAcrossNetworksAndBlockSizes(t *testing.T) {
 			if depth := prog.Clock().ComparePhases; st.Rounds != depth {
 				t.Errorf("%s block=%d: rounds %d != schedule depth %d", name, bs, st.Rounds, depth)
 			}
-			known := len(prog.KnownOrderComparators())
-			if st.MergeSplits != known {
-				t.Errorf("%s block=%d: merge-splits %d != known-order stream %d", name, bs, st.MergeSplits, known)
+			executed := prog.Executed()
+			if st.MergeSplits != executed {
+				t.Errorf("%s block=%d: merge-splits %d != executed stream %d", name, bs, st.MergeSplits, executed)
 			}
-			if st.KeysMoved != 2*bs*known {
+			if st.KeysMoved != 2*bs*executed {
 				t.Errorf("%s block=%d: keys moved %d", name, bs, st.KeysMoved)
 			}
 		}
@@ -218,9 +218,9 @@ func BenchmarkBlocksort64x16(b *testing.B) {
 }
 
 // TestSortProgramMatchesScheduleSort: merge-splits over the program's
-// known-order stream give the same blocks, byte for byte, as merge-splits
+// executed stream give the same blocks, byte for byte, as merge-splits
 // over the full schedule (every comparator, the unpruned reference):
-// each dropped comparator is the identity on blocks (THEORY.md §8).
+// both sort, and the sorted blocked output is unique (THEORY.md §8).
 func TestSortProgramMatchesScheduleSort(t *testing.T) {
 	cfgs := []struct {
 		g *graph.Graph
@@ -232,9 +232,9 @@ func TestSortProgramMatchesScheduleSort(t *testing.T) {
 	for _, c := range cfgs {
 		prog := compile(t, c.g, c.r)
 		ref := unpruned(t, prog)
-		known := len(prog.KnownOrderComparators())
-		if known >= prog.Size() {
-			t.Errorf("%s: pass dropped nothing (%d of %d)", prog.Net().Name(), known, prog.Size())
+		executed := prog.Executed()
+		if executed >= prog.Size() {
+			t.Errorf("%s: pass dropped nothing (%d of %d)", prog.Net().Name(), executed, prog.Size())
 		}
 		for _, bs := range []int{1, 3, 8} {
 			keys := randomKeys(prog.Nodes()*bs, int64(7*bs))
@@ -256,12 +256,61 @@ func TestSortProgramMatchesScheduleSort(t *testing.T) {
 			if !isSorted(got) {
 				t.Fatalf("%s block=%d: unsorted", prog.Net().Name(), bs)
 			}
-			if st.MergeSplits != known || stRef.MergeSplits != prog.Size() {
-				t.Errorf("%s block=%d: merge-splits %d/%d, want known-order %d / size %d",
-					prog.Net().Name(), bs, st.MergeSplits, stRef.MergeSplits, known, prog.Size())
+			if st.MergeSplits != executed || stRef.MergeSplits != prog.Size() {
+				t.Errorf("%s block=%d: merge-splits %d/%d, want executed %d / size %d",
+					prog.Net().Name(), bs, st.MergeSplits, stRef.MergeSplits, executed, prog.Size())
 			}
 			if st.Rounds != stRef.Rounds {
 				t.Errorf("%s block=%d: rounds %d != reference %d", prog.Net().Name(), bs, st.Rounds, stRef.Rounds)
+			}
+		}
+	}
+}
+
+// TestExecutedStreamSortsEveryBlockedZeroOneInput is the exhaustive 0-1
+// check of block sort over the executed stream (THEORY.md §8): every
+// input of sorted 0-1 blocks of size k is a count vector in {0..k}^n
+// (block p holds k−c_p zeros, then c_p ones), and each one must come
+// out globally sorted. The executed streams are the staged ones, which
+// drop more than the known-order pass alone (26 of its 30 on K₂³, 33 of
+// 36 on path3²).
+func TestExecutedStreamSortsEveryBlockedZeroOneInput(t *testing.T) {
+	const k = 3
+	for _, tc := range []struct {
+		prog     *schedule.Program
+		executed int
+	}{{compile(t, graph.K2(), 3), 26}, {compile(t, graph.Path(3), 2), 33}} {
+		prog, n := tc.prog, tc.prog.Nodes()
+		if prog.Executed() != tc.executed {
+			t.Fatalf("%s: executes %d comparators, want %d", prog.Net().Name(), prog.Executed(), tc.executed)
+		}
+		comps := prog.LoweredComparators()
+		counts := make([]int, n)
+		keys := make([]Key, n*k)
+		buf := make([]Key, 2*k)
+		for done := false; !done; {
+			for p, c := range counts {
+				for i := 0; i < k; i++ {
+					keys[p*k+i] = 0
+					if i >= k-c {
+						keys[p*k+i] = 1
+					}
+				}
+			}
+			for _, c := range comps {
+				lo, hi := int(c.Lo)*k, int(c.Hi)*k
+				mergeSplit(keys[lo:lo+k], keys[hi:hi+k], buf)
+			}
+			if !isSorted(keys) {
+				t.Fatalf("%s: counts %v leave %v", prog.Net().Name(), counts, keys)
+			}
+			done = true
+			for p := range counts { // next count vector, like an odometer
+				if counts[p]++; counts[p] <= k {
+					done = false
+					break
+				}
+				counts[p] = 0
 			}
 		}
 	}

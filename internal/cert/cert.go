@@ -10,21 +10,21 @@
 //
 //	min(a, b) = a AND b,   max(a, b) = a OR b,
 //
-// so the certifier packs 64 input vectors into one machine word per
-// node and replays the program once per word: each exchange pair costs
-// two word operations and certifies 64 inputs at a time. What it
-// replays is the program's executed stream — the comparators the
-// known-order pass kept (schedule.Program.LoweredComparators) — so the
-// proof covers exactly what the columnar kernel runs. Each dropped
-// comparator is probed, not applied: if it would exchange on some
-// input, the executed stream departs from the ops there, and the run
-// fails with a witness naming that comparator (THEORY.md §17). Word blocks
-// are spread over parallel workers, and the exhaustive sweep over all
-// 2^n vectors is feasible for every built-in factor family with
-// n = N^r ≤ ~24 keys in well under a minute.
+// so 64 input vectors pack into one machine word per key and each
+// exchange pair costs two word operations. The replay is
+// internal/schedule's one 0-1 engine (CertifyExhaustive, CertifySampled,
+// CertifyStages); this package chooses its vectors, maps what it
+// reports back onto the ops, and shrinks witnesses. What it replays is
+// the program's executed stream (schedule.Program.LoweredComparators),
+// so the proof covers exactly what the columnar kernel runs. Each
+// dropped comparator is probed, not applied: if it would exchange on
+// some input, the executed stream departs from the ops there, and the
+// run fails with a witness naming that comparator (THEORY.md §17). The
+// exhaustive sweep over all 2^n vectors is feasible for every built-in
+// factor family with n = N^r ≤ ~24 keys in well under a minute.
 //
 // When a program fails, the engine reports the smallest failing vector
-// index and Minimize shrinks it to a minimal witness: fewest ones
+// index and the minimizer shrinks it to a minimal witness: fewest ones
 // first, then lexicographically least (in snake order), together with
 // the first op index at which the sorted-prefix metric breaks — the
 // shortest human-checkable refutation the engine can produce.
@@ -35,8 +35,8 @@
 // every tuple of sorted slabs for a merge) and checks that each stage
 // leaves its output sorted in the layout the next stage assumes
 // (THEORY.md §18). It is the same pass that chooses the executed
-// stream (schedule.CertifyStages), run over the executed stream with
-// every dropped comparator probed.
+// stream, run over the executed stream with every dropped comparator
+// probed.
 //
 // Above the exhaustive envelope, Sampled mode replays seeded uniform
 // random 0-1 vectors instead. A sampled pass cannot prove correctness,
@@ -83,9 +83,6 @@ type Options struct {
 	// Seed drives sampled-mode vector generation; runs are reproducible
 	// per (program, seed, SampleVectors).
 	Seed int64
-	// ForceSampled runs sampled mode even inside the exhaustive
-	// envelope (used to exercise the sampling path on small networks).
-	ForceSampled bool
 }
 
 // workers resolves the worker count.
@@ -177,7 +174,9 @@ type Result struct {
 	Keys int `json:"keys"`
 	// Vectors is the number of distinct 0-1 inputs certified.
 	Vectors uint64 `json:"vectors"`
-	// Words is the number of 64-vector word blocks replayed.
+	// Words is the number of 64-vector words replayed: on a failed
+	// exhaustive or sampled run, those up to and including the word
+	// holding the smallest failing vector.
 	Words uint64 `json:"words"`
 	// WordOps is the number of comparator word operations executed —
 	// the work the bitsliced engine actually did (executed comparators
@@ -189,7 +188,7 @@ type Result struct {
 	Comparators int `json:"comparators"`
 	// Executed is the number of comparators the program's lowered
 	// stream executes (schedule.Program.Executed); the rest are dropped
-	// by the known-order pass and reported in Dead.
+	// by the pruning pass and reported in Dead.
 	Executed int `json:"executed"`
 	// Dead lists comparators never observed exchanging; nil when the
 	// run aborted on a failure (coverage would be incomplete).
@@ -227,11 +226,10 @@ func Run(prog *schedule.Program, opt Options) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cert: invalid program: %w", err)
 	}
-	n := prog.Net().Nodes()
-	if !opt.ForceSampled && n <= opt.maxExhaustive() {
-		return exhaustive(prog, opt)
+	if prog.Net().Nodes() <= opt.maxExhaustive() {
+		return exhaustive(prog, opt), nil
 	}
-	return sampled(prog, opt)
+	return sampled(prog, opt), nil
 }
 
 // Exhaustive certifies prog over all 2^n vectors, failing if n exceeds
@@ -243,7 +241,7 @@ func Exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 	if n := prog.Net().Nodes(); n > opt.maxExhaustive() {
 		return nil, fmt.Errorf("cert: %d keys exceed the exhaustive envelope of %d", n, opt.maxExhaustive())
 	}
-	return exhaustive(prog, opt)
+	return exhaustive(prog, opt), nil
 }
 
 // Sampled certifies prog over a seeded random 0-1 sample of the input
@@ -253,7 +251,22 @@ func Sampled(prog *schedule.Program, opt Options) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cert: invalid program: %w", err)
 	}
-	return sampled(prog, opt)
+	return sampled(prog, opt), nil
+}
+
+// exhaustive replays all 2^n vectors of a validated program.
+func exhaustive(prog *schedule.Program, opt Options) *Result {
+	start := time.Now()
+	lay := newLayout(prog)
+	return lay.whole(schedule.CertifyExhaustive(prog, lay.probe, opt.workers()), true, start)
+}
+
+// sampled replays the seeded sample of a validated program.
+func sampled(prog *schedule.Program, opt Options) *Result {
+	start := time.Now()
+	lay := newLayout(prog)
+	words := uint64(opt.sampleVectors()+63) / 64
+	return lay.whole(schedule.CertifySampled(prog, lay.probe, words, uint64(opt.Seed), opt.workers()), false, start)
 }
 
 // Staged certifies prog stage by stage (THEORY.md §18): it replays the
@@ -270,11 +283,7 @@ func Staged(prog *schedule.Program, opt Options) (*Result, error) {
 	}
 	start := time.Now()
 	lay := newLayout(prog)
-	probe := make([]bool, len(lay.comps))
-	for f, c := range lay.comps {
-		probe[f] = c.dropped
-	}
-	rep, err := schedule.CertifyStages(prog, probe, opt.workers())
+	rep, err := schedule.CertifyStages(prog, lay.probe, opt.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +302,7 @@ func Staged(prog *schedule.Program, opt Options) (*Result, error) {
 		res.Vectors += st.Vectors
 		res.Words += st.Words
 		for f := st.First; f < st.End; f++ {
-			if !probe[f] {
+			if !lay.probe[f] {
 				res.WordOps += st.Words
 			}
 		}
@@ -303,8 +312,7 @@ func Staged(prog *schedule.Program, opt Options) (*Result, error) {
 	} else {
 		res.StageFailure = &StageFailure{K: rep.Stages[rep.Failed].K, Reason: rep.Reason}
 		if f := rep.LiveDrop; f >= 0 {
-			c := lay.comps[f]
-			res.StageFailure.LiveDrop = &DeadComparator{Op: c.op, Pair: c.pair, Lo: c.lo, Hi: c.hi}
+			res.StageFailure.LiveDrop = lay.dead(f)
 		}
 	}
 	res.Elapsed = time.Since(start)

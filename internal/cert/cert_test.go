@@ -167,79 +167,63 @@ func TestCertifierCatchesBrokenProgram(t *testing.T) {
 	}
 }
 
-// TestSampledMode exercises the sampling path: on a correct program it
-// finds no counterexample and reports comparator coverage; on a broken
-// one it still produces a witness.
+// TestSampledMode exercises the sampling path on a 27-key network, with
+// its results pinned so that a changed draw or count fails: on the
+// correct program it finds no counterexample and reports the sample's
+// coverage; with one comparator of the three-quarter exchange phase
+// removed, the smallest failing vector lies in word 13, and every
+// worker count reports the same words and the same minimized witness.
 func TestSampledMode(t *testing.T) {
-	prog := compileNet(t, graph.Path(3), 3, "auto") // 27 keys: above nothing, forced sampled
-	res, err := Run(prog, Options{ForceSampled: true, SampleVectors: 1 << 12, Seed: 42})
+	prog := compileNet(t, graph.Path(3), 3, "auto")
+	opt := Options{SampleVectors: 1 << 12, Seed: 42}
+	res, err := Sampled(prog, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Certified || res.Exhaustive {
-		t.Fatalf("sampled run on correct program: %+v (witness %v)", res, res.Witness)
-	}
-	if res.Vectors < 1<<12 || res.Words != res.Vectors/64 {
-		t.Fatalf("sampled accounting wrong: %+v", res)
+	if !res.Certified || res.Exhaustive || res.Vectors != 1<<12 || res.Words != 64 || len(res.Dead) != 335 {
+		t.Fatalf("sampled run on correct program: %+v (witness %v), want 4096 vectors, 64 words, 335 dead", res, res.Witness)
 	}
 
-	// Corrupt: drop a mid-program phase, then sample. 2^12 uniform
-	// vectors on 27 keys all but surely hit a failure for a grossly
-	// broken schedule; the seeded run is deterministic either way.
 	ops := cloneOps(prog.Ops())
-	cut := -1
 	seen := 0
 	for i := range ops {
 		if ops[i].Kind == schedule.OpCompareExchange || ops[i].Kind == schedule.OpRoutedExchange {
-			seen++
-			if seen == prog.Clock().ComparePhases/2 {
-				cut = i
+			if seen++; seen == prog.Clock().ComparePhases*3/4 {
+				ops[i].Pairs = append(ops[i].Pairs[:5], ops[i].Pairs[6:]...)
 				break
 			}
 		}
 	}
-	dropped := append(ops[:cut:cut], ops[cut+1:]...)
-	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), dropped)
+	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !oracleBrokenBySample(broken) {
-		t.Skip("dropped phase happened to be redundant for sampled vectors")
+	want := Witness{
+		Vector:  []byte{0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1},
+		Ones:    18,
+		FailPos: 8,
+		BreakOp: -1,
+		Minimal: true,
 	}
-	res, err = Run(broken, Options{ForceSampled: true, SampleVectors: 1 << 12, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Certified {
-		t.Fatal("sampling certified a program missing a whole phase")
-	}
-	if res.Witness == nil || oracleSorts(broken, res.Witness.Vector) {
-		t.Fatalf("sampled witness bogus: %v", res.Witness)
-	}
-	if !res.Witness.Minimal {
-		t.Fatalf("sampled witness not minimized: %v", res.Witness)
-	}
-}
-
-// oracleBrokenBySample replays a handful of deterministic 0-1 vectors
-// (single-one and half-half patterns) to confirm the corrupted program
-// is visibly broken before the sampling assertion relies on it.
-func oracleBrokenBySample(prog *schedule.Program) bool {
-	n := prog.Net().Nodes()
-	vec := make([]byte, n)
-	for p := 0; p < n; p++ {
-		for q := range vec {
-			vec[q] = 0
+	for _, workers := range []int{1, 2, 8} {
+		opt.Workers = workers
+		res, err = Sampled(broken, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		vec[p] = 1
-		if !oracleSorts(prog, vec) {
-			return true
+		if res.Certified || res.Witness == nil {
+			t.Fatalf("workers=%d: sampling certified a program missing a comparator", workers)
+		}
+		if res.Words != 14 || res.Vectors != 14*64 {
+			t.Errorf("workers=%d: %d words, %d vectors, want 14 and 896", workers, res.Words, res.Vectors)
+		}
+		if got := *res.Witness; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: witness %+v, want %+v", workers, got, want)
+		}
+		if oracleSorts(broken, res.Witness.Vector) {
+			t.Fatalf("workers=%d: sampled witness %v is not a counterexample", workers, res.Witness)
 		}
 	}
-	for p := 0; p < n; p++ {
-		vec[p] = byte((p ^ (p >> 1)) & 1)
-	}
-	return !oracleSorts(prog, vec)
 }
 
 // TestDeadComparatorLint appends a comparator that can never exchange

@@ -20,7 +20,7 @@ func (lay *layout) sortsVector(vec []byte) (ok bool, failPos, liveDrop int) {
 	for k := range lay.comps {
 		c := &lay.comps[k]
 		a, b := state[c.lo], state[c.hi]
-		if c.dropped {
+		if lay.probe[k] {
 			if a > b && liveDrop < 0 {
 				liveDrop = k
 			}
@@ -124,8 +124,7 @@ func buildWitness(lay *layout, vec []byte) *Witness {
 		Minimal: minimal,
 	}
 	if liveDrop >= 0 {
-		c := lay.comps[liveDrop]
-		w.LiveDrop = &DeadComparator{Op: c.op, Pair: c.pair, Lo: c.lo, Hi: c.hi}
+		w.LiveDrop = lay.dead(liveDrop)
 	}
 	return w
 }
@@ -162,7 +161,7 @@ func (lay *layout) breakOp(vec []byte) int {
 	prev := prefix()
 	for k := range lay.comps {
 		c := &lay.comps[k]
-		if c.dropped {
+		if lay.probe[k] {
 			continue
 		}
 		a, b := state[c.lo], state[c.hi]

@@ -480,14 +480,12 @@ func (e *Engine) verify(realized []schedule.Op, rep *Report, round int) (bool, e
 	if err != nil {
 		return false, fmt.Errorf("randsort: verifier program: %w", err)
 	}
-	// One worker replays the sample blocks in order and stops at the
-	// first failing one, so the vectors counted into the report are a
-	// function of the seed; parallel workers stop wherever the race
-	// leaves them.
+	// A failing run counts the words up to and including the one that
+	// holds the smallest failing vector, so the vectors counted into the
+	// report are a function of the seed at any worker count.
 	res, err := cert.Sampled(prog, cert.Options{
 		SampleVectors: e.cfg.VerifyVectors,
 		Seed:          e.cfg.Seed ^ int64(round),
-		Workers:       1,
 	})
 	if err != nil {
 		return false, fmt.Errorf("randsort: verifier: %w", err)

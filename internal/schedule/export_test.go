@@ -12,3 +12,11 @@ var (
 
 // GroupBlock is the block width the executed stream is grouped by.
 const GroupBlock = groupBlock
+
+// knownOrder returns what the known-order pass alone keeps of p's
+// unpruned stream: the executed stream of a program without stage
+// facts.
+func knownOrder(p *Program) []Comparator {
+	kept, _ := pruneComparators(p.unprunedLowered(), p.Nodes(), nil)
+	return kept
+}

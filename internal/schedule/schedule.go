@@ -116,17 +116,10 @@ type Program struct {
 	permOnce sync.Once
 	perm     []int // snake position -> node id, built on first use
 
-	exec  loweredStream // the executed stream: stage and known-order facts
-	known loweredStream // the known-order facts alone, which block sort reads
-}
-
-// loweredStream is one pruned and grouped comparator stream of a
-// program, built on first use.
-type loweredStream struct {
-	once   sync.Once
-	comps  []Comparator // snake-space comparators, grouped
-	index  []int32      // index[k]: position of comps[k] in the unpruned stream
-	chunks []int32      // end offsets of the kernel's bounded slices of comps
+	lowerOnce sync.Once    // builds the executed stream on first use
+	comps     []Comparator // snake-space comparators, pruned and grouped
+	index     []int32      // index[k]: position of comps[k] in the unpruned stream
+	chunks    []int32      // end offsets of the kernel's bounded slices of comps
 }
 
 // Comparator is one lowered compare-exchange in snake-position space:
@@ -197,39 +190,21 @@ func (p *Program) SnakePerm() []int {
 // by TestLoweredComparatorsEquivalence and FuzzColumnarEquivalence;
 // THEORY.md §13, §17 and §18).
 func (p *Program) LoweredComparators() []Comparator {
-	return p.lower(&p.exec, true).comps
+	p.lower()
+	return p.comps
 }
 
-// KnownOrderComparators returns the stream LoweredComparators would
-// be without stage facts: only the known-order pass prunes it. Block
-// sort reads it, since THEORY.md §8 proves the known-order drops, not
-// the stage-dead ones, to be the identity on sorted blocks. Built once
-// per program, on first use — read only.
-func (p *Program) KnownOrderComparators() []Comparator {
-	return p.lower(&p.known, false).comps
-}
-
-// lower builds s once: the unpruned stream, pruned with the stage facts
-// when staged is set and the program has them, then grouped. Without
-// stage facts the executed stream is the known-order one, shared.
-func (p *Program) lower(s *loweredStream, staged bool) *loweredStream {
-	s.once.Do(func() {
+// lower builds the executed stream once: the unpruned stream, pruned
+// with the stage facts where the program has them, then grouped.
+func (p *Program) lower() {
+	p.lowerOnce.Do(func() {
 		all := p.unprunedLowered()
-		var dead []bool
-		if staged {
-			if dead = p.stageDead(all); dead == nil {
-				k := p.lower(&p.known, false)
-				s.comps, s.index, s.chunks = k.comps, k.index, k.chunks
-				return
-			}
-		}
-		comps, index := pruneComparators(all, p.net.Nodes(), dead)
+		comps, index := pruneComparators(all, p.net.Nodes(), p.stageDead(all))
 		var err error
-		if s.comps, s.index, s.chunks, err = lowerExecuted(comps, index, p.net.Nodes()); err != nil {
+		if p.comps, p.index, p.chunks, err = lowerExecuted(comps, index, p.net.Nodes()); err != nil {
 			panic(err) // the grouping pass broke its own invariant
 		}
 	})
-	return s
 }
 
 // Executed returns the number of comparators one replay of the lowered
@@ -242,19 +217,21 @@ func (p *Program) Executed() int { return len(p.LoweredComparators()) }
 // in op order and pair order. It follows the grouped order, so it is
 // increasing only along each position's comparators. Read only.
 func (p *Program) ExecutedIndex() []int32 {
-	return p.lower(&p.exec, true).index
+	p.lower()
+	return p.index
 }
 
 // kernelChunks returns the end offsets that cut the executed stream
 // into the slices one kernel call replays.
 func (p *Program) kernelChunks() []int32 {
-	return p.lower(&p.exec, true).chunks
+	p.lower()
+	return p.chunks
 }
 
 // WithExecuted returns a program with p's ops (shared, read only) whose
-// executed stream — and known-order stream — is the unpruned
-// comparators at the given increasing flat indices (numbered as in
-// ExecutedIndex), grouped as LoweredComparators groups a pruned stream;
+// executed stream is the unpruned comparators at the given increasing
+// flat indices (numbered as in ExecutedIndex), grouped as
+// LoweredComparators groups a pruned stream;
 // no pruning pass runs on it. It exists so the certifier's mutation
 // harness can build a program whose pruning is wrong, and so tests can
 // replay the unpruned stream.
@@ -268,14 +245,11 @@ func (p *Program) WithExecuted(index []int32) (*Program, error) {
 		comps[k] = all[f]
 	}
 	q := &Program{net: p.net, engine: p.engine, sig: p.sig, ops: p.ops, clock: p.clock}
-	s := &q.exec
 	var err error
-	if s.comps, s.index, s.chunks, err = lowerExecuted(comps, append([]int32(nil), index...), p.net.Nodes()); err != nil {
+	if q.comps, q.index, q.chunks, err = lowerExecuted(comps, append([]int32(nil), index...), p.net.Nodes()); err != nil {
 		return nil, err
 	}
-	s.once.Do(func() {})
-	q.known.comps, q.known.index, q.known.chunks = s.comps, s.index, s.chunks
-	q.known.once.Do(func() {})
+	q.lowerOnce.Do(func() {})
 	return q, nil
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestStagedPassExecutedCounts pins the executed stream of the
 // hypercubes at the exact live set the staged certificate finds, and
-// the known-order stream block sort reads at the known-order pass's
-// counts (THEORY.md §17, §18); Size keeps the paper's count.
+// what the known-order pass alone keeps at its counts (THEORY.md §17,
+// §18); Size keeps the paper's count.
 func TestStagedPassExecutedCounts(t *testing.T) {
 	for _, tc := range []struct {
 		r                     int
@@ -28,7 +28,7 @@ func TestStagedPassExecutedCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := [3]int{prog.Size(), len(prog.KnownOrderComparators()), prog.Executed()}; got != [3]int{tc.size, tc.known, tc.executed} {
+		if got := [3]int{prog.Size(), len(knownOrder(prog)), prog.Executed()}; got != [3]int{tc.size, tc.known, tc.executed} {
 			t.Errorf("K2^%d: size, known-order, executed = %v, want %v", tc.r, got, [3]int{tc.size, tc.known, tc.executed})
 		}
 	}
@@ -75,7 +75,7 @@ func TestStagesSplitTheRecursion(t *testing.T) {
 		if _, err := p.Stages(); !errors.Is(err, ErrNotStaged) {
 			t.Errorf("%s: Stages() error %v, want ErrNotStaged", name, err)
 		}
-		if got, want := p.Executed(), len(p.KnownOrderComparators()); got != want {
+		if got, want := p.Executed(), len(knownOrder(p)); got != want {
 			t.Errorf("%s: executes %d, known-order stream %d", name, got, want)
 		}
 	}
@@ -96,7 +96,7 @@ func TestStagedStreamMatchesUnpruned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.Executed() >= len(prog.KnownOrderComparators()) {
+		if prog.Executed() >= len(knownOrder(prog)) {
 			t.Errorf("%s: stage facts dropped nothing (%d executed)", net.Name(), prog.Executed())
 		}
 		all := make([]int32, prog.Size())
@@ -158,7 +158,7 @@ func TestFailedStageUsesNoStageFacts(t *testing.T) {
 	if brep.Certified || brep.Stages[brep.Failed].K != 4 {
 		t.Fatalf("empty merge 4: certified=%v failed=%d (%s)", brep.Certified, brep.Failed, brep.Reason)
 	}
-	if got, want := broken.Executed(), len(broken.KnownOrderComparators()); got != want {
+	if got, want := broken.Executed(), len(knownOrder(broken)); got != want {
 		t.Errorf("failed certificate: executes %d, known-order stream %d", got, want)
 	}
 
@@ -184,8 +184,7 @@ func TestFailedStageUsesNoStageFacts(t *testing.T) {
 }
 
 // TestLoweringConcurrentFirstUse: goroutines racing to the first use of
-// both streams of a fresh program — the executed stream builds the
-// known-order one on the way — all get the same slices.
+// a fresh program's executed stream all get the same slices.
 func TestLoweringConcurrentFirstUse(t *testing.T) {
 	for _, net := range []*product.Network{product.MustNew(graph.K2(), 6), product.MustNew(graph.Path(8), 2)} {
 		prog, err := CompileUncached(net, nil)
@@ -193,28 +192,25 @@ func TestLoweringConcurrentFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		const callers = 8
-		got := make([][2][]Comparator, callers)
+		comps := make([][]Comparator, callers)
+		index := make([][]int32, callers)
 		done := make(chan int)
 		for g := 0; g < callers; g++ {
 			go func(g int) {
-				if g%2 == 0 { // half the callers ask for the executed stream first
-					got[g][1] = prog.LoweredComparators()
-					got[g][0] = prog.KnownOrderComparators()
-				} else {
-					got[g][0] = prog.KnownOrderComparators()
-					got[g][1] = prog.LoweredComparators()
+				if g%2 == 0 { // half the callers ask for the index first
+					index[g] = prog.ExecutedIndex()
 				}
+				comps[g] = prog.LoweredComparators()
+				index[g] = prog.ExecutedIndex()
 				done <- g
 			}(g)
 		}
-		for range got {
+		for range comps {
 			<-done
 		}
 		for g := 1; g < callers; g++ {
-			for s := range got[g] {
-				if len(got[g][s]) == 0 || &got[g][s][0] != &got[0][s][0] {
-					t.Fatalf("%s: caller %d got a different stream %d", net.Name(), g, s)
-				}
+			if len(comps[g]) == 0 || &comps[g][0] != &comps[0][0] || &index[g][0] != &index[0][0] {
+				t.Fatalf("%s: caller %d got a different stream", net.Name(), g)
 			}
 		}
 	}

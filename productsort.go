@@ -395,8 +395,8 @@ var batchColumns = schedule.NewColumnBuffer()
 // branchless min/max sweep across all sets (SIMD-accelerated where the
 // host supports it); pooled slabs make a steady stream of batches
 // allocate nothing per item. The walk executes only the comparators
-// that can swap: the known-order pass drops the rest once per program
-// (THEORY.md §17), and the output is byte-identical to Sort's.
+// that can swap: the pruning pass drops the rest once per program
+// (THEORY.md §17, §18), and the output is byte-identical to Sort's.
 func (c *CompiledNetwork) SortBatch(batch [][]Key, workers int) error {
 	nodes := c.nw.Nodes()
 	for i, keys := range batch {
