@@ -12,9 +12,10 @@
 // The schedule is oblivious, so a faulted phase needs no new program:
 // its lost pairs are skipped, its surviving pairs are exchanged in
 // place, and its corruption mask is applied to the key array right
-// after it. Every decision is a pure function of (plan seed, epoch, op
-// index, coordinates), so two runs with the same plan produce
-// byte-identical keys and identical recovery counters.
+// after it. Every decision is a pure function of (plan seed, epoch,
+// exchange ordinal, coordinates), so two runs with the same plan produce
+// byte-identical keys and identical recovery counters, and ops that move
+// no key leave the draws alone.
 
 package schedule
 
@@ -243,7 +244,10 @@ func (r *resilientRun) windowCost(lo, hi int) int {
 // per-phase corruption is applied to the key array right after its
 // phase so it propagates through later phases exactly as a live
 // flipped bit would. Pairs within a phase recover in parallel, so a
-// phase's recovery charge is the worst pair's, not the sum.
+// phase's recovery charge is the worst pair's, not the sum. Every fault
+// is drawn on the exchange ordinal w, not the op index, so ops that move
+// no key (merge markers) do not shift the draws; phase events keep the
+// op index.
 func (r *resilientRun) execute(lo, hi int) {
 	var delta faults.Counters
 	for w := lo; w < hi; w++ {
@@ -257,7 +261,7 @@ func (r *resilientRun) execute(lo, hi int) {
 			extra := 0
 			alive := true
 			// Wait out stalled endpoints, one round per stalled round.
-			for round := 0; r.plan.NodeStalledRound(j, round, a) || r.plan.NodeStalledRound(j, round, b); round++ {
+			for round := 0; r.plan.NodeStalledRound(w, round, a) || r.plan.NodeStalledRound(w, round, b); round++ {
 				delta.Stalled++
 				delta.Injected++
 				phaseStalls++
@@ -271,7 +275,7 @@ func (r *resilientRun) execute(lo, hi int) {
 			// The epoch rides in the hop slot so retried windows
 			// re-roll their retransmissions too.
 			if alive {
-				dropped := r.plan.PairDropped(r.epoch, j, a, b)
+				dropped := r.plan.PairDropped(r.epoch, w, a, b)
 				for att := 1; dropped; att++ {
 					delta.Dropped++
 					delta.Injected++
@@ -282,7 +286,7 @@ func (r *resilientRun) execute(lo, hi int) {
 					delta.Retried++
 					phaseRetrans++
 					extra++
-					dropped = r.plan.MessageDropped(j, att, a, b, r.epoch)
+					dropped = r.plan.MessageDropped(w, att, a, b, r.epoch)
 				}
 			}
 			if !alive {
@@ -325,7 +329,7 @@ func (r *resilientRun) execute(lo, hi int) {
 		} else {
 			simnet.Exchange(r.keys, kept)
 		}
-		if node, mask, ok := r.plan.Corruption(r.epoch, j, len(r.keys)); ok {
+		if node, mask, ok := r.plan.Corruption(r.epoch, w, len(r.keys)); ok {
 			r.keys[node] ^= simnet.Key(mask)
 			delta.Corrupted++
 			delta.Injected++
