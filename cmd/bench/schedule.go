@@ -38,7 +38,7 @@ type scheduleEntry struct {
 	// (RunBatchColumnar), best of 3, per set.
 	ColsPerSetNs int64 `json:"colsPerSetNs"`
 	// Executed is how many of the program's comparators the columnar
-	// kernel runs after the known-order pass; PruneNs is what lowering,
+	// kernel runs after the pruning pass; PruneNs is what lowering,
 	// the pass and the block grouping cost, once per program (best of
 	// 3, fresh programs).
 	Executed int   `json:"executed"`
@@ -391,8 +391,8 @@ func familyProgram(family string, size int) func() (*schedule.Program, error) {
 }
 
 // pruneCost lowers fresh programs from build, timing lowering plus the
-// known-order pass (best of 3), and returns the executed comparator
-// count with that time.
+// pruning pass (best of 3), and returns the executed comparator count
+// with that time.
 func pruneCost(build func() (*schedule.Program, error)) (executed int, ns int64, err error) {
 	var best time.Duration
 	for rep := 0; rep < 3; rep++ {
