@@ -48,6 +48,12 @@ func benchSort(b *testing.B, nw *Network) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Compile and lower the program outside the timer: the first Sort
+	// on a network pays both once (~1.7 s at 16³), and a first b.N = 1
+	// round that long would end the benchmark on that one call.
+	if _, err := s.Sort(nw, keys); err != nil {
+		b.Fatal(err)
+	}
 	var rounds int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,12 +124,50 @@ func BenchmarkScheduleReplay4096(b *testing.B) {
 	}
 	keys := workload.Uniform(4096, 1)
 	buf := make([]Key, len(keys))
+	copy(buf, keys)
+	s.Apply(buf) // lowers the program outside the timer
 	b.SetBytes(int64(len(keys) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, keys)
 		s.Apply(buf)
 	}
+}
+
+// BenchmarkCompiledSortVsBatch times one uniform key set on K₂¹⁰
+// through the untraced CompiledNetwork.Sort and through a one-set
+// SortBatch. Both replay the executed stream; Sort also copies the keys
+// and scatters them to node order for its Result. The program is
+// lowered before the timer starts.
+func BenchmarkCompiledSortVsBatch(b *testing.B) {
+	c, err := Compile(mustNet(Hypercube(10)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := workload.Uniform(c.Network().Nodes(), 1)
+	buf := make([]Key, len(keys))
+	if _, err := c.Sort(keys); err != nil { // lowers the program
+		b.Fatal(err)
+	}
+	b.Run("Sort", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Sort(keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("SortBatch", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(buf, keys)
+			if err := c.SortBatch([][]Key{buf}, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkBlockSort64x64(b *testing.B) {

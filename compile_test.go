@@ -2,6 +2,8 @@ package productsort
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -66,6 +68,53 @@ func TestCompiledNetworkSort(t *testing.T) {
 	}
 	if got := schedule.Stats().Compiles; got != compiles {
 		t.Errorf("repeated sorts recompiled: %d constructions, want %d", got, compiles)
+	}
+}
+
+// TestCompiledSortAllocs pins the untraced Sort to the one-set replay
+// of the executed stream: warm, it allocates at most five objects per
+// call on K₂¹⁰, none per key, and its Result equals the traced Sort's,
+// which walks every pair of the ops — keys in both orders and every
+// counter.
+func TestCompiledSortAllocs(t *testing.T) {
+	nw, err := Hypercube(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, nw.Nodes())
+	rng := rand.New(rand.NewSource(10))
+	for i := range keys {
+		keys[i] = Key(rng.Int63n(1 << 40))
+	}
+	got, err := c.Sort(keys) // warm: lowers the program and fills the slab pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := NewSorter(WithTracer(NewMetricsCollector(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := traced.Sort(nw, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("untraced Sort differs from the traced unpruned walk:\n got %+v\nwant %+v", got, want)
+	}
+	// A GC mid-measurement may empty the slab pool; park it so the
+	// count measures the call, not collection timing.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Sort(keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("warm untraced Sort on K2^10 allocates %.1f per call, want <= 5", allocs)
 	}
 }
 

@@ -181,9 +181,7 @@ func (s *Schedule) Apply(keys []Key) {
 	if len(keys) != s.Inputs() {
 		panic(fmt.Sprintf("productsort: %d keys for %d-input schedule", len(keys), s.Inputs()))
 	}
-	if err := schedule.RunBatchColumnar(s.prog, [][]Key{keys}, 1, batchColumns); err != nil {
-		panic(err) // unreachable: the length was checked above
-	}
+	sortSnake(s.prog, keys)
 }
 
 // MarshalJSON encodes the schedule (network name, input count, phase

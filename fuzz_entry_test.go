@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"productsort/internal/schedule"
 )
 
 // entryAlphabet is the key alphabet of FuzzEveryEntryPoint: the
@@ -25,13 +27,13 @@ const entryStreamKeys = 80_000
 // FuzzEveryEntryPoint is the differential harness over every public
 // way to sort: each entry point must return exactly slices.Sort of its
 // input, and each fixed-size path must also equal the unpruned replay
-// CompiledNetwork.Sort, the in-tree oracle for the pruned streams. The
+// (ExecBackend), the in-tree oracle for the executed streams. The
 // networks cover the three families: a product network with merge
 // stages (K₂⁴), one without (grid 3²), and the emitted multiway and
-// periodic networks over 16 keys. Fault-free SortResilient and
-// SortRandomized run on the product networks, and a quarter of the
-// inputs each go through a spilling SortStreamKeys and a server's
-// SubmitStream.
+// periodic networks over 16 keys. A traced Sort, fault-free
+// SortResilient and SortRandomized run on the product networks, and a
+// quarter of the inputs each go through a spilling SortStreamKeys and
+// a server's SubmitStream.
 func FuzzEveryEntryPoint(f *testing.F) {
 	f.Add([]byte{0}, uint8(0))
 	f.Add([]byte{7, 7, 7, 0, 0, 0, 3, 3}, uint8(1))
@@ -147,7 +149,8 @@ func sortedCopy(keys []Key) []Key {
 
 // checkEntryPoints runs keys, cycled to the network's size, through
 // every fixed-size entry point of c and compares each output with
-// slices.Sort and with the unpruned replay.
+// slices.Sort and with the unpruned replay: ExecBackend walking every
+// pair of every op, gathered back to snake order.
 func checkEntryPoints(t *testing.T, c *CompiledNetwork, keys []Key, sel int) {
 	t.Helper()
 	n := c.Network().Nodes()
@@ -157,25 +160,45 @@ func checkEntryPoints(t *testing.T, c *CompiledNetwork, keys []Key, sel int) {
 	}
 	want := sortedCopy(fit)
 	name := fmt.Sprintf("%s/%s", c.Family(), c.Network().Name())
-	ref, err := c.Sort(slices.Clone(fit))
-	if err != nil {
+	order := c.Network().SnakeOrder()
+	byNode := make([]Key, n)
+	for pos, node := range order {
+		byNode[node] = fit[pos]
+	}
+	if _, err := (schedule.ExecBackend{}).Run(c.prog, byNode); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ref.Keys, want) {
-		t.Fatalf("%s: unpruned replay sorted %v to %v", name, fit, ref.Keys)
+	ref := make([]Key, n)
+	for pos, node := range order {
+		ref[pos] = byNode[node]
+	}
+	if !slices.Equal(ref, want) {
+		t.Fatalf("%s: unpruned replay sorted %v to %v", name, fit, ref)
 	}
 	agree := func(path string, got []Key) {
 		t.Helper()
-		if !slices.Equal(got, want) || !slices.Equal(got, ref.Keys) {
+		if !slices.Equal(got, want) || !slices.Equal(got, ref) {
 			t.Fatalf("%s %s sorted %v to %v, want %v", name, path, fit, got, want)
 		}
 	}
+	res, err := c.Sort(slices.Clone(fit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree("CompiledNetwork.Sort", res.Keys)
 	if c.Family() == FamilyProduct {
-		res, err := Sort(c.Network(), slices.Clone(fit))
-		if err != nil {
+		if res, err = Sort(c.Network(), slices.Clone(fit)); err != nil {
 			t.Fatal(err)
 		}
 		agree("Sort", res.Keys)
+		traced, err := NewSorter(WithTracer(NewMetricsCollector(nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = traced.Sort(c.Network(), slices.Clone(fit)); err != nil {
+			t.Fatal(err)
+		}
+		agree("traced Sort", res.Keys)
 		if res, err = c.SortResilient(slices.Clone(fit), FaultConfig{}); err != nil {
 			t.Fatal(err)
 		}

@@ -229,14 +229,24 @@ func (p *Network) EdgeCount() int {
 // SnakePos returns the position of node id in the snake order (the
 // mixed-radix Gray-code rank of its label).
 func (p *Network) SnakePos(id int) int {
-	buf := make([]int, p.r)
-	return gray.SnakeRankMixed(p.Label(id, buf), p.radix)
+	var stack [16]int
+	return gray.SnakeRankMixed(p.Label(id, p.labelBuf(stack[:])), p.radix)
 }
 
 // NodeAtSnake returns the id of the node at the given snake position.
 func (p *Network) NodeAtSnake(pos int) int {
-	buf := make([]int, p.r)
-	return p.ID(gray.SnakeUnrankMixed(pos, p.radix, buf))
+	var stack [16]int
+	return p.ID(gray.SnakeUnrankMixed(pos, p.radix, p.labelBuf(stack[:])))
+}
+
+// labelBuf returns an r-digit label buffer: a prefix of stack, which
+// keeps per-key snake addressing allocation-free, or a new slice when
+// r exceeds it.
+func (p *Network) labelBuf(stack []int) []int {
+	if p.r > len(stack) {
+		return make([]int, p.r)
+	}
+	return stack[:p.r]
 }
 
 // Dist returns the hop distance between nodes a and b: the sum over

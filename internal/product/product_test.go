@@ -191,6 +191,27 @@ func TestSnakePosRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnakeAddressingZeroAlloc pins that per-key snake addressing keeps
+// its label buffer on the stack, on a homogeneous network and a
+// heterogeneous one.
+func TestSnakeAddressingZeroAlloc(t *testing.T) {
+	for _, p := range []*Network{
+		MustNew(graph.K2(), 10),
+		MustNewHetero([]*graph.Graph{graph.Path(4), graph.Cycle(3), graph.K2()}),
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for pos := 0; pos < p.Nodes(); pos++ {
+				if p.SnakePos(p.NodeAtSnake(pos)) != pos {
+					t.Fatalf("%s: snake position %d does not round-trip", p.Name(), pos)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: snake addressing allocates %.1f per pass of %d keys, want 0", p.Name(), allocs, p.Nodes())
+		}
+	}
+}
+
 func TestBlockAddressing(t *testing.T) {
 	p := MustNew(graph.Path(3), 4)
 	dims := []int{1, 3}

@@ -11,10 +11,11 @@ import (
 	"productsort/internal/sort2d"
 )
 
-// ExecBackend is the fast replay: it applies each exchange op with
-// simnet.Exchange and charges the precomputed costs — no validation,
-// no routing-plan lookups, no allocation. It is the path behind
-// CompiledNetwork.Sort and fault-free SortResilient.
+// ExecBackend is the unpruned replay: it applies every exchange pair of
+// every op with simnet.Exchange and charges the precomputed costs — no
+// validation, no routing-plan lookups, no allocation. It is the traced
+// replay behind CompiledNetwork.Sort, ResilientBackend's quiet-plan
+// delegate and the tests' oracle for the executed stream.
 type ExecBackend struct {
 	// Tracer receives a phase begin/end event pair per round-consuming
 	// op. nil disables tracing; the disabled path stays allocation-free
@@ -29,28 +30,18 @@ func (e ExecBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error)
 	if len(keys) != prog.net.Nodes() {
 		return simnet.Clock{}, fmt.Errorf("schedule: %d keys for %d nodes", len(keys), prog.net.Nodes())
 	}
-	ops := prog.ops
-	if e.Tracer == nil {
-		for i := range ops {
-			switch ops[i].Kind {
-			case OpCompareExchange, OpRoutedExchange:
-				simnet.Exchange(keys, ops[i].Pairs)
-			}
-		}
-		return prog.clock, nil
-	}
 	inS2 := false
-	for i := range ops {
-		op := &ops[i]
+	for i := range prog.ops {
+		op := &prog.ops[i]
 		switch op.Kind {
-		case OpCompareExchange, OpRoutedExchange:
+		case OpCompareExchange, OpRoutedExchange, OpIdle:
+			if e.Tracer == nil {
+				simnet.Exchange(keys, op.Pairs)
+				continue
+			}
 			ev := phaseEvent(op, i, inS2)
 			e.Tracer.PhaseBegin(ev)
 			simnet.Exchange(keys, op.Pairs)
-			e.Tracer.PhaseEnd(ev)
-		case OpIdle:
-			ev := phaseEvent(op, i, inS2)
-			e.Tracer.PhaseBegin(ev)
 			e.Tracer.PhaseEnd(ev)
 		case OpBeginS2:
 			inS2 = true

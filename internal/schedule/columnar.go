@@ -1,17 +1,17 @@
 // Columnar batch replay: the one batch path.
 //
-// ExecBackend walks the program once per key set; RunBatchColumnar
-// walks it once per *batch*. The batch is transposed into a ColumnBatch
-// — one contiguous column per snake position, holding that position's
-// key from every set — and the program's pre-lowered comparator stream
-// (Program.LoweredComparators) runs each compare-exchange as a tight
-// branchless min/max loop over two columns (kernel.go). Because every
-// set replays the identical oblivious schedule, interleaving them this
-// way only permutes the order of data-independent comparators across
-// independent sets: each position of each set still sees its own
-// comparators in program order, so the transform commutes with
-// sentinel padding and with the 0-1 certification argument (THEORY.md
-// §13).
+// ExecBackend walks every op once per key set; RunBatchColumnar walks
+// the executed stream once per *batch*. The batch is transposed into
+// a ColumnBatch — one contiguous column per snake position, holding
+// that position's key from every set — and the program's pre-lowered
+// comparator stream (Program.LoweredComparators) runs each
+// compare-exchange as a tight branchless min/max loop over two
+// columns (kernel.go). Because every set replays the identical
+// oblivious schedule, interleaving them this way only permutes the
+// order of data-independent comparators across independent sets: each
+// position of each set still sees its own comparators in program
+// order, so the transform commutes with sentinel padding and with the
+// 0-1 certification argument (THEORY.md §13).
 
 package schedule
 
@@ -88,8 +88,19 @@ func (cb *ColumnBatch) StoreSnake(sets [][]simnet.Key) {
 // Run replays the program's lowered comparator stream over the columns
 // through the widest kernel the host supports (AVX-512 or AVX2 on
 // capable amd64, the portable scalar loop elsewhere — see kernel.go and
-// kernel_amd64.go), padding lanes included.
+// kernel_amd64.go), padding lanes included. One set (stride 1) runs a
+// plain swap loop instead: a 1-wide column per comparator costs more
+// than the comparison, and its indexed loads keep it out of kernel.go.
 func (cb *ColumnBatch) Run(prog *Program) {
+	if cb.stride == 1 {
+		s := cb.slab
+		for _, c := range prog.LoweredComparators() {
+			if s[c.Lo] > s[c.Hi] {
+				s[c.Lo], s[c.Hi] = s[c.Hi], s[c.Lo]
+			}
+		}
+		return
+	}
 	runComparators(cb.slab, prog.LoweredComparators(), prog.kernelChunks(), cb.stride)
 }
 

@@ -50,6 +50,8 @@ func FuzzColumnarEquivalence(f *testing.F) {
 	f.Add(uint8(3), int64(6), []byte{63, 40, 63, 0x3F, 17, 63, 63, 2, 63}) // K2^6, ragged
 	f.Add(uint8(4), int64(7), []byte{15, 15, 3, 0x8F, 15, 9, 15, 15})      // periodic[16]
 	f.Add(uint8(5), int64(8), []byte{15, 15, 11, 15, 0x81, 15, 6, 15})     // multiway4[16]
+	f.Add(uint8(3), int64(9), []byte{63})                                  // one full set: the one-set loop
+	f.Add(uint8(4), int64(10), []byte{9})                                  // one padded set, 10 of 16 keys
 	f.Fuzz(func(t *testing.T, netPick uint8, seed int64, shape []byte) {
 		prog, err := fuzzNetworks[int(netPick)%len(fuzzNetworks)]()
 		if err != nil {
@@ -120,6 +122,9 @@ func TestColumnarEquivalenceK2_10(t *testing.T) {
 		batch = append(batch, keys)
 	}
 	checkColumnarAgainstOps(t, prog, batch)
+	for _, keys := range batch { // one set per batch: the one-set loop, padded sets included
+		checkColumnarAgainstOps(t, prog, [][]simnet.Key{keys})
+	}
 }
 
 // checkColumnarAgainstOps replays batch through RunBatchColumnar (one

@@ -12,13 +12,14 @@
 // structural signature. Every later sort on a structurally identical
 // network replays the cached program with zero schedule construction.
 //
-// The program is consumed by several replays: the in-place op replay
-// (ExecBackend) and its faulted variant (ResilientBackend), the live
-// simulator replay (ReplayOnMachine), the columnar batch replay of the
-// lowered comparator stream, merge-split block sorting (package
-// blocksort), and the message-passing SPMD engine (package spmd). All of them observe identical round accounting
-// because the charges are part of the IR, precomputed per Lemma 3 /
-// Theorem 1.
+// The program is consumed by several replays: the columnar replay of
+// the executed stream (RunBatchColumnar), which sorts every untraced,
+// fault-free key set; the unpruned op replay (ExecBackend) and its
+// faulted variant (ResilientBackend); the live simulator replay
+// (ReplayOnMachine); merge-split block sorting (package blocksort); and
+// the message-passing SPMD engine (package spmd). All of them observe
+// identical round accounting because the charges are part of the IR,
+// precomputed per Lemma 3 / Theorem 1.
 package schedule
 
 import (

@@ -27,6 +27,7 @@ package productsort
 
 import (
 	"fmt"
+	"slices"
 
 	"productsort/internal/core"
 	"productsort/internal/graph"
@@ -244,13 +245,9 @@ func NewSorter(opts ...Option) (*Sorter, error) {
 	return s, nil
 }
 
-// newResult assembles a Result from a replay clock and sorted keys
-// (indexed by node id).
-func newResult(nw *Network, clk simnet.Clock, engineName string, byNode []Key) *Result {
-	snake := make([]Key, len(byNode))
-	for pos := range snake {
-		snake[pos] = byNode[nw.net.NodeAtSnake(pos)]
-	}
+// newResult assembles a Result from a replay clock and the sorted keys,
+// in snake order and indexed by node id.
+func newResult(clk simnet.Clock, engineName string, snake, byNode []Key) *Result {
 	return &Result{
 		Keys:         snake,
 		ByNode:       byNode,
@@ -297,7 +294,7 @@ func (s *Sorter) Sort(nw *Network, keys []Key) (*Result, error) {
 	mach := m
 	alg.Observer = func(stage string, _ sort2d.Machine) { s.observer(stage, mach.SnakeKeys()) }
 	alg.Sort(m)
-	return newResult(nw, m.Clock(), s.engine.Name(), m.Keys()), nil
+	return newResult(m.Clock(), s.engine.Name(), m.SnakeKeys(), m.Keys()), nil
 }
 
 // Sort sorts with the default configuration (auto S_2 engine).
@@ -360,31 +357,58 @@ func (c *CompiledNetwork) Depth() int { return c.prog.Depth() }
 func (c *CompiledNetwork) Size() int { return c.prog.Size() }
 
 // Sort replays the compiled program over keys (snake order, like
-// Sorter.Sort) and returns the result. No schedule work happens here —
-// just compare-exchanges, applied with the simulator's one exchange
-// loop. It replays the unpruned ops, all Size comparators phase by
-// phase, because its tracer (and SortResilient's faults) act on
-// product-network edges; only the batch paths (SortBatch, SortStream,
-// the server) run the pruned stream.
+// Sorter.Sort) and returns the result. Untraced, it runs the executed
+// stream, as SortBatch does (THEORY.md §17, §18); a program's first such
+// call pays its lowering. A tracer sees phases of product-network edges,
+// so a traced Sort walks every pair of the unpruned ops. The output and
+// every Result counter are the same either way.
 func (c *CompiledNetwork) Sort(keys []Key) (*Result, error) {
 	if len(keys) != c.nw.Nodes() {
 		return nil, fmt.Errorf("productsort: %d keys for %d nodes", len(keys), c.nw.Nodes())
 	}
-	byNode := make([]Key, len(keys))
-	for pos, k := range keys {
-		byNode[c.nw.net.NodeAtSnake(pos)] = k
+	if c.tracer == nil {
+		snake := slices.Clone(keys)
+		sortSnake(c.prog, snake)
+		return newResult(c.prog.Clock(), c.prog.Engine(), snake, c.byNode(snake)), nil
 	}
+	byNode := c.byNode(keys)
 	clk, err := schedule.ExecBackend{Tracer: c.tracer}.Run(c.prog, byNode)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(c.nw, clk, c.prog.Engine(), byNode), nil
+	return newResult(clk, c.prog.Engine(), c.snake(byNode), byNode), nil
+}
+
+// byNode scatters snake-order keys to node order by the snake table.
+func (c *CompiledNetwork) byNode(snake []Key) []Key {
+	out := make([]Key, len(snake))
+	for pos, node := range c.prog.SnakePerm() {
+		out[node] = snake[pos]
+	}
+	return out
+}
+
+// snake gathers node-indexed keys into snake order, undoing byNode.
+func (c *CompiledNetwork) snake(byNode []Key) []Key {
+	out := make([]Key, len(byNode))
+	for pos, node := range c.prog.SnakePerm() {
+		out[pos] = byNode[node]
+	}
+	return out
 }
 
 // batchColumns recycles the column slabs SortBatch transposes batches
 // through, shared across all compiled networks (the pool tolerates
 // mixed shapes: undersized slabs are dropped and regrown).
 var batchColumns = schedule.NewColumnBuffer()
+
+// sortSnake sorts a full snake-order key set in place through the
+// executed stream: the one-set replay of untraced Sort and Apply.
+func sortSnake(prog *schedule.Program, keys []Key) {
+	if err := schedule.RunBatchColumnar(prog, [][]Key{keys}, 1, batchColumns); err != nil {
+		panic(err) // unreachable: every caller checks the length
+	}
+}
 
 // SortBatch sorts many independent key sets (each in snake order, in
 // place) through the one compiled program; workers < 1 picks a sensible
@@ -450,10 +474,6 @@ func (s *Sorter) Merge(nw *Network, slabs [][]Key) (*Result, error) {
 	for i := range subDims {
 		subDims[i] = i + 1
 	}
-	m, err := simnet.New(nw.net, make([]Key, nw.Nodes()))
-	if err != nil {
-		return nil, err
-	}
 	keys := make([]Key, nw.Nodes())
 	for u, slab := range slabs {
 		if len(slab) != slabSize {
@@ -467,16 +487,15 @@ func (s *Sorter) Merge(nw *Network, slabs [][]Key) (*Result, error) {
 			keys[nw.net.NodeInBlock(base, subDims, pos)] = k
 		}
 	}
-	snake := make([]Key, len(keys))
-	for pos := range snake {
-		snake[pos] = keys[nw.net.NodeAtSnake(pos)]
+	m, err := simnet.New(nw.net, keys)
+	if err != nil {
+		return nil, err
 	}
-	m.LoadSnake(snake)
 	if s.tracer != nil {
 		m.SetTracer(s.tracer)
 	}
 	core.New(s.engine).Merge(m, r)
-	return newResult(nw, m.Clock(), s.engine.Name(), m.Keys()), nil
+	return newResult(m.Clock(), s.engine.Name(), m.SnakeKeys(), m.Keys()), nil
 }
 
 // SnakeCutWidth returns the edge count of the snake-order bisection: an

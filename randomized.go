@@ -124,16 +124,13 @@ func (c *CompiledNetwork) SortRandomized(keys []Key, cfg RandomizedConfig) (*Res
 	if err != nil {
 		return nil, err
 	}
-	byNode := make([]Key, len(keys))
-	for pos, k := range keys {
-		byNode[c.nw.net.NodeAtSnake(pos)] = k
-	}
+	byNode := c.byNode(keys)
 	rep, err := eng.Sort(byNode)
 	if err != nil && !errors.Is(err, ErrRoundCap) {
 		return nil, err
 	}
 	clk := simnet.Clock{Rounds: rep.RoundCharge, RoutedPhases: rep.Routed}
-	res := newResult(c.nw, clk, eng.Name(), byNode)
+	res := newResult(clk, eng.Name(), c.snake(byNode), byNode)
 	res.Random = &RandomizedReport{
 		Variant:          rep.Variant,
 		Rounds:           rep.Rounds,

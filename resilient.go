@@ -173,10 +173,11 @@ type FaultReport struct {
 // bounded repair replays. The Result's Rounds includes the recovery
 // cost, and Result.Faults reports the full accounting.
 //
-// Faults act on product edges, so like Sort it replays the unpruned
-// ops — every comparator of Size, never the pruned batch stream.
-//
-// A zero cfg injects nothing and is equivalent to Sort. On exhausted
+// A faulted replay walks the unpruned ops, every comparator of Size:
+// faults act on product edges, and a fault breaks the premise under
+// which the executed stream drops comparators (THEORY.md §18). A cfg
+// that injects nothing (the zero value, for one) is Sort, executed
+// stream included, with an all-zero Result.Faults. On exhausted
 // recovery the keys-so-far and the report are returned alongside
 // ErrUnrecoverable.
 func (c *CompiledNetwork) SortResilient(keys []Key, cfg FaultConfig) (*Result, error) {
@@ -193,10 +194,14 @@ func (c *CompiledNetwork) SortResilient(keys []Key, cfg FaultConfig) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	byNode := make([]Key, len(keys))
-	for pos, k := range keys {
-		byNode[c.nw.net.NodeAtSnake(pos)] = k
+	if plan.Config().Quiet() {
+		res, err := c.Sort(keys)
+		if err == nil {
+			res.Faults = &FaultReport{}
+		}
+		return res, err
 	}
+	byNode := c.byNode(keys)
 	rb := schedule.ResilientBackend{
 		Plan:            plan,
 		CheckpointEvery: cfg.CheckpointEvery,
@@ -208,7 +213,7 @@ func (c *CompiledNetwork) SortResilient(keys []Key, cfg FaultConfig) (*Result, e
 	if err != nil && !errors.Is(err, ErrUnrecoverable) {
 		return nil, err
 	}
-	res := newResult(c.nw, clk, c.prog.Engine(), byNode)
+	res := newResult(clk, c.prog.Engine(), c.snake(byNode), byNode)
 	fr := &FaultReport{
 		Injected:       clk.Faults.Injected,
 		Dropped:        clk.Faults.Dropped,
