@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"productsort/internal/exp"
+	"productsort/internal/schedule"
 	"productsort/internal/workload"
 )
 
@@ -168,6 +169,36 @@ func BenchmarkCompiledSortVsBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCompileCold times one cold Compile: the program cache is
+// emptied before every iteration (outside the timer), so each call runs
+// the Section 4 recursion symbolically, prices and checks every phase,
+// and validates the program. The lazy lowering is not included.
+func BenchmarkCompileCold(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		nw   *Network
+	}{
+		{"Hypercube10", mustNet(Hypercube(10))},
+		{"Grid4x6", mustNet(Grid(4, 6))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				schedule.ResetCache()
+				b.StartTimer()
+				if _, err := Compile(c.nw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			schedule.ResetCache()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/compile")
+		})
+	}
 }
 
 func BenchmarkBlockSort64x64(b *testing.B) {

@@ -96,7 +96,7 @@ func TestRunScheduleBench(t *testing.T) {
 		t.Fatalf("report header: kernel %q at %d lanes, want %q at %d", rep.Host.Kernel, rep.KernelLanes, schedule.KernelName(), kernelLanes)
 	}
 	for _, e := range rep.Entries {
-		if e.ColdNs <= 0 || e.WarmPerSetNs <= 0 || e.ColsPerSetNs <= 0 || e.Rounds < 1 || e.NsPerCompLane <= 0 {
+		if e.CompileNs <= 0 || e.ColdNs <= 0 || e.WarmPerSetNs <= 0 || e.ColsPerSetNs <= 0 || e.Rounds < 1 || e.NsPerCompLane <= 0 {
 			t.Fatalf("degenerate entry: %+v", e)
 		}
 	}

@@ -75,7 +75,7 @@ func TestCompiledNetworkSort(t *testing.T) {
 // of the executed stream: warm, it allocates at most five objects per
 // call on K₂¹⁰, none per key, and its Result equals the traced Sort's,
 // which walks every pair of the ops — keys in both orders and every
-// counter.
+// counter. A warm Sorter.Sort allocates at most one object more.
 func TestCompiledSortAllocs(t *testing.T) {
 	nw, err := Hypercube(10)
 	if err != nil {
@@ -115,6 +115,22 @@ func TestCompiledSortAllocs(t *testing.T) {
 	})
 	if allocs > 5 {
 		t.Fatalf("warm untraced Sort on K2^10 allocates %.1f per call, want <= 5", allocs)
+	}
+	// Sorter.Sort without an observer finds the cached program by the
+	// network's memoized signature: one allocation above the compiled
+	// Sort, its CompiledNetwork.
+	s, err := NewSorter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorterAllocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Sort(nw, keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sorterAllocs > allocs+1 {
+		t.Fatalf("warm Sorter.Sort on K2^10 allocates %.1f per call, want <= %.1f (CompiledNetwork.Sort's %.1f + 1)",
+			sorterAllocs, allocs+1, allocs)
 	}
 }
 

@@ -15,7 +15,9 @@
 package product
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"productsort/internal/graph"
 	"productsort/internal/gray"
@@ -29,6 +31,9 @@ type Network struct {
 	total   int
 	stride  []int // stride[d-1] = ∏_{i<d} radix: weight of dimension d
 	homog   bool
+
+	sigOnce sync.Once
+	sig     string // structural signature, built on first use
 }
 
 // New builds the homogeneous product PG_r from factor g. r must be at
@@ -132,6 +137,28 @@ func (p *Network) Name() string {
 	return name
 }
 
+// Signature returns the network's structural signature: per dimension,
+// dimension 1 first, a '|' and the factor's node count and sorted edge
+// list, varint-packed. The labeling is part of it, since it decides
+// which compare-exchanges are single-hop. Structurally identical
+// networks share a signature however their factor graphs were built.
+// It is built once, on first use; the network is immutable.
+func (p *Network) Signature() string {
+	p.sigOnce.Do(func() {
+		var buf []byte
+		for _, g := range p.factors {
+			buf = append(buf, '|')
+			buf = binary.AppendUvarint(buf, uint64(g.N()))
+			for _, e := range g.Edges() { // sorted, u < v
+				buf = binary.AppendUvarint(buf, uint64(e[0]))
+				buf = binary.AppendUvarint(buf, uint64(e[1]))
+			}
+		}
+		p.sig = string(buf)
+	})
+	return p.sig
+}
+
 // Stride returns the weight of 1-based dimension dim in node ids.
 func (p *Network) Stride(dim int) int { return p.stride[dim-1] }
 
@@ -163,6 +190,36 @@ func (p *Network) SetDigit(id, dim, v int) int {
 	s := p.stride[dim-1]
 	old := (id / s) % p.radix[dim-1]
 	return id + (v-old)*s
+}
+
+// DifferingDim returns the one dimension in which the labels of a and b
+// differ, with their symbols there; dim is 0 when a == b or when the
+// labels differ in more than one dimension.
+//
+// No dimension but one is read. If only the symbol of dimension d
+// differs, b−a = (db−da)·Stride(d) with 1 ≤ |db−da| < Radix(d), so
+// Stride(d) ≤ |b−a| < Stride(d+1): the stride bracket of |b−a| names
+// the only candidate. The one check b−a == (db−da)·Stride(d) then
+// proves every other symbol agrees, because b is a with symbol d
+// replaced by db, and a node id is a unique mixed-radix number.
+func (p *Network) DifferingDim(a, b int) (dim, da, db int) {
+	diff := b - a
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff == 0 {
+		return 0, 0, 0
+	}
+	d := p.r
+	for p.stride[d-1] > diff {
+		d--
+	}
+	s, n := p.stride[d-1], p.radix[d-1]
+	da, db = a/s%n, b/s%n
+	if b-a != (db-da)*s {
+		return 0, 0, 0
+	}
+	return d, da, db
 }
 
 // Adjacent reports whether nodes a and b are adjacent (Definition 1).
@@ -344,6 +401,23 @@ func (p *Network) NodeInBlock(base int, dims []int, pos int) int {
 		id = p.SetDigit(id, d, label[i])
 	}
 	return id
+}
+
+// BlockOffsets returns the id offset of every block-local snake
+// position: base+off[pos] is NodeInBlock(base, dims, pos) for every base
+// BlockBases returns, since a base's digits at dims are all zero. Pair
+// generators take one table per call instead of unranking per pair.
+func (p *Network) BlockOffsets(dims []int) []int {
+	radix := p.blockRadix(dims)
+	label := make([]int, len(dims))
+	off := make([]int, p.BlockSize(dims))
+	for pos := range off {
+		gray.SnakeUnrankMixed(pos, radix, label)
+		for i, d := range dims {
+			off[pos] += label[i] * p.stride[d-1]
+		}
+	}
+	return off
 }
 
 // BlockWeight returns the Hamming weight of id's digits at dims; its

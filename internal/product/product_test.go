@@ -251,6 +251,60 @@ func TestBlockAddressing(t *testing.T) {
 	}
 }
 
+// TestBlockOffsets: base+off[pos] is NodeInBlock(base, dims, pos) for
+// every base, position and dimension order, heterogeneous radices
+// included.
+func TestBlockOffsets(t *testing.T) {
+	p := MustNewHetero([]*graph.Graph{graph.Path(3), graph.Cycle(4), graph.K2(), graph.Path(5)})
+	for _, dims := range [][]int{{1}, {2, 1}, {1, 3}, {4, 2}, {3}, {1, 2, 3}, {4, 3, 2, 1}} {
+		off := p.BlockOffsets(dims)
+		if len(off) != p.BlockSize(dims) {
+			t.Fatalf("dims %v: %d offsets for block size %d", dims, len(off), p.BlockSize(dims))
+		}
+		for _, base := range p.BlockBases(dims) {
+			for pos, o := range off {
+				if got, want := base+o, p.NodeInBlock(base, dims, pos); got != want {
+					t.Fatalf("dims %v base %d pos %d: base+off = %d, NodeInBlock = %d", dims, base, pos, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDifferingDim checks the stride-bracket test against a digit-by-
+// digit scan on every pair of nodes, homogeneous and heterogeneous.
+func TestDifferingDim(t *testing.T) {
+	for _, p := range []*Network{
+		MustNew(graph.K2(), 5),
+		MustNew(graph.Path(3), 3),
+		MustNewHetero([]*graph.Graph{graph.Path(4), graph.Cycle(3), graph.K2()}),
+		MustNewHetero([]*graph.Graph{graph.K2(), graph.Path(5), graph.Path(3)}),
+	} {
+		for a := 0; a < p.Nodes(); a++ {
+			for b := 0; b < p.Nodes(); b++ {
+				want, differing := 0, 0
+				for d := 1; d <= p.R(); d++ {
+					if p.Digit(a, d) != p.Digit(b, d) {
+						want = d
+						differing++
+					}
+				}
+				if differing != 1 {
+					want = 0
+				}
+				dim, da, db := p.DifferingDim(a, b)
+				if dim != want {
+					t.Fatalf("%s: DifferingDim(%d, %d) = %d, want %d", p.Name(), a, b, dim, want)
+				}
+				if dim != 0 && (da != p.Digit(a, dim) || db != p.Digit(b, dim)) {
+					t.Fatalf("%s: DifferingDim(%d, %d) digits (%d, %d), want (%d, %d)",
+						p.Name(), a, b, da, db, p.Digit(a, dim), p.Digit(b, dim))
+				}
+			}
+		}
+	}
+}
+
 // TestBlockSnakeIsSubsetSnake verifies that walking a block in its local
 // snake order visits product nodes such that consecutive ones differ by
 // one symbol step in exactly one of the block's dimensions.

@@ -96,8 +96,8 @@ func buildPool(net *product.Network, plan *faults.Plan) []candidate {
 			lo, hi = hi, lo
 		}
 		if !snake && plan != nil {
-			dim := differingDim(net, a, b)
-			if plan.LinkDead(dim, net.Digit(a, dim), net.Digit(b, dim)) {
+			// A network edge differs in exactly one dimension.
+			if plan.LinkDead(net.DifferingDim(a, b)) {
 				return
 			}
 		}
@@ -115,19 +115,6 @@ func buildPool(net *product.Network, plan *faults.Plan) []candidate {
 		add(net.NodeAtSnake(pos), net.NodeAtSnake(pos+1), true)
 	}
 	return pool
-}
-
-// differingDim returns the 1-based dimension a and b differ in. Every
-// pool candidate differs in exactly one dimension: network edges by
-// the product construction, snake-consecutive pairs by the Gray-code
-// property of the snake order.
-func differingDim(net *product.Network, a, b int) int {
-	for k := 1; k <= net.R(); k++ {
-		if net.Digit(a, k) != net.Digit(b, k) {
-			return k
-		}
-	}
-	panic("randsort: identical endpoints in candidate pair")
 }
 
 // weights assigns each candidate its (unnormalized) q mass under the

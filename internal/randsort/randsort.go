@@ -326,13 +326,13 @@ func (e *Engine) Sort(keys []simnet.Key) (*Report, error) {
 		rep.Rounds++
 		kept := e.drawRound(round, &delta, rep)
 		if len(kept) > 0 {
-			cost := e.cost.PhaseCost(e.pricing, kept)
+			cost, dim := e.cost.PhaseCost(e.pricing, kept)
 			kind := schedule.OpCompareExchange
 			if cost > 1 {
 				kind = schedule.OpRoutedExchange
 				rep.Routed++
 			}
-			op := schedule.Op{Kind: kind, Pairs: kept, Cost: cost}
+			op := schedule.Op{Kind: kind, Pairs: kept, Cost: cost, Dim: dim}
 			e.exchange(keys, op, len(realized))
 			realized = append(realized, op)
 			rep.RoundCharge += cost

@@ -3,71 +3,34 @@
 package schedule
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"productsort/internal/core"
-	"productsort/internal/graph"
 	"productsort/internal/product"
 	"productsort/internal/sort2d"
 )
 
-// Signature returns the canonical cache key of a full-sort program:
-// the S_2 engine name plus one structural signature per dimension
-// (factor size and labeled edge list — the labeling is part of the
-// signature because it decides which compare-exchanges are single-hop).
-// Structurally identical networks share a signature regardless of how
-// or where their factor graphs were constructed.
+// Signature returns the canonical signature of a full-sort program:
+// the S_2 engine name plus the network's structural signature (one
+// factor size and labeled edge list per dimension; see
+// product.Network.Signature). Structurally identical networks share a
+// signature regardless of how or where their factor graphs were
+// constructed.
 func Signature(net *product.Network, engineName string) string {
-	var sb strings.Builder
-	sb.WriteString("sort|")
-	sb.WriteString(engineName)
-	// Factors repeat (homogeneous networks reuse one *graph.Graph);
-	// memoize the per-graph signature by pointer within this call.
-	memo := make(map[*graph.Graph]string, net.R())
-	for dim := 1; dim <= net.R(); dim++ {
-		g := net.FactorAt(dim)
-		s, ok := memo[g]
-		if !ok {
-			s = graphSignature(g)
-			memo[g] = s
-		}
-		sb.WriteByte('|')
-		sb.WriteString(s)
-	}
-	return sb.String()
+	return programKey{engineName, net.Signature()}.signature()
 }
 
-// graphSignature encodes a factor graph's structure-with-labeling: node
-// count followed by the sorted edge list, varint-packed.
-func graphSignature(g *graph.Graph) string {
-	edges := g.Edges()
-	norm := make([][2]int, len(edges))
-	for i, e := range edges {
-		a, b := e[0], e[1]
-		if a > b {
-			a, b = b, a
-		}
-		norm[i] = [2]int{a, b}
-	}
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i][0] != norm[j][0] {
-			return norm[i][0] < norm[j][0]
-		}
-		return norm[i][1] < norm[j][1]
-	})
-	buf := make([]byte, 0, 2+4*len(norm))
-	buf = binary.AppendUvarint(buf, uint64(g.N()))
-	for _, e := range norm {
-		buf = binary.AppendUvarint(buf, uint64(e[0]))
-		buf = binary.AppendUvarint(buf, uint64(e[1]))
-	}
-	return string(buf)
+// programKey is the program cache's key: the Signature's two parts,
+// kept apart so a warm Compile looks a program up without building the
+// joined string.
+type programKey struct {
+	engine, net string
 }
+
+// signature joins the key into the program's Signature.
+func (k programKey) signature() string { return "sort|" + k.engine + k.net }
 
 // cacheEntry is a once-guarded cache slot: concurrent compilations of
 // the same signature wait for a single build.
@@ -78,7 +41,7 @@ type cacheEntry struct {
 }
 
 var (
-	cache        sync.Map // signature -> *cacheEntry
+	cache        sync.Map // programKey -> *cacheEntry
 	statHits     atomic.Int64
 	statMisses   atomic.Int64
 	statCompiles atomic.Int64
@@ -126,7 +89,7 @@ func Compile(net *product.Network, engine sort2d.Engine) (*Program, error) {
 	if engine == nil {
 		engine = sort2d.Auto{}
 	}
-	return compile(Signature(net, engine.Name()), net, engine)
+	return compile(programKey{engine.Name(), net.Signature()}, net, engine)
 }
 
 // CompileUncached builds the full-sort program for net without
@@ -141,12 +104,12 @@ func CompileUncached(net *product.Network, engine sort2d.Engine) (*Program, erro
 	return build(Signature(net, engine.Name()), net, engine)
 }
 
-// compile resolves sig through the cache, building the program on a
+// compile resolves key through the cache, building the program on a
 // miss.
-func compile(sig string, net *product.Network, engine sort2d.Engine) (*Program, error) {
-	v, loaded := cache.Load(sig)
+func compile(key programKey, net *product.Network, engine sort2d.Engine) (*Program, error) {
+	v, loaded := cache.Load(key)
 	if !loaded {
-		v, loaded = cache.LoadOrStore(sig, &cacheEntry{})
+		v, loaded = cache.LoadOrStore(key, &cacheEntry{})
 	}
 	if loaded {
 		statHits.Add(1)
@@ -155,7 +118,7 @@ func compile(sig string, net *product.Network, engine sort2d.Engine) (*Program, 
 	}
 	entry := v.(*cacheEntry)
 	entry.once.Do(func() {
-		entry.prog, entry.err = build(sig, net, engine)
+		entry.prog, entry.err = build(key.signature(), net, engine)
 	})
 	return entry.prog, entry.err
 }

@@ -336,38 +336,16 @@ func (b *Builder) CompareExchange(pairs [][2]int) {
 	}
 	cp := make([][2]int, len(pairs))
 	copy(cp, pairs)
-	cost := b.cost.PhaseCost(b.net, cp)
+	cost, dim := b.cost.PhaseCost(b.net, cp)
 	kind := OpCompareExchange
 	if cost > 1 {
 		kind = OpRoutedExchange
 		b.clock.RoutedPhases++
 	}
-	b.ops = append(b.ops, Op{Kind: kind, Pairs: cp, Cost: cost, Dim: phaseDim(b.net, cp)})
+	b.ops = append(b.ops, Op{Kind: kind, Pairs: cp, Cost: cost, Dim: dim})
 	b.clock.ComparePhases++
 	b.clock.CompareOps += len(cp)
 	b.charge(cost)
-}
-
-// phaseDim returns the 1-based dimension every pair of the phase
-// differs in, or 0 when pairs span different dimensions. PhaseCost has
-// already validated that each pair differs in exactly one dimension.
-func phaseDim(net *product.Network, pairs [][2]int) int {
-	dim := 0
-	for _, pr := range pairs {
-		d := 0
-		for k := 1; k <= net.R(); k++ {
-			if net.Digit(pr[0], k) != net.Digit(pr[1], k) {
-				d = k
-				break
-			}
-		}
-		if dim == 0 {
-			dim = d
-		} else if dim != d {
-			return 0
-		}
-	}
-	return dim
 }
 
 // IdleRound implements sort2d.Machine.

@@ -77,13 +77,18 @@ type costKey struct {
 }
 
 // CostModel validates compare-exchange phases and prices them in
-// parallel communication rounds. It owns the per-factor routing plans
-// and a memo of routed-exchange costs, so it can be shared between a
-// live Machine and the schedule compiler (package schedule), which must
-// charge phases identically. A CostModel is not safe for concurrent use.
+// parallel communication rounds. It owns the per-factor routing plans,
+// a memo of routed-exchange costs and the node stamps PhaseCost checks
+// disjointness with, so it can be shared between a live Machine and the
+// schedule compiler (package schedule), which must charge phases
+// identically. A CostModel is not safe for concurrent use.
 type CostModel struct {
 	plans     map[*graph.Graph]*routing.Plan
 	costCache map[costKey]int
+	// busy[v] == gen marks node v as taken by the current phase; a new
+	// gen per phase avoids clearing the slice between phases.
+	busy []uint32
+	gen  uint32
 }
 
 // NewCostModel returns an empty cost model.
@@ -105,42 +110,77 @@ func (c *CostModel) PlanFor(g *graph.Graph) *routing.Plan {
 }
 
 // PhaseCost validates the pairs of one compare-exchange phase on net and
-// returns the round charge: one round when every pair is an edge of the
-// product network, otherwise the maximum measured key-exchange routing
-// cost over the G-subgraphs involved (disjoint subgraphs run in
-// parallel). Pairs must be node-disjoint and each pair must differ in
-// exactly one dimension; violations panic, since they indicate an
-// algorithm bug rather than bad input.
-func (c *CostModel) PhaseCost(net *product.Network, pairs [][2]int) int {
-	busy := make(map[int]bool, 2*len(pairs))
+// prices it, in one pass over the pairs. cost is one round when every
+// pair is an edge of the product network, otherwise the maximum measured
+// key-exchange routing cost over the G-subgraphs involved (disjoint
+// subgraphs run in parallel). dim is the 1-based dimension every pair
+// differs in, or 0 when the pairs span several. Pairs must be in range,
+// node-disjoint, and each must differ in exactly one dimension;
+// violations panic, since they indicate an algorithm bug rather than bad
+// input. A phase of edges allocates nothing once the model has seen a
+// network of net's size.
+func (c *CostModel) PhaseCost(net *product.Network, pairs [][2]int) (cost, dim int) {
+	busy, gen := c.stamp(net.Nodes())
 	allAdjacent := true
-	// Factor-level exchange sets keyed by (dimension, subgraph base id).
-	type subKey struct{ dim, base int }
-	subPairs := make(map[subKey][][2]int)
-	for _, pr := range pairs {
+	for i, pr := range pairs {
 		a, b := pr[0], pr[1]
 		if a == b {
 			panic("simnet: degenerate compare-exchange pair")
 		}
-		if busy[a] || busy[b] {
+		if uint(a) >= uint(len(busy)) || uint(b) >= uint(len(busy)) {
+			panic(fmt.Sprintf("simnet: pair (%d, %d) outside the %d-node network", a, b, len(busy)))
+		}
+		if busy[a] == gen || busy[b] == gen {
 			panic("simnet: overlapping compare-exchange pairs")
 		}
-		busy[a], busy[b] = true, true
-		dim := differingDim(net, a, b)
-		da, db := net.Digit(a, dim), net.Digit(b, dim)
-		if !net.FactorAt(dim).HasEdge(da, db) {
+		busy[a], busy[b] = gen, gen
+		d, da, db := net.DifferingDim(a, b)
+		if d == 0 {
+			panic(fmt.Sprintf("simnet: nodes %d and %d differ in more than one dimension", a, b))
+		}
+		if i == 0 {
+			dim = d
+		} else if d != dim {
+			dim = 0
+		}
+		if allAdjacent && !net.FactorAt(d).HasEdge(da, db) {
 			allAdjacent = false
 		}
-		k := subKey{dim, net.SetDigit(a, dim, 0)}
-		subPairs[k] = append(subPairs[k], [2]int{da, db})
 	}
 	if allAdjacent {
-		return 1
+		return 1, dim
+	}
+	return c.routedCost(net, pairs), dim
+}
+
+// stamp returns the node stamps sized for n nodes and the generation
+// that marks a node as taken by the phase being checked.
+func (c *CostModel) stamp(n int) ([]uint32, uint32) {
+	if len(c.busy) < n {
+		c.busy, c.gen = make([]uint32, n), 0
+	}
+	c.gen++
+	if c.gen == 0 { // wrapped: stale stamps could collide
+		clear(c.busy)
+		c.gen = 1
+	}
+	return c.busy[:n], c.gen
+}
+
+// routedCost prices a phase PhaseCost has validated and found to hold
+// a non-edge pair: the maximum routed key-exchange cost over the
+// G-subgraphs, keyed by (dimension, subgraph base id), that it touches.
+func (c *CostModel) routedCost(net *product.Network, pairs [][2]int) int {
+	type subKey struct{ dim, base int }
+	subPairs := make(map[subKey][][2]int)
+	for _, pr := range pairs {
+		d, da, db := net.DifferingDim(pr[0], pr[1])
+		k := subKey{d, pr[0] - da*net.Stride(d)}
+		subPairs[k] = append(subPairs[k], [2]int{da, db})
 	}
 	worst := 1
 	for k, fp := range subPairs {
-		cost := c.exchangeCost(net.FactorAt(k.dim), fp)
-		if cost > worst {
+		if cost := c.exchangeCost(net.FactorAt(k.dim), fp); cost > worst {
 			worst = cost
 		}
 	}
@@ -178,24 +218,6 @@ func (c *CostModel) exchangeCost(g *graph.Graph, fp [][2]int) int {
 	cost := c.PlanFor(g).ExchangeRounds(norm)
 	c.costCache[key] = cost
 	return cost
-}
-
-// differingDim returns the unique dimension where a and b differ, or
-// panics if they differ in zero or more than one dimension.
-func differingDim(net *product.Network, a, b int) int {
-	dim := 0
-	for d := 1; d <= net.R(); d++ {
-		if net.Digit(a, d) != net.Digit(b, d) {
-			if dim != 0 {
-				panic(fmt.Sprintf("simnet: nodes %d and %d differ in more than one dimension", a, b))
-			}
-			dim = d
-		}
-	}
-	if dim == 0 {
-		panic(fmt.Sprintf("simnet: nodes %d and %d identical", a, b))
-	}
-	return dim
 }
 
 // Exchange applies one compare-exchange phase to the key array. Pairs
@@ -308,7 +330,7 @@ func (m *Machine) CompareExchange(pairs [][2]int) {
 	if len(pairs) == 0 {
 		return
 	}
-	cost := m.cost.PhaseCost(m.net, pairs)
+	cost, dim := m.cost.PhaseCost(m.net, pairs)
 	var ev obs.Phase
 	if m.tracer != nil {
 		kind := obs.PhaseExchange
@@ -318,7 +340,7 @@ func (m *Machine) CompareExchange(pairs [][2]int) {
 		ev = obs.Phase{
 			Index: m.phase,
 			Kind:  kind,
-			Dim:   m.phaseDim(pairs),
+			Dim:   dim,
 			S2:    m.inS2,
 			Cost:  cost,
 			Pairs: len(pairs),
@@ -341,21 +363,6 @@ func (m *Machine) CompareExchange(pairs [][2]int) {
 	if cost > 1 {
 		m.clock.RoutedPhases++
 	}
-}
-
-// phaseDim returns the 1-based dimension every pair of the phase
-// differs in, or 0 when pairs span different dimensions.
-func (m *Machine) phaseDim(pairs [][2]int) int {
-	dim := 0
-	for _, pr := range pairs {
-		d := differingDim(m.net, pr[0], pr[1])
-		if dim == 0 {
-			dim = d
-		} else if dim != d {
-			return 0
-		}
-	}
-	return dim
 }
 
 // SnakeKeys returns the keys read off in snake order of the whole

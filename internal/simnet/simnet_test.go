@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -328,5 +329,93 @@ func TestExchangeCostCacheLargeFactor(t *testing.T) {
 	}
 	if want := net.Dist(2, 260); far < want {
 		t.Errorf("exchange (2,260) charged %d rounds, want >= distance %d", far, want)
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, as a string
+// ("" when it returned normally).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestPhaseCostPanics pins each check PhaseCost makes and its message:
+// a degenerate pair, two pairs sharing a node, a pair whose labels
+// differ in more than one dimension, and a node outside the network.
+func TestPhaseCostPanics(t *testing.T) {
+	net := product.MustNew(graph.Path(3), 3)
+	cases := []struct {
+		name  string
+		pairs [][2]int
+		want  string
+	}{
+		{"degenerate", [][2]int{{0, 1}, {4, 4}}, "simnet: degenerate compare-exchange pair"},
+		{"overlapping", [][2]int{{0, 1}, {1, 2}}, "simnet: overlapping compare-exchange pairs"},
+		{"overlapping-reversed", [][2]int{{3, 4}, {5, 4}}, "simnet: overlapping compare-exchange pairs"},
+		{"two-dims", [][2]int{{0, 1}, {3, 7}}, "simnet: nodes 3 and 7 differ in more than one dimension"},
+		{"carry", [][2]int{{2, 3}}, "simnet: nodes 2 and 3 differ in more than one dimension"},
+		{"out-of-range", [][2]int{{26, 27}}, "simnet: pair (26, 27) outside the 27-node network"},
+		{"negative", [][2]int{{-1, 0}}, "simnet: pair (-1, 0) outside the 27-node network"},
+	}
+	c := NewCostModel()
+	for _, tc := range cases {
+		got := panicMessage(func() { c.PhaseCost(net, tc.pairs) })
+		if got != tc.want {
+			t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
+		}
+		// A rejected phase leaves no stamps behind: the same nodes pass
+		// in the next phase.
+		if cost, dim := c.PhaseCost(net, [][2]int{{0, 1}, {4, 5}}); cost != 1 || dim != 1 {
+			t.Errorf("%s: next phase priced (%d, %d), want (1, 1)", tc.name, cost, dim)
+		}
+	}
+}
+
+// TestPhaseCostDim: dim is the one dimension every pair differs in, 0
+// for a phase that mixes dimensions, and routed phases report it too.
+func TestPhaseCostDim(t *testing.T) {
+	c := NewCostModel()
+	grid := product.MustNew(graph.Path(3), 3)
+	for _, tc := range []struct {
+		pairs           [][2]int
+		wantCost, wantD int
+	}{
+		{[][2]int{{0, 1}, {3, 4}}, 1, 1},
+		{[][2]int{{0, 3}, {1, 4}, {9, 12}}, 1, 2},
+		{[][2]int{{4, 13}}, 1, 3},
+		{[][2]int{{0, 1}, {3, 6}}, 1, 0},
+		{[][2]int{{0, 2}}, 3, 1}, // routed: path symbols 0 and 2 swap over two hops
+	} {
+		cost, dim := c.PhaseCost(grid, tc.pairs)
+		if cost != tc.wantCost || dim != tc.wantD {
+			t.Errorf("%v: (cost, dim) = (%d, %d), want (%d, %d)", tc.pairs, cost, dim, tc.wantCost, tc.wantD)
+		}
+	}
+}
+
+// TestPhaseCostZeroAlloc pins the single pass: once the model has sized
+// its node stamps, pricing a phase of edges allocates nothing.
+func TestPhaseCostZeroAlloc(t *testing.T) {
+	net := product.MustNew(graph.K2(), 10)
+	pairs := make([][2]int, 0, net.Nodes()/2)
+	for a := 0; a < net.Nodes(); a++ {
+		if b := a ^ 1<<4; a < b {
+			pairs = append(pairs, [2]int{a, b})
+		}
+	}
+	c := NewCostModel()
+	c.PhaseCost(net, pairs) // sizes the stamps
+	allocs := testing.AllocsPerRun(50, func() {
+		if cost, dim := c.PhaseCost(net, pairs); cost != 1 || dim != 5 {
+			t.Fatalf("(cost, dim) = (%d, %d), want (1, 5)", cost, dim)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PhaseCost on %d edges allocates %.1f per phase, want 0", len(pairs), allocs)
 	}
 }

@@ -36,7 +36,8 @@ type Machine interface {
 	// Net returns the product network the phases address.
 	Net() *product.Network
 	// CompareExchange performs (or records) one parallel phase of
-	// node-disjoint (lo, hi) pairs.
+	// node-disjoint (lo, hi) pairs. It reads pairs only during the
+	// call, so engines reuse one pair buffer across phases.
 	CompareExchange(pairs [][2]int)
 	// IdleRound charges one round with no data movement (the oblivious
 	// schedule spends the step even when no processor has a partner).
@@ -126,24 +127,26 @@ func (Shearsort) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 
 // rowPhase runs n rounds of odd-even transposition within every row of
 // every block. Row v of an ascending block sorts ascending-by-dimA when
-// v is even; descending blocks flip every direction.
+// v is even; descending blocks flip every direction. A base has zero
+// digits at dimA and dimB, so the node at (a, v) is base+a·sA+v·sB.
 func rowPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool) {
 	net := m.Net()
 	nA, nB := net.Radix(dimA), net.Radix(dimB)
+	sA, sB := net.Stride(dimA), net.Stride(dimB)
+	var pairs [][2]int
 	for t := 0; t < nA; t++ {
-		var pairs [][2]int
+		pairs = pairs[:0]
 		for _, base := range bases {
 			up := asc(base)
 			for v := 0; v < nB; v++ {
-				rowBase := net.SetDigit(base, dimB, v)
+				rowBase := base + v*sB
 				rowAsc := (v%2 == 0) == up
 				for a := t % 2; a+1 < nA; a += 2 {
-					x := net.SetDigit(rowBase, dimA, a)
-					y := net.SetDigit(rowBase, dimA, a+1)
+					x := rowBase + a*sA
 					if rowAsc {
-						pairs = append(pairs, [2]int{x, y})
+						pairs = append(pairs, [2]int{x, x + sA})
 					} else {
-						pairs = append(pairs, [2]int{y, x})
+						pairs = append(pairs, [2]int{x + sA, x})
 					}
 				}
 			}
@@ -157,19 +160,20 @@ func rowPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool) {
 func columnPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool) {
 	net := m.Net()
 	nA, nB := net.Radix(dimA), net.Radix(dimB)
+	sA, sB := net.Stride(dimA), net.Stride(dimB)
+	var pairs [][2]int
 	for t := 0; t < nB; t++ {
-		var pairs [][2]int
+		pairs = pairs[:0]
 		for _, base := range bases {
 			up := asc(base)
 			for a := 0; a < nA; a++ {
-				colBase := net.SetDigit(base, dimA, a)
+				colBase := base + a*sA
 				for v := t % 2; v+1 < nB; v += 2 {
-					x := net.SetDigit(colBase, dimB, v)
-					y := net.SetDigit(colBase, dimB, v+1)
+					x := colBase + v*sB
 					if up {
-						pairs = append(pairs, [2]int{x, y})
+						pairs = append(pairs, [2]int{x, x + sB})
 					} else {
-						pairs = append(pairs, [2]int{y, x})
+						pairs = append(pairs, [2]int{x + sB, x})
 					}
 				}
 			}
@@ -198,15 +202,16 @@ func (SnakeOET) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 	net := m.Net()
 	dims := []int{dimA, dimB}
 	bases := net.BlockBases(dims)
-	size := net.BlockSize(dims)
+	off := net.BlockOffsets(dims)
+	size := len(off)
 	m.BeginS2()
+	var pairs [][2]int
 	for t := 0; t < size; t++ {
-		var pairs [][2]int
+		pairs = pairs[:0]
 		for _, base := range bases {
 			up := asc(base)
 			for p := t % 2; p+1 < size; p += 2 {
-				x := net.NodeInBlock(base, dims, p)
-				y := net.NodeInBlock(base, dims, p+1)
+				x, y := base+off[p], base+off[p+1]
 				if up {
 					pairs = append(pairs, [2]int{x, y})
 				} else {
@@ -254,19 +259,20 @@ func (Opt4) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 	}
 	dims := []int{dimA, dimB}
 	bases := net.BlockBases(dims)
-	node := func(base, pos int) int { return net.NodeInBlock(base, dims, pos) }
+	off := net.BlockOffsets(dims)
 	schedule := [][][2]int{
 		{{0, 1}, {2, 3}},
 		{{0, 3}, {1, 2}},
 		{{0, 1}, {2, 3}},
 	}
 	m.BeginS2()
+	pairs := make([][2]int, 0, 2*len(bases))
 	for _, round := range schedule {
-		var pairs [][2]int
+		pairs = pairs[:0]
 		for _, base := range bases {
 			up := asc(base)
 			for _, c := range round {
-				x, y := node(base, c[0]), node(base, c[1])
+				x, y := base+off[c[0]], base+off[c[1]]
 				if up {
 					pairs = append(pairs, [2]int{x, y})
 				} else {
