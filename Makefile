@@ -144,7 +144,10 @@ chaos:
 # output must equal slices.Sort and the unpruned replay. Its servers run
 # goroutines, so coverage is not deterministic and new inputs would
 # each be minimized for up to a minute; -fuzzminimizetime keeps the
-# budget on fuzzing. Bounded so it fits in CI.
+# budget on fuzzing. FuzzGraphNew holds graph.New's flat adjacency and
+# linear-time checks to the map-based reference it replaced, on edge
+# lists with duplicates, loops, out-of-range ends and disconnected
+# parts. Bounded so it fits in CI.
 fuzz:
 	$(GO) test . -run=^$$ -fuzz=FuzzEveryEntryPoint -fuzztime=20s -fuzzminimizetime=2s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzScrubDetectsCorruption -fuzztime=20s
@@ -155,6 +158,7 @@ fuzz:
 	$(GO) test ./internal/gray/ -run=^$$ -fuzz=FuzzMixedRadixRoundTrip -fuzztime=10s
 	$(GO) test ./internal/schedule/ -run=^$$ -fuzz=FuzzColumnarEquivalence -fuzztime=10s
 	$(GO) test ./internal/extsort/ -run=^$$ -fuzz=FuzzSortStreamEquivalence -fuzztime=15s
+	$(GO) test ./internal/graph/ -run=^$$ -fuzz=FuzzGraphNew -fuzztime=10s
 
 # Certification gate: machine-check (0-1 principle, bitsliced) that the
 # executed comparator stream of every built-in family/engine pair sorts
@@ -180,7 +184,7 @@ cert:
 # tests that pin batching, cancellation and drain on a held worker
 # (a flush parked at the flushGate hook) run twenty times each, so a
 # timing-dependent version of any of them fails here.
-SERVE_GATE_TESTS = TestServerSharedBatch|TestServerBatchesWhileWorkersBusy|TestServerQueueFullSheds|TestServerDeadlineWhileEnqueued|TestServerMidFlushCancel|TestServerEnqueuedCancelSparesBatchmates|TestServerGracefulDrain|TestServerCompileErrorReply|TestServerCloseDuringBlockedFlush
+SERVE_GATE_TESTS = TestServerSharedBatch|TestServerBatchesWhileWorkersBusy|TestServerQueueFullSheds|TestServerDeadlineWhileEnqueued|TestServerMidFlushCancel|TestServerEnqueuedCancelSparesBatchmates|TestServerGracefulDrain|TestServerCompileErrorReply|TestServerFlushPanicReply|TestServerCloseDuringBlockedFlush
 serve-soak:
 	SOAK_MS=3000 $(GO) test -race -run TestServerSoak -count=1 ./internal/serve/
 	$(GO) test -race -count=20 -run '^($(SERVE_GATE_TESTS))$$' ./internal/serve/

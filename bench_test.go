@@ -6,6 +6,7 @@
 package productsort
 
 import (
+	"context"
 	"testing"
 
 	"productsort/internal/exp"
@@ -222,3 +223,38 @@ func BenchmarkBlockSort64x64(b *testing.B) {
 // Wall-clock cost of the compare-exchange loop on a big machine (4096
 // processors).
 func BenchmarkExecutorSequential4096(b *testing.B) { benchSort(b, mustNet(Grid(16, 3))) }
+
+// BenchmarkNewServerFamilies times the set-up of the families server
+// (the default product networks plus the multiway and periodic
+// candidates up to 4096 keys). "New" builds and closes it. "Warm" also
+// sorts one request of every size 1..64 first, so every bucket those
+// sizes reach builds its program, as a serving process's first
+// requests do.
+func BenchmarkNewServerFamilies(b *testing.B) {
+	cfg := ServerConfig{Families: []string{FamilyMultiway, FamilyPeriodic}}
+	keys := workload.Uniform(64, 1)
+	ctx := context.Background()
+	for _, warm := range []bool{false, true} {
+		name := "New"
+		if warm {
+			name = "Warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				srv, err := NewServer(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for n := 1; warm && n <= len(keys); n++ {
+					if _, err := srv.SortKeys(ctx, keys[:n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := srv.Close(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

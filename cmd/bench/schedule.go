@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -87,6 +88,15 @@ type plannerPick struct {
 	Rounds      int    `json:"rounds"`
 }
 
+// serverSetup is the set-up time of one default server: the best of 3
+// NewServer calls, each server closed outside the timer.
+type serverSetup struct {
+	// Families is the server's ServerConfig.Families; empty for the
+	// product-only server.
+	Families      []string `json:"families"`
+	ServerSetupNs int64    `json:"serverSetupNs"`
+}
+
 // scheduleReport is the BENCH_schedule.json document.
 type scheduleReport struct {
 	Generated string `json:"generated"`
@@ -106,6 +116,9 @@ type scheduleReport struct {
 	// planner picks per request size; the bench fails unless at least
 	// one non-product family wins somewhere.
 	PlannerSelections []plannerPick `json:"plannerSelections"`
+	// ServerSetups times the set-up of the product-only default server
+	// and of the one with both emitted families.
+	ServerSetups []serverSetup `json:"serverSetups"`
 	// Compiles confirms the batch phase performed zero schedule
 	// constructions beyond the cold ones.
 	Compiles int64 `json:"compiles"`
@@ -264,6 +277,9 @@ func runScheduleBench(path string, sets, workers int) error {
 		return err
 	}
 	report.PlannerSelections = picks
+	if report.ServerSetups, err = serverSetups(); err != nil {
+		return err
+	}
 
 	if err := writeJSONArtifact(path, report); err != nil {
 		return err
@@ -392,6 +408,32 @@ func plannerSelections() ([]plannerPick, error) {
 		return nil, fmt.Errorf("planner selections: no request size picked a non-product family")
 	}
 	return picks, nil
+}
+
+// serverSetups times the set-up of both default servers, product-only
+// and with the multiway and periodic families.
+func serverSetups() ([]serverSetup, error) {
+	var out []serverSetup
+	for _, fams := range [][]string{{}, {productsort.FamilyMultiway, productsort.FamilyPeriodic}} {
+		var best time.Duration
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			srv, err := productsort.NewServer(productsort.ServerConfig{Families: fams})
+			d := time.Since(start)
+			if err != nil {
+				return nil, err
+			}
+			if err := srv.Close(context.Background()); err != nil {
+				return nil, err
+			}
+			if rep == 0 || d < best {
+				best = d
+			}
+		}
+		out = append(out, serverSetup{Families: fams, ServerSetupNs: best.Nanoseconds()})
+		fmt.Printf("server set-up families=%v: %v\n", fams, best.Round(time.Microsecond))
+	}
+	return out, nil
 }
 
 // familyProgram builds a fresh, unlowered program of the family at size

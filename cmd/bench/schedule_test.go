@@ -75,7 +75,8 @@ func TestPlannerSelections(t *testing.T) {
 // set count and checks the artifact it writes: every topology entry
 // carries a cold time, a warm time, the columnar per-set time and the
 // kernel's time per comparator-lane, the header names the dispatched
-// kernel, and the batch phase compiled nothing beyond the cold builds.
+// kernel, the batch phase compiled nothing beyond the cold builds, and
+// both default servers' set-ups are timed.
 func TestRunScheduleBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "schedule.json")
 	if err := runScheduleBench(path, 4, 1); err != nil {
@@ -102,5 +103,13 @@ func TestRunScheduleBench(t *testing.T) {
 	}
 	if len(rep.Families) != 6 || len(rep.PlannerSelections) != 7 {
 		t.Fatalf("%d family rows and %d planner picks, want 6 and 7", len(rep.Families), len(rep.PlannerSelections))
+	}
+	if len(rep.ServerSetups) != 2 || len(rep.ServerSetups[0].Families) != 0 || len(rep.ServerSetups[1].Families) != 2 {
+		t.Fatalf("server set-ups %+v, want the product-only and the families server", rep.ServerSetups)
+	}
+	for _, s := range rep.ServerSetups {
+		if s.ServerSetupNs <= 0 {
+			t.Fatalf("degenerate server set-up: %+v", s)
+		}
 	}
 }

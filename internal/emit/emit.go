@@ -44,7 +44,11 @@ const (
 
 // Host returns the 1-D path product network that carries an emitted
 // program over `lines` keys. With r = 1 the snake rank is the identity,
-// so node id == snake position == line index.
+// so node id == snake position == line index. Builder.Program builds
+// one per emitted program; nothing else needs it: the serve planner
+// ranks an emitted candidate by its line count and builds no host, so
+// a server pays for one only when a bucket's first flush emits the
+// program.
 func Host(lines int) *product.Network {
 	net, err := product.New(graph.Path(lines), 1)
 	if err != nil {

@@ -18,46 +18,79 @@ import (
 )
 
 // Graph is an undirected, connected, simple factor graph whose node
-// labels 0..N-1 define the sorted order of data.
+// labels 0..N-1 define the sorted order of data. The adjacency is one
+// flat array: v's neighbours are nbr[off[v]:off[v+1]], ascending.
 type Graph struct {
 	name        string
-	adj         [][]int
-	hamiltonian bool // labels 0,1,…,N-1 trace a Hamiltonian path
+	off         []int // len N+1
+	nbr         []int // len 2·edges
+	hamiltonian bool  // labels 0,1,…,N-1 trace a Hamiltonian path
 }
 
 // New builds a graph from an edge list and validates it: edges must be
 // simple (no loops, no duplicates), endpoints in range, and the graph
 // connected. The hamiltonian flag is recomputed from the edges rather
-// than trusted.
+// than trusted. When several edges are bad, the error reports the
+// check that the first failing edge in list order fails, a duplicate
+// failing at its second occurrence; a duplicate error names the
+// repeated edge with the smallest endpoint. Validation takes
+// O(N + edges) time and a fixed number of allocations.
 func New(name string, n int, edges [][2]int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph %s: need at least one node, got %d", name, n)
 	}
-	adj := make([][]int, n)
-	seen := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
+	// Count degrees up to the first edge out of range or looping; a
+	// duplicate before it is still the first error.
+	off := make([]int, n+1)
+	bad := len(edges)
+	for i, e := range edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph %s: edge (%d,%d) out of range [0,%d)", name, u, v, n)
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			bad = i
+			break
 		}
-		if u == v {
+		off[u+1]++
+		off[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// Scatter each edge into both endpoints' lists, then transpose:
+	// visiting u in ascending order and appending u to each neighbour's
+	// list leaves every list sorted (a counting sort per list), so a
+	// duplicate edge appends u twice in a row. The scratch holds the
+	// scattered lists and, at its end, one cursor per node.
+	m2 := off[n]
+	scratch := make([]int, max(m2, n)+n)
+	scatter, next := scratch[:m2], scratch[len(scratch)-n:]
+	copy(next, off)
+	for _, e := range edges[:bad] {
+		u, v := e[0], e[1]
+		scatter[next[u]] = v
+		next[u]++
+		scatter[next[v]] = u
+		next[v]++
+	}
+	nbr := make([]int, m2)
+	copy(next, off)
+	for u := 0; u < n; u++ {
+		for _, v := range scatter[off[u]:off[u+1]] {
+			if next[v] > off[v] && nbr[next[v]-1] == u {
+				return nil, fmt.Errorf("graph %s: duplicate edge (%d,%d)", name, min(u, v), max(u, v))
+			}
+			nbr[next[v]] = u
+			next[v]++
+		}
+	}
+	if bad < len(edges) {
+		u, v := edges[bad][0], edges[bad][1]
+		if u == v && u >= 0 && u < n {
 			return nil, fmt.Errorf("graph %s: self-loop at %d", name, u)
 		}
-		if u > v {
-			u, v = v, u
-		}
-		if seen[[2]int{u, v}] {
-			return nil, fmt.Errorf("graph %s: duplicate edge (%d,%d)", name, u, v)
-		}
-		seen[[2]int{u, v}] = true
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		return nil, fmt.Errorf("graph %s: edge (%d,%d) out of range [0,%d)", name, u, v, n)
 	}
-	for _, a := range adj {
-		sort.Ints(a)
-	}
-	g := &Graph{name: name, adj: adj}
-	if !g.IsConnected() {
+	g := &Graph{name: name, off: off, nbr: nbr}
+	if !g.connected(scratch) {
 		return nil, fmt.Errorf("graph %s: not connected", name)
 	}
 	g.hamiltonian = g.labelsTracePath()
@@ -88,38 +121,36 @@ func (g *Graph) labelsTracePath() bool {
 func (g *Graph) Name() string { return g.name }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // Neighbors returns the sorted adjacency list of v. The caller must not
 // modify the returned slice.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []int { return g.nbr[g.off[v]:g.off[v+1]:g.off[v+1]] }
 
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 
 // MaxDegree returns the maximum node degree.
 func (g *Graph) MaxDegree() int {
 	m := 0
-	for _, a := range g.adj {
-		if len(a) > m {
-			m = len(a)
-		}
+	for v := 0; v < g.N(); v++ {
+		m = max(m, g.Degree(v))
 	}
 	return m
 }
 
 // HasEdge reports whether u and v are adjacent.
 func (g *Graph) HasEdge(u, v int) bool {
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	i := sort.SearchInts(a, v)
 	return i < len(a) && a[i] == v
 }
 
 // Edges returns every edge once, as (u,v) with u < v, in sorted order.
 func (g *Graph) Edges() [][2]int {
-	var es [][2]int
-	for u, a := range g.adj {
-		for _, v := range a {
+	es := make([][2]int, 0, len(g.nbr)/2)
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
 			if u < v {
 				es = append(es, [2]int{u, v})
 			}
@@ -146,6 +177,24 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
+// connected runs a BFS from node 0 in scratch, at least 2·N ints: its
+// first N hold the index-walked queue, its last N the visited marks.
+func (g *Graph) connected(scratch []int) bool {
+	n := g.N()
+	queue, seen := scratch[:1:n], scratch[len(scratch)-n:]
+	clear(seen)
+	queue[0], seen[0] = 0, 1
+	for head := 0; head < len(queue); head++ {
+		for _, v := range g.Neighbors(queue[head]) {
+			if seen[v] == 0 {
+				seen[v] = 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return len(queue) == n
+}
+
 // BFS returns the distance from src to every node (-1 if unreachable).
 func (g *Graph) BFS(src int) []int {
 	dist := make([]int, g.N())
@@ -157,7 +206,7 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -198,7 +247,7 @@ func (g *Graph) ShortestPath(u, v int) []int {
 		if x == v {
 			break
 		}
-		for _, y := range g.adj[x] {
+		for _, y := range g.Neighbors(x) {
 			if prev[y] < 0 {
 				prev[y] = x
 				queue = append(queue, y)
@@ -284,7 +333,7 @@ func (g *Graph) FindHamiltonianPath() []int {
 		if len(path) == n {
 			return true
 		}
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if !used[w] && dfs(w) {
 				return true
 			}

@@ -14,8 +14,8 @@ import (
 // ExecBackend is the unpruned replay: it applies every exchange pair of
 // every op with simnet.Exchange and charges the precomputed costs — no
 // validation, no routing-plan lookups, no allocation. It is the traced
-// replay behind CompiledNetwork.Sort, ResilientBackend's quiet-plan
-// delegate and the tests' oracle for the executed stream.
+// replay behind CompiledNetwork.Sort and the tests' oracle for the
+// executed stream.
 type ExecBackend struct {
 	// Tracer receives a phase begin/end event pair per round-consuming
 	// op. nil disables tracing; the disabled path stays allocation-free

@@ -20,3 +20,6 @@ func knownOrder(p *Program) []Comparator {
 	kept, _ := pruneComparators(p.unprunedLowered(), p.Nodes(), nil)
 	return kept
 }
+
+// IRHash digests a program's op stream (see irHash).
+var IRHash = irHash

@@ -1,12 +1,15 @@
 package schedule
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"productsort/internal/faults"
 	"productsort/internal/graph"
 	"productsort/internal/obs"
 	"productsort/internal/product"
+	"productsort/internal/simnet"
 )
 
 // TestExecBackendDisabledTracerZeroAlloc pins the hot-path guarantee
@@ -208,22 +211,30 @@ func TestChaosEventsMatchFaultReport(t *testing.T) {
 	}
 }
 
-// TestResilientQuietEmitsNoRecoveryEvents: the fault-free delegate path
-// must not consult the recovery tracer at all.
+// TestResilientQuietEmitsNoRecoveryEvents: a nil or quiet plan is
+// rejected with ErrQuietPlan before any key moves, and the recovery
+// tracer sees no event.
 func TestResilientQuietEmitsNoRecoveryEvents(t *testing.T) {
 	net := product.MustNew(graph.Path(3), 2)
 	prog, err := Compile(net, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := &recoveryTally{}
-	keys := nodeKeys(net.Nodes(), 4)
-	if _, err := (ResilientBackend{Tracer: tally}).Run(prog, keys); err != nil {
-		t.Fatal(err)
-	}
-	for kind, n := range tally.counts {
-		if n != 0 {
-			t.Errorf("quiet run emitted %d %s events", n, obs.RecoveryKind(kind))
+	for _, plan := range []*faults.Plan{nil, faults.NewPlan(faults.Config{Seed: 9})} {
+		tally := &recoveryTally{}
+		keys := nodeKeys(net.Nodes(), 4)
+		want := slices.Clone(keys)
+		clk, err := ResilientBackend{Plan: plan, Tracer: tally}.Run(prog, keys)
+		if !errors.Is(err, ErrQuietPlan) {
+			t.Fatalf("plan %v: error %v, want ErrQuietPlan", plan, err)
+		}
+		if clk != (simnet.Clock{}) || !slices.Equal(keys, want) {
+			t.Fatalf("plan %v: rejected run charged %+v or moved keys", plan, clk)
+		}
+		for kind, n := range tally.counts {
+			if n != 0 {
+				t.Errorf("plan %v: quiet run emitted %d %s events", plan, n, obs.RecoveryKind(kind))
+			}
 		}
 	}
 }

@@ -37,6 +37,11 @@ import (
 // clock still carries the full fault and recovery accounting.
 var ErrUnrecoverable = errors.New("schedule: fault recovery exhausted")
 
+// ErrQuietPlan rejects a resilient replay whose plan is nil or injects
+// nothing. A fault-free replay is the executed stream's job: root
+// SortResilient sends a quiet FaultConfig to CompiledNetwork.Sort.
+var ErrQuietPlan = errors.New("schedule: resilient replay needs a plan that injects faults")
+
 // pairAttempts bounds stall-waits and retransmissions per pair before
 // the exchange is abandoned for the phase (mirrors the SPMD engine's
 // message retry bound).
@@ -46,9 +51,8 @@ const pairAttempts = 8
 // injection and heals it. The zero value of each knob selects its
 // default.
 type ResilientBackend struct {
-	// Plan decides the faults. nil (or a quiet plan) makes Run a
-	// transparent delegate to ExecBackend — the fault-free path costs
-	// nothing.
+	// Plan decides the faults. Run rejects a nil or quiet plan with
+	// ErrQuietPlan.
 	Plan *faults.Plan
 	// CheckpointEvery is K, the number of exchange phases per
 	// checkpoint window; <1 means 16. Small K detects corruption
@@ -76,11 +80,11 @@ type ResilientBackend struct {
 // Run replays prog over keys (indexed by node id) under the fault
 // plan, healing what it can, and returns the clock with Rounds
 // inflated by the measured recovery cost (split out in RecoveryRounds)
-// and the plan's counters attached. A nil or quiet plan delegates
-// straight to ExecBackend.
+// and the plan's counters attached. A nil or quiet plan is rejected
+// with ErrQuietPlan before any key moves.
 func (rb ResilientBackend) Run(prog *Program, keys []simnet.Key) (simnet.Clock, error) {
 	if rb.Plan == nil || rb.Plan.Config().Quiet() {
-		return ExecBackend{Tracer: rb.Tracer}.Run(prog, keys)
+		return simnet.Clock{}, ErrQuietPlan
 	}
 	if len(keys) != prog.net.Nodes() {
 		return simnet.Clock{}, fmt.Errorf("schedule: %d keys for %d nodes", len(keys), prog.net.Nodes())

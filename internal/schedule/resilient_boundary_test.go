@@ -9,6 +9,7 @@ package schedule
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"productsort/internal/faults"
@@ -31,8 +32,8 @@ func exchangeStats(prog *Program) (pairs, cost int) {
 	return pairs, cost
 }
 
-// At rate 0 on every axis the plan is quiet and the backend must
-// delegate: base clock, zero recovery, zero counters.
+// At rate 0 on every axis the plan is quiet, and the backend rejects
+// it: no clock, no counters, no key moved.
 func TestResilientBoundaryRateZero(t *testing.T) {
 	net := product.MustNew(graph.Path(4), 2)
 	prog, err := Compile(net, nil)
@@ -40,17 +41,14 @@ func TestResilientBoundaryRateZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := nodeKeys(net.Nodes(), 3)
-	rb := ResilientBackend{Plan: faults.NewPlan(faults.Config{Seed: 5})}
-	clk, err := rb.Run(prog, keys)
-	if err != nil {
-		t.Fatal(err)
+	want := slices.Clone(keys)
+	plan := faults.NewPlan(faults.Config{Seed: 5})
+	clk, err := ResilientBackend{Plan: plan}.Run(prog, keys)
+	if !errors.Is(err, ErrQuietPlan) {
+		t.Fatalf("rate-0 run: error %v, want ErrQuietPlan", err)
 	}
-	if clk.Rounds != prog.Rounds() || clk.RecoveryRounds != 0 {
-		t.Fatalf("rate-0 run charged recovery: rounds %d (base %d), recovery %d",
-			clk.Rounds, prog.Rounds(), clk.RecoveryRounds)
-	}
-	if clk.Faults != (faults.Counters{}) {
-		t.Fatalf("rate-0 run counted faults: %+v", clk.Faults)
+	if clk != (simnet.Clock{}) || plan.Counters() != (faults.Counters{}) || !slices.Equal(keys, want) {
+		t.Fatalf("rate-0 run charged %+v, counted %+v or moved keys", clk, plan.Counters())
 	}
 }
 

@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,7 +175,12 @@ func (b *bucket) flush(first *request) {
 // bound, a request rides the flush to completion — a mid-flush
 // cancellation neither aborts the sort nor poisons batchmates. The
 // bucket's first flush compiles its program; a compile error is kept
-// and answers every request of every flush.
+// and answers every request of every flush. A panic while building the
+// program or replaying the batch answers every batchmate not yet
+// replied with ErrFlushPanic and is counted in serve.flush.panics; the
+// worker slot comes back and the bucket keeps serving (a panicking
+// build panics again on every later flush, since sync.OnceValues
+// re-raises it).
 func (b *bucket) runFlush(batch []*request) {
 	live := batch[:0]
 	for _, req := range batch {
@@ -190,36 +196,38 @@ func (b *bucket) runFlush(batch []*request) {
 	if gate := b.srv.flushGate; gate != nil {
 		<-gate
 	}
+	sent := 0 // live[:sent] have their reply
+	defer func() {
+		if r := recover(); r != nil {
+			b.srv.flushPanics.Inc()
+			err := fmt.Errorf("%w: %s: %v", ErrFlushPanic, b.plan.Name(), r)
+			for _, req := range live[sent:] {
+				b.reply(req, Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family, BatchSize: len(live)})
+			}
+		}
+	}()
 	prog, err := b.program()
-	if err != nil {
-		for _, req := range live {
-			b.reply(req, Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family, BatchSize: len(live)})
+	if err == nil {
+		items := make([][]Key, len(live))
+		for i, req := range live {
+			items[i] = req.keys
 		}
-		return
+		// Columnar replay: the flush transposes into per-position
+		// columns (width = live batch size) and walks the program once
+		// for the whole batch; pooled slabs keep the warm path
+		// allocation-free per item.
+		err = schedule.RunBatchColumnar(prog, items, 1, b.cols)
+		b.flushes.Inc()
+		b.familyC.Inc()
+		b.batchSize.Observe(int64(len(live)))
 	}
-	items := make([][]Key, len(live))
-	for i, req := range live {
-		items[i] = req.keys
-	}
-	// Columnar replay: the flush transposes into per-position columns
-	// (width = live batch size) and walks the program once for the whole
-	// batch; pooled slabs keep the warm path allocation-free per item.
-	err = schedule.RunBatchColumnar(prog, items, 1, b.cols)
-	b.flushes.Inc()
-	b.familyC.Inc()
-	b.batchSize.Observe(int64(len(live)))
-	for _, req := range live {
-		if err != nil {
-			b.reply(req, Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family, BatchSize: len(live)})
-			continue
+	for ; sent < len(live); sent++ {
+		req := live[sent]
+		rep := Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family, BatchSize: len(live)}
+		if err == nil {
+			rep.Keys, rep.Rounds = req.keys, prog.Rounds()
 		}
-		b.reply(req, Reply{
-			Keys:      req.keys,
-			Rounds:    prog.Rounds(),
-			Network:   b.plan.Name(),
-			Family:    b.plan.Family,
-			BatchSize: len(live),
-		})
+		b.reply(req, rep)
 	}
 	// Sampling once per flush (not per reply) keeps the gauge write off
 	// the reply path; the drain loop writes the authoritative final zero.

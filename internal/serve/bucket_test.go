@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -254,6 +255,88 @@ func TestServerCompileErrorReply(t *testing.T) {
 			t.Fatalf("request of %d keys: %v", len(inputs[i]), rep.Err)
 		}
 		checkSorted(t, rep.Keys, inputs[i])
+	}
+}
+
+// TestServerFlushPanicReply: a bucket whose program build panics
+// answers every batchmate with ErrFlushPanic on every flush (the
+// program's sync.OnceValues re-raises the panic), counts each panic in
+// serve.flush.panics and gives back its admission and worker slots,
+// while the other buckets keep serving; once closed, the server has
+// left no goroutine behind.
+func TestServerFlushPanicReply(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pl := emittedPlanner(t, func() (*schedule.Program, error) { panic("test: emit panicked") })
+	s, gate := gatedServer(t, Config{Planner: pl})
+	panics := s.met.Counter("serve.flush.panics")
+	plan, _ := pl.For(8)
+	b := s.buckets[plan.idx]
+
+	for flush := 1; flush <= 2; flush++ {
+		blocker := holdWorker(t, s, 9) // K2^4
+		var chans []<-chan Reply
+		for _, n := range []int{3, 5, 8} {
+			ch, err := s.Submit(context.Background(), randKeys(n, int64(n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans = append(chans, ch)
+		}
+		gate <- struct{}{} // releases the blocker's flush
+		gate <- struct{}{} // releases the flush of all three
+		if rep := awaitReply(t, blocker); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		for i, ch := range chans {
+			rep := awaitReply(t, ch)
+			if !errors.Is(rep.Err, ErrFlushPanic) || !strings.Contains(rep.Err.Error(), "test: emit panicked") {
+				t.Fatalf("flush %d request %d: error %v, want ErrFlushPanic with the panic value", flush, i, rep.Err)
+			}
+			if rep.Keys != nil || rep.Network != "test[8]" || rep.BatchSize != 3 {
+				t.Fatalf("flush %d request %d: reply %+v", flush, i, rep)
+			}
+		}
+		waitSem(t, s, 0)
+		if got := panics.Value(); got != int64(flush) {
+			t.Fatalf("after flush %d: serve.flush.panics = %d", flush, got)
+		}
+		if got := b.admitted.Load(); got != 0 {
+			t.Fatalf("after flush %d: %d admission slots still held", flush, got)
+		}
+	}
+
+	// The other buckets keep serving. A held worker leaves these
+	// requests queued, so the drain flushes them.
+	blocker := holdWorker(t, s, 3) // test[8]: panics again
+	inputs := [][]Key{randKeys(1, 1), randKeys(2, 2), randKeys(9, 9), randKeys(16, 16)}
+	chans := make([]<-chan Reply, len(inputs))
+	for i, in := range inputs {
+		ch, err := s.Submit(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	closeHeld(t, s, gate)
+	if rep := awaitReply(t, blocker); !errors.Is(rep.Err, ErrFlushPanic) {
+		t.Fatalf("blocker error %v, want ErrFlushPanic", rep.Err)
+	}
+	for i, ch := range chans {
+		rep := awaitReply(t, ch)
+		if rep.Err != nil {
+			t.Fatalf("request of %d keys: %v", len(inputs[i]), rep.Err)
+		}
+		checkSorted(t, rep.Keys, inputs[i])
+	}
+	if got := panics.Value(); got != 3 {
+		t.Fatalf("serve.flush.panics = %d, want 3", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after close, %d before the server", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

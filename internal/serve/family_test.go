@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"productsort/internal/core"
@@ -80,6 +82,36 @@ func TestCrossFamilySelection(t *testing.T) {
 			t.Fatalf("For(%d) chose %s/%s (%d rounds), want %s/%s (%s)",
 				c.n, plan.Family, plan.Name(), plan.Rounds, c.family, c.name, c.whyBoundary)
 		}
+	}
+}
+
+// TestEmittedPlansCarryNoHost: an emitted plan has no network, only
+// its candidate's node count, which the program its emitter builds on
+// the bucket's first flush matches; a product plan keeps its network.
+func TestEmittedPlansCarryNoHost(t *testing.T) {
+	pl := mixedPlanner(t, 6)
+	emitted := 0
+	for _, p := range pl.Plans() {
+		if p.Family == emit.FamilyProduct {
+			if p.Net == nil || p.Nodes() != p.Net.Nodes() {
+				t.Fatalf("product plan %s: net %v, %d nodes", p.Name(), p.Net, p.Nodes())
+			}
+			continue
+		}
+		emitted++
+		if p.Net != nil {
+			t.Fatalf("emitted plan %s carries host %s", p.Name(), p.Net.Name())
+		}
+		prog, err := p.compileProgram(pl.Engine())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if want := fmt.Sprintf("[%d]", p.Nodes()); !strings.HasSuffix(p.Name(), want) || prog.Nodes() != p.Nodes() {
+			t.Fatalf("emitted plan %s: %d nodes, its program %d", p.Name(), p.Nodes(), prog.Nodes())
+		}
+	}
+	if emitted != 12 { // multiway and periodic at 2..64 keys
+		t.Fatalf("%d emitted plans, want 12", emitted)
 	}
 }
 

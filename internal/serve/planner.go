@@ -36,8 +36,10 @@ import (
 
 // Plan is one candidate network with its planner ranking key.
 type Plan struct {
-	// Net is the candidate's host network: the product network itself
-	// for FamilyProduct plans, the 1-D line host for emitted families.
+	// Net is the product network of a FamilyProduct plan, the network
+	// its program is compiled for. It is nil for emitted families: their
+	// programs live in line space, and the emitter builds the 1-D line
+	// host itself when the bucket's first flush emits the program.
 	Net *product.Network
 	// Rounds is the predicted parallel round count — Theorem 1's bound
 	// for product plans, the emitted column depth for emitted families.
@@ -49,8 +51,9 @@ type Plan struct {
 	// mixed-family servers expose per reply and per flush counter.
 	Family string
 
-	name string // display name; Net.Name() for product plans
-	idx  int    // position in the planner's sorted plans; the server's bucket index
+	name  string // display name; Net.Name() for product plans
+	nodes int    // processor count; Net.Nodes() for product plans
+	idx   int    // position in the planner's sorted plans; the server's bucket index
 
 	// emit builds the plan's program for emitted families; nil selects
 	// schedule.CompileUncached on Net (the product path).
@@ -58,7 +61,7 @@ type Plan struct {
 }
 
 // Nodes returns the plan's processor count: requests are padded to it.
-func (p *Plan) Nodes() int { return p.Net.Nodes() }
+func (p *Plan) Nodes() int { return p.nodes }
 
 // Name names the plan's network, e.g. "hypercube^4" or "multiway4[16]".
 func (p *Plan) Name() string { return p.name }
@@ -140,10 +143,10 @@ func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, er
 				return nil, fmt.Errorf("serve: emitted candidate %d (%s) incomplete", i, c.Family)
 			}
 			plans[i] = &Plan{
-				Net:    emit.Host(c.Nodes),
 				Rounds: c.Rounds,
 				Family: c.Family,
 				name:   c.Name,
+				nodes:  c.Nodes,
 				emit:   c.Emit,
 			}
 		case c.Net != nil:
@@ -155,6 +158,7 @@ func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, er
 				Rounds: core.PredictedRounds(c.Net, engine),
 				Family: emit.FamilyProduct,
 				name:   c.Net.Name(),
+				nodes:  c.Net.Nodes(),
 			}
 		default:
 			return nil, fmt.Errorf("serve: candidate %d is nil", i)

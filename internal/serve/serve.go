@@ -48,6 +48,9 @@ var (
 	ErrTooLarge = errors.New("serve: request too large")
 	// ErrEmpty rejects zero-key requests.
 	ErrEmpty = errors.New("serve: empty request")
+	// ErrFlushPanic answers every request of a flush whose program
+	// build or batch replay panicked; the error carries the panic value.
+	ErrFlushPanic = errors.New("serve: flush panicked")
 )
 
 // Reply is the terminal answer to one Submit, delivered exactly once on
@@ -57,8 +60,9 @@ type Reply struct {
 	// non-nil.
 	Keys []Key
 	// Err is nil on success, the request context's error when the
-	// request was dropped before being bound into a flush, or the
-	// plan's compile error when its program could not be built.
+	// request was dropped before being bound into a flush, the plan's
+	// compile error when its program could not be built, or
+	// ErrFlushPanic when the flush panicked.
 	Err error
 	// Rounds is the parallel round charge of the compiled program that
 	// carried the request (every batchmate shares it).
@@ -108,8 +112,9 @@ type Server struct {
 	planner *Planner
 	met     *obs.Metrics
 
-	submitted *obs.Counter
-	shed      *obs.Counter
+	submitted   *obs.Counter
+	shed        *obs.Counter
+	flushPanics *obs.Counter
 
 	sem   chan struct{} // flush worker slots
 	drain chan struct{} // closed once, after admission is sealed
@@ -146,13 +151,14 @@ func New(cfg Config) (*Server, error) {
 		met = obs.NewMetrics()
 	}
 	s := &Server{
-		cfg:       cfg,
-		planner:   cfg.Planner,
-		met:       met,
-		submitted: met.Counter("serve.submitted"),
-		shed:      met.Counter("serve.shed"),
-		sem:       make(chan struct{}, cfg.Workers),
-		drain:     make(chan struct{}),
+		cfg:         cfg,
+		planner:     cfg.Planner,
+		met:         met,
+		submitted:   met.Counter("serve.submitted"),
+		shed:        met.Counter("serve.shed"),
+		flushPanics: met.Counter("serve.flush.panics"),
+		sem:         make(chan struct{}, cfg.Workers),
+		drain:       make(chan struct{}),
 	}
 	plans := cfg.Planner.Plans()
 	s.buckets = make([]*bucket, len(plans))

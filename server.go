@@ -39,6 +39,9 @@ var (
 	ErrRequestTooLarge = serve.ErrTooLarge
 	// ErrEmptyRequest rejects zero-key requests.
 	ErrEmptyRequest = serve.ErrEmpty
+	// ErrFlushPanic answers every request of a batch flush that
+	// panicked; the server keeps serving (serve.flush.panics counts it).
+	ErrFlushPanic = serve.ErrFlushPanic
 )
 
 // ServerConfig parametrizes NewServer. The zero value of every field

@@ -22,6 +22,27 @@ func serverKeys(n int, seed int64) []productsort.Key {
 	return keys
 }
 
+// TestNewServerFamiliesAllocs bounds the set-up of the families
+// server: the planner prices the product candidates and takes each
+// emitted candidate's node count as given, so it builds no host network
+// for the 22 emitted candidates (when it built a path host for each, a
+// set-up made 50,602 allocations).
+func TestNewServerFamiliesAllocs(t *testing.T) {
+	cfg := productsort.ServerConfig{Families: []string{productsort.FamilyMultiway, productsort.FamilyPeriodic}}
+	allocs := testing.AllocsPerRun(3, func() {
+		s, err := productsort.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Fatalf("NewServer with both families and Close make %.0f allocations, want at most 2,000", allocs)
+	}
+}
+
 // TestServerSortsArbitrarySizes: the default server sorts every size up
 // to a few hundred keys, agreeing with the reference sort.
 func TestServerSortsArbitrarySizes(t *testing.T) {
