@@ -1,8 +1,9 @@
 # Verification pipeline. `make ci` is the gate: vet, build, full test
 # suite, race detector repo-wide, gofmt cleanliness (any unformatted
 # file fails the run), static analysis (when the pinned tools are
-# installed — see lint-tools), the coverage floor, and every example
-# program run to completion.
+# installed — see lint-tools), the coverage floor, every example
+# program run to completion, and the nested benchmark module's vet and
+# tests.
 
 GO ?= go
 
@@ -22,9 +23,9 @@ COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
 	bce examples bench-schedule chaos fuzz cert serve-soak bench-serve \
-	extsort-battery extsort-fuzz bench-extsort perfbench
+	extsort-battery extsort-fuzz bench-extsort perfbench perfbench-check
 
-ci: vet build test race fmtcheck lint cover bce examples
+ci: vet build test race fmtcheck lint cover bce examples perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -237,3 +238,11 @@ PERFBENCH_TRACE ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(PERFBENCH_WORKLOAD) --seed $(PERFBENCH_SEED) \
 		--seconds $(PERFBENCH_SECONDS) --trace $(PERFBENCH_TRACE)
+
+# perfbench/ is its own module (it imports the root API and
+# internal/schedule through a replace directive), so the root's
+# `go build ./...` and `go test ./...` skip it; vet and test it here so
+# a change that breaks the benchmark fails the gate, not the next
+# benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"productsort"
@@ -11,6 +12,7 @@ import (
 	"productsort/internal/graph"
 	"productsort/internal/product"
 	"productsort/internal/schedule"
+	"productsort/internal/serve"
 	"productsort/internal/stats"
 )
 
@@ -163,16 +165,16 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 	}
 
 	runEmitted := func(tgt emittedCertTarget) error {
+		cand, err := serve.FamilyCandidate(tgt.family, tgt.size)
+		if err != nil {
+			return err
+		}
 		c, err := productsort.CompileFamily(tgt.family, tgt.size)
 		if err != nil {
 			return err
 		}
-		engine := "periodic"
-		if tgt.family == productsort.FamilyMultiway {
-			engine = fmt.Sprintf("multiway%d", productsort.MultiwaySorterWidth)
-		}
-		name := fmt.Sprintf("%s[%d]", engine, tgt.size)
-		return record(c, name, engine, tgt.size)
+		engine, _, _ := strings.Cut(cand.Name, "[") // the catalog's "<engine>[<n>]"
+		return record(c, cand.Name, engine, tgt.size)
 	}
 
 	for _, tgt := range exhaustiveTargets {

@@ -8,13 +8,10 @@ import (
 	"time"
 
 	"productsort"
-	"productsort/internal/emit/multiway"
-	"productsort/internal/emit/periodic"
 	"productsort/internal/graph"
 	"productsort/internal/product"
 	"productsort/internal/schedule"
 	"productsort/internal/serve"
-	"productsort/internal/sort2d"
 	"productsort/internal/workload"
 )
 
@@ -337,16 +334,17 @@ func familyHeadToHead(sets int, gen workload.Gen) ([]familyEntry, error) {
 				}
 			}
 
-			name := c.Network().Name()
-			switch family {
-			case productsort.FamilyMultiway:
-				name = fmt.Sprintf("multiway%d[%d]", productsort.MultiwaySorterWidth, size)
-			case productsort.FamilyPeriodic:
-				name = fmt.Sprintf("periodic[%d]", size)
+			// The serving candidate of the same network: its name, and
+			// fresh, unlowered programs for pruneCost.
+			var cand serve.Candidate
+			if family == productsort.FamilyProduct {
+				cand = serve.ProductCandidate(product.MustNew(graph.K2(), bits.Len(uint(size))-1), nil)
+			} else if cand, err = serve.FamilyCandidate(family, size); err != nil {
+				return nil, err
 			}
 			e := familyEntry{
 				Family:       family,
-				Network:      name,
+				Network:      cand.Name,
 				Nodes:        size,
 				Rounds:       c.Rounds(),
 				Comparators:  c.Size(),
@@ -354,7 +352,7 @@ func familyHeadToHead(sets int, gen workload.Gen) ([]familyEntry, error) {
 				CertifiedMs:  float64(crt.Elapsed) / float64(time.Millisecond),
 				ColsPerSetNs: cols.Nanoseconds() / int64(sets),
 			}
-			if e.Executed, e.PruneNs, err = pruneCost(familyProgram(family, size)); err != nil {
+			if e.Executed, e.PruneNs, err = pruneCost(cand.Build); err != nil {
 				return nil, err
 			}
 			out = append(out, e)
@@ -374,18 +372,14 @@ func familyHeadToHead(sets int, gen workload.Gen) ([]familyEntry, error) {
 func plannerSelections() ([]plannerPick, error) {
 	var cands []serve.Candidate
 	for r := 1; r <= 6; r++ {
-		cands = append(cands, serve.Candidate{Net: product.MustNew(graph.K2(), r)})
+		cands = append(cands, serve.ProductCandidate(product.MustNew(graph.K2(), r), nil))
 	}
 	fam, err := serve.FamilyCandidates(
 		[]string{productsort.FamilyMultiway, productsort.FamilyPeriodic}, 64)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := sort2d.ByName("auto")
-	if err != nil {
-		return nil, err
-	}
-	pl, err := serve.NewPlannerCandidates(append(cands, fam...), engine)
+	pl, err := serve.NewPlanner(append(cands, fam...))
 	if err != nil {
 		return nil, err
 	}
@@ -434,21 +428,6 @@ func serverSetups() ([]serverSetup, error) {
 		fmt.Printf("server set-up families=%v: %v\n", fams, best.Round(time.Microsecond))
 	}
 	return out, nil
-}
-
-// familyProgram builds a fresh, unlowered program of the family at size
-// keys — the same program CompileFamily serves.
-func familyProgram(family string, size int) func() (*schedule.Program, error) {
-	return func() (*schedule.Program, error) {
-		switch family {
-		case productsort.FamilyMultiway:
-			return multiway.Emit(size)
-		case productsort.FamilyPeriodic:
-			return periodic.Emit(size)
-		}
-		r := bits.Len(uint(size)) - 1
-		return schedule.CompileUncached(product.MustNew(graph.K2(), r), nil)
-	}
 }
 
 // pruneCost lowers fresh programs from build, timing lowering plus the

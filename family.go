@@ -10,11 +10,12 @@ package productsort
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"productsort/internal/emit"
 	"productsort/internal/emit/multiway"
-	"productsort/internal/emit/periodic"
 	"productsort/internal/schedule"
+	"productsort/internal/serve"
 )
 
 // Network family names accepted by CompileFamily and
@@ -36,13 +37,13 @@ const (
 // engines over product edges) when called on an emitted-family network.
 var ErrUnsupportedFamily = errors.New("productsort: operation requires a product-family network")
 
-// MultiwaySorterWidth is the n-sorter width CompileMultiway uses; see
-// CompileMultiwayN to choose another.
+// MultiwaySorterWidth is the n-sorter width CompileFamily uses for
+// FamilyMultiway; see CompileMultiwayN to choose another.
 const MultiwaySorterWidth = multiway.DefaultSorter
 
 // Family returns the construction family behind the compiled network:
 // FamilyProduct for Compile, the emitter's family for CompileFamily/
-// CompileMultiway/CompilePeriodic.
+// CompileMultiwayN.
 func (c *CompiledNetwork) Family() string {
 	if c.family == "" {
 		return FamilyProduct
@@ -54,36 +55,34 @@ func (c *CompiledNetwork) Family() string {
 // size keys, returning the same CompiledNetwork every backend, batch
 // replay and certifier consumes. FamilyProduct selects the hypercube of
 // the matching dimension; the emitted families build their programs
-// directly. All three require size to be a power of two (the emitters'
-// recursions interleave halves exactly; the product dispatch needs a
-// hypercube dimension).
+// directly, through the serving layer's family catalog, so a served
+// network "<engine>[<size>]" is CompileFamily(family, size). All three
+// require size to be a power of two (the emitters' recursions
+// interleave halves exactly; the product dispatch needs a hypercube
+// dimension).
 func CompileFamily(family string, size int) (*CompiledNetwork, error) {
 	switch family {
 	case FamilyProduct:
 		if !emit.PowerOfTwo(size) || size < 2 {
 			return nil, fmt.Errorf("productsort: family %q needs a power-of-two size >= 2, got %d", family, size)
 		}
-		r := 0
-		for n := size; n > 1; n >>= 1 {
-			r++
-		}
-		nw, err := Hypercube(r)
+		nw, err := Hypercube(bits.Len(uint(size)) - 1)
 		if err != nil {
 			return nil, err
 		}
 		return Compile(nw)
-	case FamilyMultiway:
-		return CompileMultiway(size)
-	case FamilyPeriodic:
-		return CompilePeriodic(size)
+	case FamilyMultiway, FamilyPeriodic:
+		cand, err := serve.FamilyCandidate(family, size)
+		if err != nil {
+			return nil, err
+		}
+		prog, err := cand.Build()
+		if err != nil {
+			return nil, err
+		}
+		return emittedNetwork(prog, family), nil
 	}
 	return nil, fmt.Errorf("productsort: unknown network family %q", family)
-}
-
-// CompileMultiway compiles the n-sorter multiway network over size keys
-// (power of two) with the default sorter width.
-func CompileMultiway(size int) (*CompiledNetwork, error) {
-	return CompileMultiwayN(size, MultiwaySorterWidth)
 }
 
 // CompileMultiwayN compiles the n-sorter multiway network over size
@@ -94,17 +93,6 @@ func CompileMultiwayN(size, sorter int) (*CompiledNetwork, error) {
 		return nil, err
 	}
 	return emittedNetwork(prog, FamilyMultiway), nil
-}
-
-// CompilePeriodic compiles the periodic balanced merging network over
-// size keys (power of two): log2(size) identical comparator-column
-// passes, log2(size) columns each.
-func CompilePeriodic(size int) (*CompiledNetwork, error) {
-	prog, err := periodic.Emit(size)
-	if err != nil {
-		return nil, err
-	}
-	return emittedNetwork(prog, FamilyPeriodic), nil
 }
 
 // emittedNetwork wraps an emitted program as a CompiledNetwork over its

@@ -45,12 +45,8 @@ func TestCompileFamilyDispatch(t *testing.T) {
 // the same columnar batch kernel and bitsliced certifier as the product
 // family, unchanged.
 func TestEmittedFamiliesBatchAndCertify(t *testing.T) {
-	compile := map[string]func(int) (*CompiledNetwork, error){
-		FamilyMultiway: CompileMultiway,
-		FamilyPeriodic: CompilePeriodic,
-	}
-	for family, f := range compile {
-		c, err := f(16)
+	for _, family := range []string{FamilyMultiway, FamilyPeriodic} {
+		c, err := CompileFamily(family, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}

@@ -130,7 +130,7 @@ func TestCertifierCatchesBrokenProgram(t *testing.T) {
 			break
 		}
 	}
-	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), ops)
+	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), "adhoc", ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSampledMode(t *testing.T) {
 			}
 		}
 	}
-	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), ops)
+	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), "adhoc", ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDeadComparatorLint(t *testing.T) {
 		Pairs: [][2]int{{lo, hi}},
 		Cost:  1,
 	})
-	padded, err := schedule.NewProgram(net, prog.Engine(), ops)
+	padded, err := schedule.NewProgram(net, prog.Engine(), "adhoc", ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 			break
 		}
 	}
-	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), ops)
+	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), "adhoc", ops)
 	if err != nil {
 		t.Fatal(err)
 	}

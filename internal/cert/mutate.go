@@ -57,7 +57,7 @@ func Mutants(prog *schedule.Program, perOp int, seed int64) []Mutant {
 	var out []Mutant
 	add := func(operator, site string, mutate func([]schedule.Op) []schedule.Op) {
 		mutated := mutate(cloneOps(ops))
-		mp, err := schedule.NewProgram(net, prog.Engine(), mutated)
+		mp, err := schedule.NewProgram(net, prog.Engine(), "adhoc", mutated)
 		if err != nil {
 			// The operator produced an invalid program — a harness bug,
 			// not a legitimate mutant.

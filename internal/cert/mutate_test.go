@@ -196,7 +196,7 @@ func TestBrokenStageMutants(t *testing.T) {
 				if len(ops[c.op].Pairs) == 0 {
 					ops = append(ops[:c.op], ops[c.op+1:]...)
 				}
-				mp, err := schedule.NewProgram(prog.Net(), prog.Engine(), ops)
+				mp, err := schedule.NewProgram(prog.Net(), prog.Engine(), "adhoc", ops)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,7 +13,9 @@
 // work on emitted programs unchanged, and LoweredComparators is a
 // straight copy of the column stream.
 //
-// Two families are implemented on top of this package:
+// Two families are implemented on top of this package; the serving
+// layer's family catalog (serve.FamilyCandidate) is the one place a
+// family name maps to its emitter, display name and round count:
 //
 //   - emit/multiway — the enhanced multiway sorting network built from
 //     n-sorter primitives (arXiv 1407.0961): recursively sort s blocks,
@@ -45,10 +47,9 @@ const (
 // Host returns the 1-D path product network that carries an emitted
 // program over `lines` keys. With r = 1 the snake rank is the identity,
 // so node id == snake position == line index. Builder.Program builds
-// one per emitted program; nothing else needs it: the serve planner
-// ranks an emitted candidate by its line count and builds no host, so
-// a server pays for one only when a bucket's first flush emits the
-// program.
+// one per emitted program; nothing else needs it: a serve candidate
+// carries its line count and builds no host, so a server pays for one
+// only when a bucket's first flush emits the program.
 func Host(lines int) *product.Network {
 	net, err := product.New(graph.Path(lines), 1)
 	if err != nil {
@@ -143,13 +144,6 @@ func (b *Builder) Sorter(lo, w, stride, start int) int {
 	return col
 }
 
-// SorterDepth returns the column count Sorter(…, w, …) occupies, without
-// emitting anything.
-func SorterDepth(w int) int {
-	b := NewBuilder(w)
-	return b.Sorter(0, w, 1, 0)
-}
-
 // Program freezes the builder's columns into a validated
 // schedule.Program under the given engine name and canonical signature.
 // Each column becomes one OpCompareExchange with Cost 1 and Dim 1 (the
@@ -162,7 +156,7 @@ func (b *Builder) Program(engine, sig string) (*schedule.Program, error) {
 		}
 		ops = append(ops, schedule.Op{Kind: schedule.OpCompareExchange, Pairs: col, Cost: 1, Dim: 1})
 	}
-	return schedule.NewEmittedProgram(Host(b.lines), engine, sig, ops)
+	return schedule.NewProgram(Host(b.lines), engine, sig, ops)
 }
 
 // PowerOfTwo reports whether n is a positive power of two — the size

@@ -34,9 +34,6 @@ func TestSorterSortsExhaustively(t *testing.T) {
 	for w := 2; w <= 10; w++ {
 		b := emit.NewBuilder(w)
 		depth := b.Sorter(0, w, 1, 0)
-		if got := emit.SorterDepth(w); got != depth {
-			t.Fatalf("width %d: SorterDepth %d != emitted depth %d", w, got, depth)
-		}
 		prog, err := b.Program("sorter-test", "emit|test|sorter")
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)

@@ -21,6 +21,7 @@ package multiway
 
 import (
 	"fmt"
+	"math/bits"
 
 	"productsort/internal/emit"
 	"productsort/internal/schedule"
@@ -63,19 +64,28 @@ func EmitN(lines, sorter int) (*schedule.Program, error) {
 
 // Rounds returns the column depth of EmitN(lines, sorter) without
 // building a program — the planner's predicted cost for this family.
+// lines and sorter are powers of two, as EmitN requires.
 func Rounds(lines, sorter int) int {
 	if lines <= 1 {
 		return 0
 	}
 	if lines <= sorter {
-		return emit.SorterDepth(lines)
+		return sorterDepth(lines)
 	}
 	m := lines / sorter
-	merge := emit.SorterDepth(sorter)
+	merge := sorterDepth(sorter)
 	for ; m > 1; m /= 2 {
 		merge += 2 * sorter
 	}
 	return Rounds(lines/sorter, sorter) + merge
+}
+
+// sorterDepth is the column count of emit.Builder.Sorter over w = 2^t
+// lines: Batcher's odd-even mergesort fills every one of its t(t+1)/2
+// columns when no line is virtual.
+func sorterDepth(w int) int {
+	t := bits.Len(uint(w)) - 1
+	return t * (t + 1) / 2
 }
 
 // sortRec emits a sorter for the contiguous lines [lo, lo+size) starting

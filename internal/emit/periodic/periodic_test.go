@@ -121,7 +121,7 @@ func TestOnePassMergesInterleavedSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := periodic.Period(n)
-	onePass, err := schedule.NewProgram(full.Net(), "periodic-pass", append([]schedule.Op(nil), full.Ops()[:k]...))
+	onePass, err := schedule.NewProgram(full.Net(), "periodic-pass", "adhoc", append([]schedule.Op(nil), full.Ops()[:k]...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPassCountTight(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := periodic.Period(n)
-	trunc, err := schedule.NewProgram(full.Net(), "periodic-trunc",
+	trunc, err := schedule.NewProgram(full.Net(), "periodic-trunc", "adhoc",
 		append([]schedule.Op(nil), full.Ops()[:(k-1)*k]...))
 	if err != nil {
 		t.Fatal(err)

@@ -476,7 +476,7 @@ func (e *Engine) verify(realized []schedule.Op, rep *Report, round int) (bool, e
 		// scrub that follows acceptance settles sortedness on its own.
 		return true, nil
 	}
-	prog, err := schedule.NewProgram(e.net, e.Name(), realized)
+	prog, err := schedule.NewProgram(e.net, e.Name(), "adhoc", realized)
 	if err != nil {
 		return false, fmt.Errorf("randsort: verifier program: %w", err)
 	}

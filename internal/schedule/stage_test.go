@@ -59,7 +59,7 @@ func TestStagesSplitTheRecursion(t *testing.T) {
 			unmarked = append(unmarked, op)
 		}
 	}
-	bare, err := NewProgram(prog.Net(), prog.Engine(), unmarked)
+	bare, err := NewProgram(prog.Net(), prog.Engine(), "adhoc", unmarked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFailedStageUsesNoStageFacts(t *testing.T) {
 			ops = append(ops, op)
 		}
 	}
-	broken, err := NewProgram(prog.Net(), prog.Engine(), ops)
+	broken, err := NewProgram(prog.Net(), prog.Engine(), "adhoc", ops)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,16 +88,19 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// NewProgram assembles a program directly from an op list, validating
-// it and recomputing the replay clock from the ops' recorded costs (no
-// re-pricing: the caller's costs are trusted, only structure is
-// checked). It exists for program surgery — the mutation-testing
-// harness in internal/cert derives corrupted-but-valid variants of a
-// compiled program through it — and for tests that need hand-built
-// schedules. Programs built this way are never inserted into the
-// process-wide cache.
-func NewProgram(net *product.Network, engine string, ops []Op) (*Program, error) {
-	p := &Program{net: net, engine: engine, sig: "adhoc", ops: ops, clock: clockOf(ops)}
+// NewProgram assembles a program directly from an op list under the
+// caller's canonical signature, validating it and recomputing the
+// replay clock from the ops' recorded costs (no re-pricing: the
+// caller's costs are trusted, only structure is checked). Programs
+// built this way never enter the process-wide cache. Its callers are
+// the emitters of internal/emit, whose engine ("multiway4",
+// "periodic", ...) and signature ("emit|periodic|n=16", ...) name the
+// family so tracing and bench artifacts attribute rounds without a
+// side channel, and program surgery — the mutation-testing harness in
+// internal/cert, the randomized engine's realized schedules, tests
+// with hand-built schedules — which passes the signature "adhoc".
+func NewProgram(net *product.Network, engine, sig string, ops []Op) (*Program, error) {
+	p := &Program{net: net, engine: engine, sig: sig, ops: ops, clock: clockOf(ops)}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func validNet(t *testing.T) (*product.Network, []Op) {
 
 func TestValidateAcceptsSoundPrograms(t *testing.T) {
 	net, ops := validNet(t)
-	prog, err := NewProgram(net, "test", ops)
+	prog, err := NewProgram(net, "test", "adhoc", ops)
 	if err != nil {
 		t.Fatalf("valid op list rejected: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestValidateRejectsCorruptPrograms(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			net, ops := validNet(t)
-			_, err := NewProgram(net, "test", tc.corrupt(ops))
+			_, err := NewProgram(net, "test", "adhoc", tc.corrupt(ops))
 			if err == nil {
 				t.Fatalf("corrupt program accepted")
 			}

@@ -40,8 +40,8 @@ type bucket struct {
 	depth    int64        // the server's QueueDepth
 	cols     *schedule.ColumnBuffer
 
-	// program compiles the plan on its first call and returns the same
-	// program (or compile error) on every later one.
+	// program builds the plan's program on its first call and returns
+	// the same program (or build error) on every later one.
 	program func() (*schedule.Program, error)
 
 	occupancy *obs.Gauge
@@ -56,18 +56,15 @@ type bucket struct {
 // (serve.bucket.<network>.*).
 func newBucket(s *Server, plan *Plan) *bucket {
 	prefix := "serve.bucket." + plan.Name()
-	engine := s.planner.Engine()
 	return &bucket{
 		srv:  s,
 		plan: plan,
 		// admitted <= QueueDepth bounds queue occupancy too, so the
 		// admission send below can never block.
-		queue: make(chan *request, s.cfg.QueueDepth),
-		depth: int64(s.cfg.QueueDepth),
-		cols:  schedule.NewColumnBuffer(),
-		program: sync.OnceValues(func() (*schedule.Program, error) {
-			return plan.compileProgram(engine)
-		}),
+		queue:     make(chan *request, s.cfg.QueueDepth),
+		depth:     int64(s.cfg.QueueDepth),
+		cols:      schedule.NewColumnBuffer(),
+		program:   sync.OnceValues(plan.build),
 		occupancy: s.met.Gauge(prefix + ".occupancy"),
 		latency:   s.met.Histogram(prefix+".latency_ns", obs.DurationBucketsNs),
 		batchSize: s.met.Histogram(prefix+".batchsize", BatchSizeBuckets),

@@ -29,16 +29,16 @@ func defaultPlanner(t *testing.T, families []string) *Planner {
 	t.Helper()
 	var cands []Candidate
 	for r := 1; r <= 12; r++ {
-		cands = append(cands, Candidate{Net: product.MustNew(graph.K2(), r)})
+		cands = append(cands, ProductCandidate(product.MustNew(graph.K2(), r), nil))
 	}
 	cands = append(cands,
-		Candidate{Net: product.MustNew(graph.Path(4), 2)},
-		Candidate{Net: product.MustNew(graph.Cycle(4), 2)})
+		ProductCandidate(product.MustNew(graph.Path(4), 2), nil),
+		ProductCandidate(product.MustNew(graph.Cycle(4), 2), nil))
 	fam, err := FamilyCandidates(families, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPlannerCandidates(append(cands, fam...), nil)
+	pl, err := NewPlanner(append(cands, fam...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func emittedPlanner(t *testing.T, emitFn func() (*schedule.Program, error)) *Pla
 	t.Helper()
 	k1 := product.MustNew(graph.K2(), 1)
 	rounds := core.PredictedRounds(k1, sort2d.Auto{})
-	pl, err := NewPlannerCandidates([]Candidate{
-		{Net: k1},
-		{Net: product.MustNew(graph.K2(), 4)},
-		{Family: emit.FamilyPeriodic, Name: "test[8]", Nodes: 8, Rounds: rounds, Emit: emitFn},
-	}, nil)
+	pl, err := NewPlanner([]Candidate{
+		ProductCandidate(k1, nil),
+		ProductCandidate(product.MustNew(graph.K2(), 4), nil),
+		{Family: emit.FamilyPeriodic, Name: "test[8]", Nodes: 8, Rounds: rounds, Build: emitFn},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,13 @@ func mixedPlanner(t *testing.T, maxR int) *Planner {
 	t.Helper()
 	cands := []Candidate{}
 	for r := 1; r <= maxR; r++ {
-		cands = append(cands, Candidate{Net: product.MustNew(graph.K2(), r)})
+		cands = append(cands, ProductCandidate(product.MustNew(graph.K2(), r), nil))
 	}
 	fam, err := FamilyCandidates([]string{emit.FamilyMultiway, emit.FamilyPeriodic}, 1<<maxR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPlannerCandidates(append(cands, fam...), nil)
+	pl, err := NewPlanner(append(cands, fam...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,29 +85,28 @@ func TestCrossFamilySelection(t *testing.T) {
 	}
 }
 
-// TestEmittedPlansCarryNoHost: an emitted plan has no network, only
-// its candidate's node count, which the program its emitter builds on
-// the bucket's first flush matches; a product plan keeps its network.
+// TestEmittedPlansCarryNoHost: a plan carries no network, only its
+// candidate's node count and build; the program every plan's build
+// returns — the emitter's on an emitted plan, the compiled product
+// program on a product one — has exactly the plan's node count, and an
+// emitted plan's name ends in it.
 func TestEmittedPlansCarryNoHost(t *testing.T) {
 	pl := mixedPlanner(t, 6)
 	emitted := 0
 	for _, p := range pl.Plans() {
-		if p.Family == emit.FamilyProduct {
-			if p.Net == nil || p.Nodes() != p.Net.Nodes() {
-				t.Fatalf("product plan %s: net %v, %d nodes", p.Name(), p.Net, p.Nodes())
-			}
-			continue
-		}
-		emitted++
-		if p.Net != nil {
-			t.Fatalf("emitted plan %s carries host %s", p.Name(), p.Net.Name())
-		}
-		prog, err := p.compileProgram(pl.Engine())
+		prog, err := p.build()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		if want := fmt.Sprintf("[%d]", p.Nodes()); !strings.HasSuffix(p.Name(), want) || prog.Nodes() != p.Nodes() {
-			t.Fatalf("emitted plan %s: %d nodes, its program %d", p.Name(), p.Nodes(), prog.Nodes())
+		if prog.Nodes() != p.Nodes() {
+			t.Fatalf("%s plan %s: %d nodes, its program %d", p.Family, p.Name(), p.Nodes(), prog.Nodes())
+		}
+		if p.Family == emit.FamilyProduct {
+			continue
+		}
+		emitted++
+		if want := fmt.Sprintf("[%d]", p.Nodes()); !strings.HasSuffix(p.Name(), want) {
+			t.Fatalf("emitted plan %s: name does not end in %s", p.Name(), want)
 		}
 	}
 	if emitted != 12 { // multiway and periodic at 2..64 keys
@@ -145,27 +144,43 @@ func TestCrossFamilyArgminIsExact(t *testing.T) {
 	}
 }
 
-// TestCandidateValidation: incomplete emitted candidates and
-// family-tagged candidates without an emitter are construction errors.
+// TestCandidateValidation: incomplete candidates are construction
+// errors, and the family catalog rejects unknown families, the product
+// family (it has no emitter) and sizes the emitters do not build,
+// before building anything.
 func TestCandidateValidation(t *testing.T) {
-	emitOK := func() Candidate {
-		c, err := FamilyCandidates([]string{emit.FamilyPeriodic}, 2)
-		if err != nil || len(c) != 1 {
-			t.Fatalf("FamilyCandidates: %v %v", c, err)
+	ok := func() Candidate {
+		c, err := FamilyCandidate(emit.FamilyPeriodic, 2)
+		if err != nil {
+			t.Fatalf("FamilyCandidate: %v", err)
 		}
-		return c[0]
+		return c
 	}
 	bad := []Candidate{
-		{}, // neither Net nor Emit
-		func() Candidate { c := emitOK(); c.Family = ""; return c }(),
-		func() Candidate { c := emitOK(); c.Family = emit.FamilyProduct; return c }(),
-		func() Candidate { c := emitOK(); c.Rounds = 0; return c }(),
-		func() Candidate { c := emitOK(); c.Name = ""; return c }(),
-		{Net: product.MustNew(graph.K2(), 1), Family: emit.FamilyPeriodic}, // family without emitter
+		{},
+		func() Candidate { c := ok(); c.Family = ""; return c }(),
+		func() Candidate { c := ok(); c.Name = ""; return c }(),
+		func() Candidate { c := ok(); c.Nodes = 0; return c }(),
+		func() Candidate { c := ok(); c.Rounds = -1; return c }(),
+		func() Candidate { c := ok(); c.Build = nil; return c }(),
 	}
 	for i, c := range bad {
-		if _, err := NewPlannerCandidates([]Candidate{c}, nil); err == nil {
+		if _, err := NewPlanner([]Candidate{c}); err == nil {
 			t.Errorf("bad candidate %d accepted", i)
+		}
+	}
+	for _, tc := range []struct {
+		family string
+		n      int
+		err    string
+	}{
+		{"fancy", 16, `serve: unknown network family "fancy"`},
+		{emit.FamilyProduct, 16, `serve: unknown network family "product"`},
+		{emit.FamilyMultiway, 12, "multiway: 12 lines: power of two >= 2 required"},
+		{emit.FamilyPeriodic, 1, "periodic: 1 lines: power of two >= 2 required"},
+	} {
+		if _, err := FamilyCandidate(tc.family, tc.n); err == nil || err.Error() != tc.err {
+			t.Errorf("FamilyCandidate(%s, %d) = %v, want %q", tc.family, tc.n, err, tc.err)
 		}
 	}
 	if _, err := FamilyCandidates([]string{"fancy"}, 16); err == nil {

@@ -1,14 +1,18 @@
 // Package serve turns compiled networks into a request-driven sorting
 // service. A planner maps each requested key count to the cheapest
-// covering network (candidates ranked by Theorem 1's predicted round
-// count). The schedule is oblivious, so the plan set is fixed when the
-// server is built: it keeps one size bucket per plan the planner can
-// return, and each bucket compiles its plan's program once, on its
-// first flush. A bucket flushes as soon as a worker of the bounded
-// pool is free, taking every request that queued while it waited,
-// through the columnar batch replay (schedule.RunBatchColumnar: one
-// program walk per flush, every set advancing through each comparator
-// together), so batches grow only under backpressure. This is Schiller's
+// covering network. Every candidate, whatever its family, has one
+// shape — family, name, nodes, predicted rounds and a program build:
+// ProductCandidate prices a product network by Theorem 1's round
+// count, and FamilyCandidate, the one catalog of emitted families,
+// prices a multiway or periodic network by its column depth. The
+// schedule is oblivious, so the plan set is fixed when the server is
+// built: it keeps one size bucket per plan the planner can return, and
+// each bucket builds its plan's program once, on its first flush. A
+// bucket flushes as soon as a worker of the bounded pool is free,
+// taking every request that queued while it waited, through the
+// columnar batch replay (schedule.RunBatchColumnar: one program walk
+// per flush, every set advancing through each comparator together), so
+// batches grow only under backpressure. This is Schiller's
 // agglomeration argument — merge many independent sorting-network
 // invocations into one larger network execution — applied to the
 // arrival-driven, multi-tenant setting: requests of heterogeneous sizes
@@ -34,30 +38,56 @@ import (
 	"productsort/internal/sort2d"
 )
 
-// Plan is one candidate network with its planner ranking key.
-type Plan struct {
-	// Net is the product network of a FamilyProduct plan, the network
-	// its program is compiled for. It is nil for emitted families: their
-	// programs live in line space, and the emitter builds the 1-D line
-	// host itself when the bucket's first flush emits the program.
-	Net *product.Network
+// Candidate is one network offered to the planner, in the one shape
+// every family shares: its family and display name, its node count,
+// its predicted round count and a constructor for its program.
+// ProductCandidate and FamilyCandidate build them.
+type Candidate struct {
+	// Family names the construction family ("product", "multiway",
+	// "periodic") — the serve-plan metadata mixed-family servers expose
+	// per reply and per flush counter.
+	Family string
+	// Name is the display name (bucket metrics, Reply.Network), e.g.
+	// "hypercube^4" or "multiway4[16]".
+	Name string
+	// Nodes is the processor count: requests are padded to it.
+	Nodes int
 	// Rounds is the predicted parallel round count — Theorem 1's bound
-	// for product plans, the emitted column depth for emitted families.
-	// It is the cost a request pays regardless of how many batchmates
-	// share the flush, hence the ranking key.
+	// for product networks, the emitted column depth for emitted
+	// families. It is the cost a request pays regardless of how many
+	// batchmates share the flush, hence the ranking key.
 	Rounds int
-	// Family names the construction family that produced the plan
-	// ("product", "multiway", "periodic") — the serve-plan metadata
-	// mixed-family servers expose per reply and per flush counter.
+	// Build constructs the program. A server's bucket calls it once, on
+	// its first flush.
+	Build func() (*schedule.Program, error)
+}
+
+// ProductCandidate offers the paper's construction over net with the
+// given S_2 engine (nil selects sort2d.Auto), priced by
+// core.PredictedRounds. Its program is compiled outside the
+// process-wide cache, so a server's bucket programs live and die with
+// the server.
+func ProductCandidate(net *product.Network, engine sort2d.Engine) Candidate {
+	return Candidate{
+		Family: emit.FamilyProduct,
+		Name:   net.Name(),
+		Nodes:  net.Nodes(),
+		Rounds: core.PredictedRounds(net, engine),
+		Build:  func() (*schedule.Program, error) { return schedule.CompileUncached(net, engine) },
+	}
+}
+
+// Plan is one ranked candidate.
+type Plan struct {
+	// Rounds is the candidate's predicted round count, the ranking key.
+	Rounds int
+	// Family names the candidate's construction family.
 	Family string
 
-	name  string // display name; Net.Name() for product plans
-	nodes int    // processor count; Net.Nodes() for product plans
-	idx   int    // position in the planner's sorted plans; the server's bucket index
-
-	// emit builds the plan's program for emitted families; nil selects
-	// schedule.CompileUncached on Net (the product path).
-	emit func() (*schedule.Program, error)
+	name  string
+	nodes int
+	build func() (*schedule.Program, error)
+	idx   int // position in the planner's sorted plans; the server's bucket index
 }
 
 // Nodes returns the plan's processor count: requests are padded to it.
@@ -66,103 +96,28 @@ func (p *Plan) Nodes() int { return p.nodes }
 // Name names the plan's network, e.g. "hypercube^4" or "multiway4[16]".
 func (p *Plan) Name() string { return p.name }
 
-// compileProgram builds the plan's phase program: the emitter for
-// emitted families, the paper's generalized construction otherwise.
-// Each bucket calls it once, on its first flush.
-func (p *Plan) compileProgram(engine sort2d.Engine) (*schedule.Program, error) {
-	if p.emit != nil {
-		return p.emit()
-	}
-	return schedule.CompileUncached(p.Net, engine)
-}
-
-// Candidate is one network family member offered to the planner.
-// Product candidates carry just Net; emitted candidates carry the
-// family metadata plus an Emit constructor, because their cost is a
-// property of the emitter, not of an engine.
-type Candidate struct {
-	// Net is the product network of a FamilyProduct candidate; nil for
-	// emitted families.
-	Net *product.Network
-	// Family names the construction family; defaults to FamilyProduct
-	// when Net is set.
-	Family string
-	// Name is the display name (bucket metrics, Reply.Network). Ignored
-	// for product candidates, which use Net.Name().
-	Name string
-	// Nodes is the emitted network's line count (product candidates
-	// derive it from Net).
-	Nodes int
-	// Rounds is the emitted network's column depth (product candidates
-	// are priced by core.PredictedRounds at planner build).
-	Rounds int
-	// Emit builds the emitted program; nil for product candidates.
-	Emit func() (*schedule.Program, error)
-}
-
 // Planner maps a requested key count to the cheapest covering plan.
 type Planner struct {
-	engine sort2d.Engine
-	plans  []*Plan // ascending by (Nodes, Rounds, Name)
-	best   []*Plan // best[i] = cheapest plan among plans[i:]
+	plans []*Plan // ascending by (Nodes, Rounds, Name)
+	best  []*Plan // best[i] = cheapest plan among plans[i:]
 }
 
-// NewPlanner ranks product-network candidates for the given S_2 engine
-// (nil selects sort2d.Auto). It is NewPlannerCandidates restricted to
-// the paper's own family, kept for the common single-family case.
-func NewPlanner(nets []*product.Network, engine sort2d.Engine) (*Planner, error) {
-	cands := make([]Candidate, len(nets))
-	for i, net := range nets {
-		cands[i] = Candidate{Net: net}
-	}
-	return NewPlannerCandidates(cands, engine)
-}
-
-// NewPlannerCandidates ranks candidates drawn from any mix of network
-// families for the given S_2 engine (nil selects sort2d.Auto; emitted
-// candidates ignore it). Candidates may overlap in size; the planner
-// picks, for every request size, the covering candidate with the
-// fewest predicted rounds, breaking ties toward fewer nodes then name —
-// so one server mixes families per size bucket wherever an emitted
-// frontier beats the product construction.
-func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, error) {
+// NewPlanner ranks candidates drawn from any mix of network families.
+// Candidates may overlap in size; the planner picks, for every request
+// size, the covering candidate with the fewest predicted rounds,
+// breaking ties toward fewer nodes then name — so one server mixes
+// families per size bucket wherever an emitted frontier beats the
+// product construction.
+func NewPlanner(cands []Candidate) (*Planner, error) {
 	if len(cands) == 0 {
 		return nil, errors.New("serve: planner needs at least one candidate network")
 	}
-	if engine == nil {
-		engine = sort2d.Auto{}
-	}
 	plans := make([]*Plan, len(cands))
 	for i, c := range cands {
-		switch {
-		case c.Emit != nil:
-			if c.Family == "" || c.Family == emit.FamilyProduct {
-				return nil, fmt.Errorf("serve: emitted candidate %d needs a non-product family", i)
-			}
-			if c.Name == "" || c.Nodes < 1 || c.Rounds < 1 {
-				return nil, fmt.Errorf("serve: emitted candidate %d (%s) incomplete", i, c.Family)
-			}
-			plans[i] = &Plan{
-				Rounds: c.Rounds,
-				Family: c.Family,
-				name:   c.Name,
-				nodes:  c.Nodes,
-				emit:   c.Emit,
-			}
-		case c.Net != nil:
-			if c.Family != "" && c.Family != emit.FamilyProduct {
-				return nil, fmt.Errorf("serve: candidate %d: family %q without an emitter", i, c.Family)
-			}
-			plans[i] = &Plan{
-				Net:    c.Net,
-				Rounds: core.PredictedRounds(c.Net, engine),
-				Family: emit.FamilyProduct,
-				name:   c.Net.Name(),
-				nodes:  c.Net.Nodes(),
-			}
-		default:
-			return nil, fmt.Errorf("serve: candidate %d is nil", i)
+		if c.Family == "" || c.Name == "" || c.Nodes < 1 || c.Rounds < 0 || c.Build == nil {
+			return nil, fmt.Errorf("serve: candidate %d (%q) incomplete", i, c.Name)
 		}
+		plans[i] = &Plan{Rounds: c.Rounds, Family: c.Family, name: c.Name, nodes: c.Nodes, build: c.Build}
 	}
 	sort.Slice(plans, func(i, j int) bool {
 		if plans[i].Nodes() != plans[j].Nodes() {
@@ -185,12 +140,8 @@ func NewPlannerCandidates(cands []Candidate, engine sort2d.Engine) (*Planner, er
 			best[i] = best[i+1]
 		}
 	}
-	return &Planner{engine: engine, plans: plans, best: best}, nil
+	return &Planner{plans: plans, best: best}, nil
 }
-
-// Engine returns the S_2 engine every plan was ranked (and will be
-// compiled) with.
-func (pl *Planner) Engine() sort2d.Engine { return pl.engine }
 
 // MaxKeys returns the largest admissible request size.
 func (pl *Planner) MaxKeys() int { return pl.plans[len(pl.plans)-1].Nodes() }

@@ -42,7 +42,7 @@ func TestPlannerBoundarySizes(t *testing.T) {
 		product.MustNew(graph.K2(), 5),    // 32 nodes
 		product.MustNew(graph.Path(4), 3), // 64 nodes
 	}
-	pl, err := NewPlanner(nets, nil)
+	pl, err := productPlanner(nets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPlannerTieBreaksTowardFewerNodes(t *testing.T) {
 		product.MustNew(graph.Path(4), 2),    // 16 nodes
 		product.MustNew(graph.Path(3), 2),    // 9 nodes
 	}
-	pl, err := NewPlanner(nets, flatEngine{})
+	pl, err := productPlanner(nets, flatEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPlannerTieBreaksByNameOnEqualSize(t *testing.T) {
 	a := product.MustNew(graph.Path(3), 2)               // 9 nodes
 	b := product.MustNew(graph.CompleteBinaryTree(2), 2) // 9 nodes, same rounds under Auto
 	for _, order := range [][]*product.Network{{a, b}, {b, a}} {
-		pl, err := NewPlanner(order, nil)
+		pl, err := productPlanner(order, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

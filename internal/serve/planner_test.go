@@ -10,6 +10,16 @@ import (
 	"productsort/internal/sort2d"
 )
 
+// productPlanner ranks the product networks nets for the S_2 engine
+// (nil selects sort2d.Auto).
+func productPlanner(nets []*product.Network, engine sort2d.Engine) (*Planner, error) {
+	cands := make([]Candidate, len(nets))
+	for i, net := range nets {
+		cands[i] = ProductCandidate(net, engine)
+	}
+	return NewPlanner(cands)
+}
+
 // TestPlannerPicksCheapestCovering: among candidates that cover a
 // request, the planner returns the one with the fewest predicted
 // rounds, falling back to larger networks only when the size demands
@@ -18,7 +28,7 @@ func TestPlannerPicksCheapestCovering(t *testing.T) {
 	grid16 := product.MustNew(graph.Path(4), 2) // 16 nodes
 	cube16 := product.MustNew(graph.K2(), 4)    // 16 nodes
 	cube32 := product.MustNew(graph.K2(), 5)    // 32 nodes
-	pl, err := NewPlanner([]*product.Network{cube32, grid16, cube16}, nil)
+	pl, err := productPlanner([]*product.Network{cube32, grid16, cube16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +46,7 @@ func TestPlannerPicksCheapestCovering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("For(%d): %v", n, err)
 		}
-		if plan.Net != cheap16 {
+		if plan.Name() != cheap16.Name() {
 			t.Fatalf("For(%d) chose %s (%d rounds), want %s", n, plan.Name(), plan.Rounds, cheap16.Name())
 		}
 	}
@@ -44,7 +54,7 @@ func TestPlannerPicksCheapestCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Net != cube32 {
+	if plan.Name() != cube32.Name() {
 		t.Fatalf("For(17) chose %s, want %s", plan.Name(), cube32.Name())
 	}
 }
@@ -52,7 +62,7 @@ func TestPlannerPicksCheapestCovering(t *testing.T) {
 // TestPlannerRejects: sizes outside the candidate range yield the typed
 // errors admission branches on.
 func TestPlannerRejects(t *testing.T) {
-	pl, err := NewPlanner([]*product.Network{product.MustNew(graph.K2(), 3)}, nil)
+	pl, err := productPlanner([]*product.Network{product.MustNew(graph.K2(), 3)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +77,13 @@ func TestPlannerRejects(t *testing.T) {
 	}
 }
 
-// TestPlannerNeedsCandidates: an empty or nil-bearing candidate set is
-// a construction error, not a latent panic.
+// TestPlannerNeedsCandidates: an empty candidate set or a zero
+// candidate is a construction error, not a latent panic.
 func TestPlannerNeedsCandidates(t *testing.T) {
-	if _, err := NewPlanner(nil, nil); err == nil {
+	if _, err := NewPlanner(nil); err == nil {
 		t.Fatal("empty candidate set accepted")
 	}
-	if _, err := NewPlanner([]*product.Network{nil}, nil); err == nil {
-		t.Fatal("nil candidate accepted")
+	if _, err := NewPlanner([]Candidate{{}}); err == nil {
+		t.Fatal("zero candidate accepted")
 	}
 }

@@ -20,7 +20,7 @@ func hypercubePlanner(t testing.TB, maxR int) *Planner {
 	for r := 1; r <= maxR; r++ {
 		nets = append(nets, product.MustNew(graph.K2(), r))
 	}
-	pl, err := NewPlanner(nets, nil)
+	pl, err := productPlanner(nets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

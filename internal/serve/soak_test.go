@@ -38,7 +38,7 @@ func TestServerSoak(t *testing.T) {
 	for r := 1; r <= 6; r++ {
 		nets = append(nets, product.MustNew(graph.K2(), r))
 	}
-	pl, err := NewPlanner(nets, nil)
+	pl, err := productPlanner(nets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

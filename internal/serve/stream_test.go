@@ -24,7 +24,7 @@ func streamServer(t *testing.T, queueDepth int) *Server {
 		product.MustNew(graph.K2(), 4), // 16
 		product.MustNew(graph.K2(), 6), // 64
 	}
-	pl, err := NewPlanner(nets, nil)
+	pl, err := productPlanner(nets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if nw == nil {
 			return nil, errors.New("productsort: nil serving network")
 		}
-		cands[i] = serve.Candidate{Net: nw.net}
+		cands[i] = serve.ProductCandidate(nw.net, engine)
 		if nw.Nodes() > maxNodes {
 			maxNodes = nw.Nodes()
 		}
@@ -156,7 +156,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	planner, err := serve.NewPlannerCandidates(append(cands, fam...), engine)
+	planner, err := serve.NewPlanner(append(cands, fam...))
 	if err != nil {
 		return nil, err
 	}
