@@ -2,8 +2,8 @@
 # suite, race detector repo-wide, gofmt cleanliness (any unformatted
 # file fails the run), static analysis (when the pinned tools are
 # installed — see lint-tools), the coverage floor, every example
-# program run to completion, and the nested benchmark module's vet and
-# tests.
+# program run to completion, the nested benchmark module's vet and
+# tests, and one iteration of the cold-compile benchmark.
 
 GO ?= go
 
@@ -23,9 +23,9 @@ COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
 	bce examples bench-schedule chaos fuzz cert serve-soak bench-serve \
-	extsort-battery extsort-fuzz bench-extsort perfbench perfbench-check
+	extsort-battery extsort-fuzz bench-extsort perfbench perfbench-check bench-compile
 
-ci: vet build test race fmtcheck lint cover bce examples perfbench-check
+ci: vet build test race fmtcheck lint cover bce examples perfbench-check bench-compile
 
 vet:
 	$(GO) vet ./...
@@ -105,6 +105,13 @@ bce:
 		echo "bce: internal/$$pkg/kernel.go inner loop is bounds-check free"; \
 	done
 
+# The cold-compile benchmark (BenchmarkCompileCold: K2^10 and path4^6,
+# cache emptied before each iteration), one iteration each, so the
+# benchmark the compile-time figures rest on keeps building and
+# running.
+bench-compile:
+	$(GO) test -run '^$$' -bench CompileCold -benchtime=1x .
+
 # Run every program under examples/; a non-zero exit (an example's
 # log.Fatal on a failed self-check) fails the target.
 examples:
@@ -148,7 +155,9 @@ chaos:
 # budget on fuzzing. FuzzGraphNew holds graph.New's flat adjacency and
 # linear-time checks to the map-based reference it replaced, on edge
 # lists with duplicates, loops, out-of-range ends and disconnected
-# parts. Bounded so it fits in CI.
+# parts. FuzzSymbols holds the label table the phase checker reads
+# (product.Symbols) and Network.DifferingDim to digit-by-digit
+# division on random mixed-radix networks. Bounded so it fits in CI.
 fuzz:
 	$(GO) test . -run=^$$ -fuzz=FuzzEveryEntryPoint -fuzztime=20s -fuzzminimizetime=2s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzScrubDetectsCorruption -fuzztime=20s
@@ -160,6 +169,7 @@ fuzz:
 	$(GO) test ./internal/schedule/ -run=^$$ -fuzz=FuzzColumnarEquivalence -fuzztime=10s
 	$(GO) test ./internal/extsort/ -run=^$$ -fuzz=FuzzSortStreamEquivalence -fuzztime=15s
 	$(GO) test ./internal/graph/ -run=^$$ -fuzz=FuzzGraphNew -fuzztime=10s
+	$(GO) test ./internal/product/ -run=^$$ -fuzz=FuzzSymbols -fuzztime=10s
 
 # Certification gate: machine-check (0-1 principle, bitsliced) that the
 # executed comparator stream of every built-in family/engine pair sorts

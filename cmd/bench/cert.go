@@ -13,6 +13,7 @@ import (
 	"productsort/internal/product"
 	"productsort/internal/schedule"
 	"productsort/internal/serve"
+	"productsort/internal/sort2d"
 	"productsort/internal/stats"
 )
 
@@ -23,7 +24,7 @@ type certEntry struct {
 	Engine      string  `json:"engine"`
 	Family      string  `json:"family"`
 	Nodes       int     `json:"nodes"`
-	Mode        string  `json:"mode"` // "exhaustive", "sampled" or "staged"
+	Mode        string  `json:"mode"` // "exhaustive", "sampled", "staged" or "none"
 	Certified   bool    `json:"certified"`
 	Vectors     uint64  `json:"vectors"`
 	Words       uint64  `json:"words"`
@@ -42,6 +43,9 @@ type certEntry struct {
 	// pass that decide the executed stream, and the grouping); ElapsedMs
 	// is the staged certificate of the executed stream after it.
 	PassMs float64 `json:"passMs,omitempty"`
+	// Reason says, for a "none" entry, why a program a default server
+	// can pick has no proof in the report.
+	Reason string `json:"reason,omitempty"`
 }
 
 // certReport is the BENCH_cert.json document.
@@ -218,12 +222,14 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 		}
 	}
 
+	notStaged := map[string]string{} // serving network -> why the staged pass cannot cover it
 	for _, net := range servingNetworks() {
 		prog, err := schedule.CompileUncached(net, nil) // lowered here, not by an earlier entry
 		if err != nil {
 			return err
 		}
 		if _, err := prog.Stages(); errors.Is(err, schedule.ErrNotStaged) {
+			notStaged[net.Name()] = err.Error()
 			continue
 		}
 		t0 := time.Now()
@@ -251,10 +257,40 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 			verdict, fmt.Sprintf("%.1fms (pass %.1fms)", e.ElapsedMs, e.PassMs))
 	}
 
+	// Every program a default server can pick has a proof above or a
+	// "none" entry that says why it has none.
+	proved := map[string]bool{}
+	for _, e := range report.Entries {
+		if e.Certified && e.Mode != "sampled" && (e.Family != productsort.FamilyProduct || e.Engine == "auto") {
+			proved[e.Network] = true
+		}
+	}
+	plans, err := defaultServerPlans()
+	if err != nil {
+		return err
+	}
+	for _, p := range plans {
+		if proved[p.Name()] {
+			continue
+		}
+		engine, reason := "auto", notStaged[p.Name()]
+		if p.Family != productsort.FamilyProduct {
+			engine, _, _ = strings.Cut(p.Name(), "[")
+			reason = fmt.Sprintf("emitted: no stage source, and %d keys exceed the exhaustive cap of %d", p.Nodes(), maxKeys)
+		}
+		if reason == "" {
+			reason = "no proof in this report"
+		}
+		e := certEntry{Network: p.Name(), Engine: engine, Family: p.Family, Nodes: p.Nodes(), Mode: "none", Reason: reason}
+		report.Entries = append(report.Entries, e)
+		table.Add(e.Network, e.Family, e.Engine, e.Nodes, e.Mode, "-", "-", "-", "-", "NO PROOF", reason)
+	}
+
 	table.Note("exhaustive: all 2^keys 0-1 vectors replayed bitsliced (64/word) — a sorting proof "+
 		"by the 0-1 principle; sampled: %d seeded random vectors (refutation + dead-comparator lint only); "+
 		"staged: every 0-1 vector of a PG_2 block, then every sorted 0-1 tuple of each merge — a sorting "+
-		"proof by THEORY.md §18, run for every default serving network the staged pass covers", sample)
+		"proof by THEORY.md §18, run for every default serving network the staged pass covers; "+
+		"none: a program a default server can pick, with no proof above, and why", sample)
 	table.Render(os.Stdout)
 
 	if err := writeJSONArtifact(path, report); err != nil {
@@ -265,6 +301,40 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 		return fmt.Errorf("cert bench: %d certification failure(s)", failures)
 	}
 	return nil
+}
+
+// defaultServerPlans returns every plan a default 4096-key server can
+// pick, product-only or with the multiway and periodic families: the
+// plans the planner returns for some request size, in the order of the
+// first size each serves, product-only server first.
+func defaultServerPlans() ([]*serve.Plan, error) {
+	var plans []*serve.Plan
+	seen := map[string]bool{}
+	for _, families := range [][]string{nil, {productsort.FamilyMultiway, productsort.FamilyPeriodic}} {
+		var cands []serve.Candidate
+		for _, net := range servingNetworks() {
+			cands = append(cands, serve.ProductCandidate(net, sort2d.Auto{}))
+		}
+		fam, err := serve.FamilyCandidates(families, 4096)
+		if err != nil {
+			return nil, err
+		}
+		pl, err := serve.NewPlanner(append(cands, fam...))
+		if err != nil {
+			return nil, err
+		}
+		for n := 1; n <= pl.MaxKeys(); n++ {
+			p, err := pl.For(n)
+			if err != nil {
+				return nil, err
+			}
+			if !seen[p.Name()] {
+				seen[p.Name()] = true
+				plans = append(plans, p)
+			}
+		}
+	}
+	return plans, nil
 }
 
 // servingNetworks returns the default serving networks of a 4096-key

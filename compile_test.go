@@ -134,6 +134,30 @@ func TestCompiledSortAllocs(t *testing.T) {
 	}
 }
 
+// TestCompileColdAllocs pins the allocations of one cold Compile of
+// K₂¹⁰, the cache emptied before each run: the pair chunks the ops are
+// carved from, one base and one offset table per engine call and sweep,
+// the per-merge direction tables, the ops and the cost model's tables.
+// It measured 430 or 431 (the cache's sync.Map decides the last one);
+// 2,850 when every phase was copied into its own slice and every engine
+// call unranked its offsets.
+func TestCompileColdAllocs(t *testing.T) {
+	nw, err := Hypercube(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer schedule.ResetCache()
+	allocs := testing.AllocsPerRun(5, func() {
+		schedule.ResetCache()
+		if _, err := Compile(nw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 431 {
+		t.Fatalf("cold Compile of K2^10 makes %.0f allocations, want at most 431", allocs)
+	}
+}
+
 // TestSortBatch pushes several key sets through one compiled program
 // and verifies each ends sorted.
 func TestSortBatch(t *testing.T) {

@@ -84,7 +84,9 @@ func (s *Sorter) Sort(m sort2d.Machine) {
 	s.observe("initial S2 sort of dimension-{1,2} subgraphs", m)
 	for k := 3; k <= r; k++ {
 		s.Merge(m, k)
-		s.observe(fmt.Sprintf("after merge along dimension %d", k), m)
+		if s.Observer != nil {
+			s.observe(fmt.Sprintf("after merge along dimension %d", k), m)
+		}
 	}
 }
 
@@ -140,10 +142,9 @@ func (s *Sorter) merge(m sort2d.Machine, dims []int, skipClean bool) {
 // cleanDirty is Step 4 of the merge on the given dimension list: it
 // repairs the ≤N² dirty window left after interleaving.
 func (s *Sorter) cleanDirty(m sort2d.Machine, dims []int) {
-	net := m.Net()
 	dimA, dimB := dims[0], dims[1]
-	groupDims := dims[2:]
-	asc := func(base int) bool { return net.BlockWeight(base, groupDims)%2 == 0 }
+	odd := oddWeight(m.Net(), dims[2:])
+	asc := func(base int) bool { return !odd[base] }
 
 	s.Engine.Sort(m, dimA, dimB, asc)
 	s.transposeSweep(m, dims, 0)
@@ -165,7 +166,7 @@ func (s *Sorter) transposeSweep(m sort2d.Machine, dims []int, phase int) {
 	outer := net.BlockBases(dims)           // one base per enclosing PG_k block
 	// A base has zero digits at every dim of dims, so group g's node
 	// (a, b) is base + groupOff[g] + a·sA + b·sB.
-	var pairs [][2]int
+	pairs := m.PairBuffer(len(outer) * ((len(groupOff) - phase) / 2) * nA * nB)
 	for _, base := range outer {
 		for g := phase; g+1 < len(groupOff); g += 2 {
 			lo, hi := base+groupOff[g], base+groupOff[g+1]
@@ -190,15 +191,22 @@ func (s *Sorter) transposeSweep(m sort2d.Machine, dims []int, phase int) {
 // sort1D sorts a one-dimensional network (PG_1 = G itself) by odd-even
 // transposition on the node labels: N rounds, each a compare-exchange
 // sweep between label-consecutive nodes (routed if G is not
-// Hamiltonian-labeled). The paper assumes r ≥ 2; this completes the API.
+// Hamiltonian-labeled); for N = 2 the odd round has no pair, so one
+// round is emitted. The paper assumes r ≥ 2; this completes the API.
+// The even and the odd round are built once and alternate.
 func (s *Sorter) sort1D(m sort2d.Machine) {
 	n := m.Net().N()
+	pairs := m.PairBuffer(n - 1)
+	for a := 0; a+1 < n; a += 2 {
+		pairs = append(pairs, [2]int{a, a + 1})
+	}
+	even := len(pairs)
+	for a := 1; a+1 < n; a += 2 {
+		pairs = append(pairs, [2]int{a, a + 1})
+	}
+	round := [2][][2]int{pairs[:even], pairs[even:]}
 	for t := 0; t < n; t++ {
-		var pairs [][2]int
-		for a := t % 2; a+1 < n; a += 2 {
-			pairs = append(pairs, [2]int{a, a + 1})
-		}
-		m.CompareExchange(pairs)
+		m.CompareExchange(round[t%2])
 	}
 }
 
@@ -221,6 +229,25 @@ func ValidateRadices(net *product.Network) {
 	}
 }
 
+// oddWeight reports for every node whether its digits at dims sum to an
+// odd number (the parity of product.Network.BlockWeight). Symbol v of
+// dimension d covers runs of Stride(d) consecutive ids, so each run of
+// an odd symbol flips its nodes' parity.
+func oddWeight(net *product.Network, dims []int) []bool {
+	odd := make([]bool, net.Nodes())
+	for _, d := range dims {
+		s, radix := net.Stride(d), net.Radix(d)
+		for lo, v := 0, 0; lo < len(odd); lo, v = lo+s, (v+1)%radix {
+			if v%2 == 1 {
+				for id := lo; id < lo+s; id++ {
+					odd[id] = !odd[id]
+				}
+			}
+		}
+	}
+	return odd
+}
+
 // dimRange returns [1, 2, …, k].
 func dimRange(k int) []int {
 	dims := make([]int, k)
@@ -241,7 +268,16 @@ func PredictedRounds(net *product.Network, e sort2d.Engine) int {
 	}
 	r := net.R()
 	if r == 1 {
-		return net.Radix(1) // odd-even transposition on G
+		// Odd-even transposition on G: N rounds, of which the odd ones
+		// are empty, and emit nothing, unless N ≥ 3.
+		switch n := net.Radix(1); {
+		case n < 2:
+			return 0
+		case n == 2:
+			return 1
+		default:
+			return n
+		}
 	}
 	s2 := func(a, b int) int { return e.RoundsAB(net.Radix(a), net.Radix(b)) }
 	rounds := s2(1, 2)

@@ -545,3 +545,30 @@ func TestSortRandomTreeFactors(t *testing.T) {
 		checkSortedPermutation(t, m, keys)
 	}
 }
+
+// TestOddWeightMatchesBlockWeight holds the merge's direction table to
+// its definition, the parity of product.Network.BlockWeight, for every
+// node and every group of dimensions Step 4 uses, on homogeneous and
+// heterogeneous radices (odd radices and radix 1 included).
+func TestOddWeightMatchesBlockWeight(t *testing.T) {
+	for _, net := range []*product.Network{
+		product.MustNew(graph.K2(), 6),
+		product.MustNew(graph.Path(3), 4),
+		product.MustNewHetero([]*graph.Graph{graph.Path(5), graph.Cycle(4), graph.Path(3), graph.Path(1), graph.K2()}),
+	} {
+		for lo := 1; lo <= net.R(); lo++ {
+			for hi := lo; hi <= net.R(); hi++ {
+				var dims []int
+				for d := lo; d <= hi; d++ {
+					dims = append(dims, d)
+				}
+				odd := oddWeight(net, dims)
+				for id := range odd {
+					if want := net.BlockWeight(id, dims)%2 == 1; odd[id] != want {
+						t.Fatalf("%s dims %v node %d: odd %v, want %v", net.Name(), dims, id, odd[id], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -17,6 +17,7 @@ package product
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"productsort/internal/graph"
@@ -355,29 +356,26 @@ func (p *Network) BlockBase(id int, dims []int) int {
 	return id
 }
 
-// BlockBases returns the base id of every block with respect to dims, in
-// increasing id order.
+// BlockBases returns the base id of every block with respect to dims,
+// ordered by the digits of the other dimensions with the lowest of them
+// most significant: dimension r's digit varies fastest.
 func (p *Network) BlockBases(dims []int) []int {
-	inDims := make([]bool, p.r+1)
-	for _, d := range dims {
-		inDims[d] = true
+	bases := make([]int, p.total/p.BlockSize(dims))
+	n := 1 // bases[:n] enumerate the free dimensions below dim
+	for dim := 1; dim <= p.r; dim++ {
+		if slices.Contains(dims, dim) {
+			continue
+		}
+		// Expand in place from the back, so no base is overwritten
+		// before it is read: base i becomes bases i·radix … i·radix+radix−1.
+		radix, s := p.radix[dim-1], p.stride[dim-1]
+		for i := n - 1; i >= 0; i-- {
+			for v := radix - 1; v >= 0; v-- {
+				bases[i*radix+v] = bases[i] + v*s
+			}
+		}
+		n *= radix
 	}
-	var bases []int
-	var rec func(dim, id int)
-	rec = func(dim, id int) {
-		if dim > p.r {
-			bases = append(bases, id)
-			return
-		}
-		if inDims[dim] {
-			rec(dim+1, id)
-			return
-		}
-		for v := 0; v < p.radix[dim-1]; v++ {
-			rec(dim+1, id+v*p.stride[dim-1])
-		}
-	}
-	rec(1, 0)
 	return bases
 }
 
@@ -407,14 +405,31 @@ func (p *Network) NodeInBlock(base int, dims []int, pos int) int {
 // position: base+off[pos] is NodeInBlock(base, dims, pos) for every base
 // BlockBases returns, since a base's digits at dims are all zero. Pair
 // generators take one table per call instead of unranking per pair.
+//
+// It walks the snake instead of unranking each position: one step
+// moves the lowest symbol that can still move in its direction by one,
+// and a symbol's direction is up while the symbols above it sum to an
+// even number, so the step reverses every symbol below the one moved.
 func (p *Network) BlockOffsets(dims []int) []int {
-	radix := p.blockRadix(dims)
-	label := make([]int, len(dims))
 	off := make([]int, p.BlockSize(dims))
-	for pos := range off {
-		gray.SnakeUnrankMixed(pos, radix, label)
-		for i, d := range dims {
-			off[pos] += label[i] * p.stride[d-1]
+	var stack [32]int
+	state := stack[:]
+	if 2*len(dims) > len(stack) {
+		state = make([]int, 2*len(dims))
+	}
+	digit, dir := state[:len(dims)], state[len(dims):2*len(dims)]
+	for i := range dir {
+		digit[i], dir[i] = 0, 1
+	}
+	for pos := 1; pos < len(off); pos++ {
+		i := 0
+		for v := digit[0] + dir[0]; v < 0 || v >= p.radix[dims[i]-1]; v = digit[i] + dir[i] {
+			i++
+		}
+		digit[i] += dir[i]
+		off[pos] = off[pos-1] + dir[i]*p.stride[dims[i]-1]
+		for j := range i {
+			dir[j] = -dir[j]
 		}
 	}
 	return off

@@ -87,11 +87,12 @@ func TestGoldenIR(t *testing.T) {
 }
 
 // TestCompileUncachedAllocs bounds the allocations of one cold compile
-// of K₂⁶. Pricing and checking a phase allocates nothing, and the pair
-// generators add block offsets instead of unranking every pair, so what
-// is left is about one pair slice per recorded phase plus the per-call
-// tables (637 at the time of writing, against 14,693 when every phase
-// built two maps and every pair two label slices).
+// of K₂⁶. Pricing and checking a phase allocates nothing, the pair
+// generators add block offsets instead of unranking every pair, and the
+// engines build their phases in the Builder's pair chunks, so what is
+// left is the per-call tables and the ops (142 at the time of writing;
+// 637 when every phase was copied into its own slice, and 14,693 when
+// every phase built two maps and every pair two label slices).
 func TestCompileUncachedAllocs(t *testing.T) {
 	net := product.MustNew(graph.K2(), 6)
 	allocs := testing.AllocsPerRun(5, func() {

@@ -24,6 +24,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"productsort/internal/product"
@@ -317,6 +318,7 @@ type Builder struct {
 	ops   []Op
 	clock simnet.Clock
 	inS2  bool
+	free  [][2]int // unused capacity of the current pair chunk
 }
 
 // NewBuilder returns an empty builder for net.
@@ -331,11 +333,11 @@ func (b *Builder) Net() *product.Network { return b.net }
 // the phase with the simulator's cost model and records it as a typed
 // op. Empty phases are ignored, mirroring the live machine.
 func (b *Builder) CompareExchange(pairs [][2]int) {
-	if len(pairs) == 0 {
+	n := len(pairs)
+	if n == 0 {
 		return
 	}
-	cp := make([][2]int, len(pairs))
-	copy(cp, pairs)
+	cp := b.keep(pairs)
 	cost, dim := b.cost.PhaseCost(b.net, cp)
 	kind := OpCompareExchange
 	if cost > 1 {
@@ -344,8 +346,43 @@ func (b *Builder) CompareExchange(pairs [][2]int) {
 	}
 	b.ops = append(b.ops, Op{Kind: kind, Pairs: cp, Cost: cost, Dim: dim})
 	b.clock.ComparePhases++
-	b.clock.CompareOps += len(cp)
+	b.clock.CompareOps += n
 	b.charge(cost)
+}
+
+// keep returns the pairs an op records for a non-empty phase. A phase
+// built at the head of the free part of the pair chunk stays where it
+// is, and a phase passed again shares the earlier op's pairs: an
+// engine does not write to a phase it has passed. Any other phase is
+// copied, outside the chunk, since it may lie in a buffer the engine
+// still fills.
+func (b *Builder) keep(pairs [][2]int) [][2]int {
+	n := len(pairs)
+	if cap(b.free) > 0 && &pairs[0] == &b.free[:1][0] {
+		b.free = b.free[n:n]
+		return pairs[:n:n]
+	}
+	for i := len(b.ops) - 1; i >= max(len(b.ops)-phaseReuse, 0); i-- {
+		if op := b.ops[i].Pairs; len(op) == n && &op[0] == &pairs[0] {
+			return op
+		}
+	}
+	return slices.Clone(pairs)
+}
+
+// phaseReuse is how many ops back keep looks for a repeated phase:
+// Opt4 repeats its first round two exchanges later.
+const phaseReuse = 2
+
+// PairBuffer implements sort2d.Machine: the free part of the current
+// pair chunk, so a phase built there is recorded without a copy. A new
+// chunk holds at least eight pairs per node, so a program's phases
+// share a few allocations.
+func (b *Builder) PairBuffer(n int) [][2]int {
+	if cap(b.free) < n {
+		b.free = make([][2]int, 0, max(n, 8*b.net.Nodes()))
+	}
+	return b.free[:0:n]
 }
 
 // IdleRound implements sort2d.Machine.

@@ -278,3 +278,34 @@ func TestProgramTheorem1Counts(t *testing.T) {
 		t.Errorf("rounds %d, want %d", got, want)
 	}
 }
+
+// TestPredictedRoundsOneDimension: on every one-dimensional network of
+// a Hamiltonian-labeled factor (one node up to nine, K2 included) the
+// planner's price is the compiled program's round count. N = 2's odd
+// transposition round has no pair and emits no op, so K2^1 runs one
+// round, not two.
+func TestPredictedRoundsOneDimension(t *testing.T) {
+	var factors []*graph.Graph
+	for n := 1; n <= 9; n++ {
+		factors = append(factors, graph.Path(n))
+		if n >= 3 {
+			factors = append(factors, graph.Cycle(n), graph.Complete(n))
+		}
+	}
+	factors = append(factors, graph.K2())
+	for _, g := range factors {
+		if !g.HamiltonianLabeled() {
+			t.Fatalf("%s is not Hamiltonian-labeled", g.Name())
+		}
+		net := product.MustNew(g, 1)
+		for _, e := range []sort2d.Engine{sort2d.Auto{}, sort2d.Shearsort{}, sort2d.SnakeOET{}} {
+			prog, err := CompileUncached(net, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := prog.Rounds(), core.PredictedRounds(net, e); got != want {
+				t.Errorf("%s %s: compiled %d rounds, predicted %d", net.Name(), e.Name(), got, want)
+			}
+		}
+	}
+}

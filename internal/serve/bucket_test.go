@@ -72,7 +72,7 @@ func TestServerBuildsReachableBucketsOnly(t *testing.T) {
 			{513, "K2^10", "product"}, {1025, "K2^11", "product"}, {2049, "K2^12", "product"},
 		}},
 		{[]string{emit.FamilyMultiway, emit.FamilyPeriodic}, 38, []planRange{
-			{1, "multiway4[2]", "multiway"}, {3, "K2^2", "product"}, {5, "periodic[8]", "periodic"},
+			{1, "K2^1", "product"}, {3, "K2^2", "product"}, {5, "periodic[8]", "periodic"},
 			{9, "periodic[16]", "periodic"}, {17, "periodic[32]", "periodic"}, {33, "periodic[64]", "periodic"},
 			{65, "periodic[128]", "periodic"}, {129, "periodic[256]", "periodic"}, {257, "periodic[512]", "periodic"},
 			{513, "periodic[1024]", "periodic"}, {1025, "periodic[2048]", "periodic"}, {2049, "periodic[4096]", "periodic"},

@@ -38,8 +38,10 @@ func mixedPlanner(t *testing.T, maxR int) *Planner {
 }
 
 // TestCrossFamilySelection pins the planner's argmin across families at
-// the frontier boundaries: each family must win somewhere, and each
-// must lose somewhere — the point of mixing them. The preconditions
+// the frontier boundaries: product and periodic each win somewhere,
+// and every family loses somewhere — the point of mixing them;
+// multiway ties the winner at 2 and 4 keys and loses the name
+// tie-break. The preconditions
 // that make every case a genuine boundary are asserted alongside the
 // selection, so a cost-model change fails with a readable message.
 func TestCrossFamilySelection(t *testing.T) {
@@ -57,9 +59,10 @@ func TestCrossFamilySelection(t *testing.T) {
 		name        string
 		whyBoundary string
 	}{
-		// Rounds tie 1-1 between the emitted families (product needs 2);
-		// the name tie-break ("multiway4[2]" < "periodic[2]") decides.
-		{2, emit.FamilyMultiway, "multiway4[2]", "emitted tie broken by name"},
+		// All three tie at one round (K2^1's odd round has no pair); the
+		// name tie-break ("K2^1" < "multiway4[2]" < "periodic[2]")
+		// decides.
+		{2, emit.FamilyProduct, "K2^1", "three-way tie broken by name"},
 		// Product ties multiway at 3 rounds and wins the name tie-break
 		// ("K2^2" < "multiway4[4]"): the product family must still win
 		// sizes where the emitters have no edge.

@@ -67,6 +67,7 @@ type Machine struct {
 	inS2   bool       // attribute current rounds to S2Rounds
 	tracer obs.Tracer // nil = tracing disabled (the default)
 	phase  int        // phase ordinal for trace identity
+	pairs  [][2]int   // the engines' phase buffer (PairBuffer)
 }
 
 // costKey identifies a cached routed-exchange cost: the factor graph it
@@ -89,6 +90,25 @@ type CostModel struct {
 	// gen per phase avoids clearing the slice between phases.
 	busy []uint32
 	gen  uint32
+	// The tables PhaseCost checks the pairs of net against, built on
+	// the first phase it prices there: the label table, and per
+	// dimension the adjacency matrix of its factor.
+	net *product.Network
+	sym *product.Symbols
+	adj []adjacency
+}
+
+// adjacency is a factor's adjacency matrix: bit u·n+v of bits is set
+// when symbols u and v are adjacent.
+type adjacency struct {
+	n    int
+	bits []uint64
+}
+
+// has reports whether symbols u and v are adjacent.
+func (m adjacency) has(u, v int) bool {
+	bit := u*m.n + v
+	return m.bits[bit>>6]&(1<<(bit&63)) != 0
 }
 
 // NewCostModel returns an empty cost model.
@@ -117,9 +137,12 @@ func (c *CostModel) PlanFor(g *graph.Graph) *routing.Plan {
 // differs in, or 0 when the pairs span several. Pairs must be in range,
 // node-disjoint, and each must differ in exactly one dimension;
 // violations panic, since they indicate an algorithm bug rather than bad
-// input. A phase of edges allocates nothing once the model has seen a
-// network of net's size.
+// input. The first phase the model prices on net builds net's label
+// table (product.Symbols, r·Nodes() symbols) and one adjacency matrix
+// per distinct factor (n² bits for n symbols); after it, a phase of
+// edges allocates nothing.
 func (c *CostModel) PhaseCost(net *product.Network, pairs [][2]int) (cost, dim int) {
+	sym, adj := c.tables(net)
 	busy, gen := c.stamp(net.Nodes())
 	allAdjacent := true
 	for i, pr := range pairs {
@@ -134,7 +157,7 @@ func (c *CostModel) PhaseCost(net *product.Network, pairs [][2]int) (cost, dim i
 			panic("simnet: overlapping compare-exchange pairs")
 		}
 		busy[a], busy[b] = gen, gen
-		d, da, db := net.DifferingDim(a, b)
+		d, da, db := sym.DifferingDim(a, b)
 		if d == 0 {
 			panic(fmt.Sprintf("simnet: nodes %d and %d differ in more than one dimension", a, b))
 		}
@@ -143,14 +166,40 @@ func (c *CostModel) PhaseCost(net *product.Network, pairs [][2]int) (cost, dim i
 		} else if d != dim {
 			dim = 0
 		}
-		if allAdjacent && !net.FactorAt(d).HasEdge(da, db) {
+		if !adj[d-1].has(da, db) {
 			allAdjacent = false
 		}
 	}
 	if allAdjacent {
 		return 1, dim
 	}
-	return c.routedCost(net, pairs), dim
+	return c.routedCost(net, sym, pairs), dim
+}
+
+// tables returns the label table and the per-dimension factor
+// adjacency matrices of net, building them when net is not the network
+// the model last priced. Dimensions with the same factor share one
+// matrix.
+func (c *CostModel) tables(net *product.Network) (*product.Symbols, []adjacency) {
+	if c.net != net {
+		c.net, c.sym, c.adj = net, net.Symbols(), make([]adjacency, net.R())
+		for d := range c.adj {
+			g := net.FactorAt(d + 1)
+			if d > 0 && g == net.FactorAt(d) {
+				c.adj[d] = c.adj[d-1]
+				continue
+			}
+			n := g.N()
+			m := adjacency{n: n, bits: make([]uint64, (n*n+63)/64)}
+			for _, e := range g.Edges() {
+				for _, bit := range [2]int{e[0]*n + e[1], e[1]*n + e[0]} {
+					m.bits[bit>>6] |= 1 << (bit & 63)
+				}
+			}
+			c.adj[d] = m
+		}
+	}
+	return c.sym, c.adj
 }
 
 // stamp returns the node stamps sized for n nodes and the generation
@@ -170,11 +219,11 @@ func (c *CostModel) stamp(n int) ([]uint32, uint32) {
 // routedCost prices a phase PhaseCost has validated and found to hold
 // a non-edge pair: the maximum routed key-exchange cost over the
 // G-subgraphs, keyed by (dimension, subgraph base id), that it touches.
-func (c *CostModel) routedCost(net *product.Network, pairs [][2]int) int {
+func (c *CostModel) routedCost(net *product.Network, sym *product.Symbols, pairs [][2]int) int {
 	type subKey struct{ dim, base int }
 	subPairs := make(map[subKey][][2]int)
 	for _, pr := range pairs {
-		d, da, db := net.DifferingDim(pr[0], pr[1])
+		d, da, db := sym.DifferingDim(pr[0], pr[1])
 		k := subKey{d, pr[0] - da*net.Stride(d)}
 		subPairs[k] = append(subPairs[k], [2]int{da, db})
 	}
@@ -285,6 +334,15 @@ func (m *Machine) AddS2Phase() { m.clock.S2Phases++ }
 
 // AddSweepPhase records a completed inter-subgraph transposition sweep.
 func (m *Machine) AddSweepPhase() { m.clock.SweepPhases++ }
+
+// PairBuffer implements sort2d.Machine: a live machine reads a phase
+// only while it runs, so every phase is built in one reused buffer.
+func (m *Machine) PairBuffer(n int) [][2]int {
+	if cap(m.pairs) < n {
+		m.pairs = make([][2]int, 0, n)
+	}
+	return m.pairs[:0]
+}
 
 // BeginMerge implements sort2d.Machine: a live machine keeps no stage
 // boundaries.

@@ -36,9 +36,16 @@ type Machine interface {
 	// Net returns the product network the phases address.
 	Net() *product.Network
 	// CompareExchange performs (or records) one parallel phase of
-	// node-disjoint (lo, hi) pairs. It reads pairs only during the
-	// call, so engines reuse one pair buffer across phases.
+	// node-disjoint (lo, hi) pairs. pairs may be any slice, which the
+	// machine reads only during the call, or a phase built in a
+	// PairBuffer, which a recording machine keeps without a copy.
 	CompareExchange(pairs [][2]int)
+	// PairBuffer returns an empty buffer with room for n pairs, valid
+	// until the next PairBuffer call. An engine builds phases in it and
+	// passes them, whole or as sub-slices, to CompareExchange, the same
+	// phase as often as it repeats; it must not write to a passed phase
+	// afterwards.
+	PairBuffer(n int) [][2]int
 	// IdleRound charges one round with no data movement (the oblivious
 	// schedule spends the step even when no processor has a partner).
 	IdleRound()
@@ -112,36 +119,47 @@ func (Shearsort) RoundsAB(nA, nB int) int {
 // Sort implements Engine.
 func (Shearsort) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 	net := m.Net()
-	dims := []int{dimA, dimB}
-	bases := net.BlockBases(dims)
+	bases := net.BlockBases([]int{dimA, dimB})
+	up := directions(bases, asc)
 	m.BeginS2()
 	k := ceilLog2(net.Radix(dimB)) // nB rows
 	for i := 0; i < k; i++ {
-		rowPhase(m, bases, dimA, dimB, asc)
-		columnPhase(m, bases, dimA, dimB, asc)
+		rowPhase(m, bases, up, dimA, dimB)
+		columnPhase(m, bases, up, dimA, dimB)
 	}
-	rowPhase(m, bases, dimA, dimB, asc)
+	rowPhase(m, bases, up, dimA, dimB)
 	m.EndS2()
 	m.AddS2Phase()
+}
+
+// directions evaluates asc once per base: up[i] = asc(bases[i]).
+func directions(bases []int, asc func(base int) bool) []bool {
+	up := make([]bool, len(bases))
+	for i, base := range bases {
+		up[i] = asc(base)
+	}
+	return up
 }
 
 // rowPhase runs n rounds of odd-even transposition within every row of
 // every block. Row v of an ascending block sorts ascending-by-dimA when
 // v is even; descending blocks flip every direction. A base has zero
 // digits at dimA and dimB, so the node at (a, v) is base+a·sA+v·sB.
-func rowPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool) {
+// up[i] is the direction of bases[i]. The even and the odd round are
+// built once and alternate.
+func rowPhase(m Machine, bases []int, up []bool, dimA, dimB int) {
 	net := m.Net()
 	nA, nB := net.Radix(dimA), net.Radix(dimB)
 	sA, sB := net.Stride(dimA), net.Stride(dimB)
-	var pairs [][2]int
-	for t := 0; t < nA; t++ {
-		pairs = pairs[:0]
-		for _, base := range bases {
-			up := asc(base)
+	var round [2][][2]int
+	pairs := m.PairBuffer(len(bases) * nB * (nA - 1))
+	for t := range round {
+		start := len(pairs)
+		for i, base := range bases {
 			for v := 0; v < nB; v++ {
 				rowBase := base + v*sB
-				rowAsc := (v%2 == 0) == up
-				for a := t % 2; a+1 < nA; a += 2 {
+				rowAsc := (v%2 == 0) == up[i]
+				for a := t; a+1 < nA; a += 2 {
 					x := rowBase + a*sA
 					if rowAsc {
 						pairs = append(pairs, [2]int{x, x + sA})
@@ -151,26 +169,29 @@ func rowPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool) {
 				}
 			}
 		}
-		m.CompareExchange(pairs)
+		round[t] = pairs[start:]
+	}
+	for t := 0; t < nA; t++ {
+		m.CompareExchange(round[t%2])
 	}
 }
 
 // columnPhase runs n rounds of odd-even transposition within every
 // column of every block; ascending blocks sort columns ascending-by-dimB.
-func columnPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool) {
+func columnPhase(m Machine, bases []int, up []bool, dimA, dimB int) {
 	net := m.Net()
 	nA, nB := net.Radix(dimA), net.Radix(dimB)
 	sA, sB := net.Stride(dimA), net.Stride(dimB)
-	var pairs [][2]int
-	for t := 0; t < nB; t++ {
-		pairs = pairs[:0]
-		for _, base := range bases {
-			up := asc(base)
+	var round [2][][2]int
+	pairs := m.PairBuffer(len(bases) * nA * (nB - 1))
+	for t := range round {
+		start := len(pairs)
+		for i, base := range bases {
 			for a := 0; a < nA; a++ {
 				colBase := base + a*sA
-				for v := t % 2; v+1 < nB; v += 2 {
+				for v := t; v+1 < nB; v += 2 {
 					x := colBase + v*sB
-					if up {
+					if up[i] {
 						pairs = append(pairs, [2]int{x, x + sB})
 					} else {
 						pairs = append(pairs, [2]int{x + sB, x})
@@ -178,7 +199,10 @@ func columnPhase(m Machine, bases []int, dimA, dimB int, asc func(base int) bool
 				}
 			}
 		}
-		m.CompareExchange(pairs)
+		round[t] = pairs[start:]
+	}
+	for t := 0; t < nB; t++ {
+		m.CompareExchange(round[t%2])
 	}
 }
 
@@ -197,29 +221,34 @@ func (SnakeOET) Rounds(n int) int { return n * n }
 // RoundsAB implements Engine: the block size nA·nB.
 func (SnakeOET) RoundsAB(nA, nB int) int { return nA * nB }
 
-// Sort implements Engine.
+// Sort implements Engine. The even and the odd round are built once
+// and alternate.
 func (SnakeOET) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 	net := m.Net()
 	dims := []int{dimA, dimB}
 	bases := net.BlockBases(dims)
 	off := net.BlockOffsets(dims)
+	up := directions(bases, asc)
 	size := len(off)
-	m.BeginS2()
-	var pairs [][2]int
-	for t := 0; t < size; t++ {
-		pairs = pairs[:0]
-		for _, base := range bases {
-			up := asc(base)
-			for p := t % 2; p+1 < size; p += 2 {
+	var round [2][][2]int
+	pairs := m.PairBuffer(len(bases) * (size - 1))
+	for t := range round {
+		start := len(pairs)
+		for i, base := range bases {
+			for p := t; p+1 < size; p += 2 {
 				x, y := base+off[p], base+off[p+1]
-				if up {
+				if up[i] {
 					pairs = append(pairs, [2]int{x, y})
 				} else {
 					pairs = append(pairs, [2]int{y, x})
 				}
 			}
 		}
-		m.CompareExchange(pairs)
+		round[t] = pairs[start:]
+	}
+	m.BeginS2()
+	for t := 0; t < size; t++ {
+		m.CompareExchange(round[t%2])
 	}
 	m.EndS2()
 	m.AddS2Phase()
@@ -252,6 +281,8 @@ func (Opt4) RoundsAB(nA, nB int) int {
 // Sort implements Engine. In block snake positions (00, 01, 11, 10) the
 // schedule is comparators (0,1)(2,3); (0,3)(1,2); (0,1)(2,3), a valid
 // 4-element sorting network whose comparators all follow block edges.
+// Its first and last rounds are the same phase, so each block's
+// direction is read once and two phases are built.
 func (Opt4) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 	net := m.Net()
 	if net.Radix(dimA) != 2 || net.Radix(dimB) != 2 {
@@ -260,28 +291,23 @@ func (Opt4) Sort(m Machine, dimA, dimB int, asc func(base int) bool) {
 	dims := []int{dimA, dimB}
 	bases := net.BlockBases(dims)
 	off := net.BlockOffsets(dims)
-	schedule := [][][2]int{
-		{{0, 1}, {2, 3}},
-		{{0, 3}, {1, 2}},
-		{{0, 1}, {2, 3}},
+	n := 2 * len(bases)
+	pairs := m.PairBuffer(2 * n)[:2*n]
+	outer, inner := pairs[:n], pairs[n:] // (0,1)(2,3) and (0,3)(1,2)
+	for i, base := range bases {
+		p0, p1, p2, p3 := base+off[0], base+off[1], base+off[2], base+off[3]
+		if asc(base) {
+			outer[2*i], outer[2*i+1] = [2]int{p0, p1}, [2]int{p2, p3}
+			inner[2*i], inner[2*i+1] = [2]int{p0, p3}, [2]int{p1, p2}
+		} else {
+			outer[2*i], outer[2*i+1] = [2]int{p1, p0}, [2]int{p3, p2}
+			inner[2*i], inner[2*i+1] = [2]int{p3, p0}, [2]int{p2, p1}
+		}
 	}
 	m.BeginS2()
-	pairs := make([][2]int, 0, 2*len(bases))
-	for _, round := range schedule {
-		pairs = pairs[:0]
-		for _, base := range bases {
-			up := asc(base)
-			for _, c := range round {
-				x, y := base+off[c[0]], base+off[c[1]]
-				if up {
-					pairs = append(pairs, [2]int{x, y})
-				} else {
-					pairs = append(pairs, [2]int{y, x})
-				}
-			}
-		}
-		m.CompareExchange(pairs)
-	}
+	m.CompareExchange(outer)
+	m.CompareExchange(inner)
+	m.CompareExchange(outer)
 	m.EndS2()
 	m.AddS2Phase()
 }

@@ -65,7 +65,7 @@ func TestDefaultServerPlanTable(t *testing.T) {
 		want     string
 	}{
 		{nil, `
-1-2 product K2^1 nodes=2 rounds=2
+1-2 product K2^1 nodes=2 rounds=1
 3-4 product K2^2 nodes=4 rounds=3
 5-8 product K2^3 nodes=8 rounds=14
 9-16 product cycle4^2 nodes=16 rounds=20
@@ -79,7 +79,7 @@ func TestDefaultServerPlanTable(t *testing.T) {
 2049-4096 product K2^12 nodes=4096 rounds=473
 `},
 		{[]string{FamilyMultiway, FamilyPeriodic}, `
-1-2 multiway multiway4[2] nodes=2 rounds=1
+1-2 product K2^1 nodes=2 rounds=1
 3-4 product K2^2 nodes=4 rounds=3
 5-8 periodic periodic[8] nodes=8 rounds=9
 9-16 periodic periodic[16] nodes=16 rounds=16
