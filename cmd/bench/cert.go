@@ -278,9 +278,6 @@ func runCertBench(path string, maxKeys, sample, workers int) error {
 			engine, _, _ = strings.Cut(p.Name(), "[")
 			reason = fmt.Sprintf("emitted: no stage source, and %d keys exceed the exhaustive cap of %d", p.Nodes(), maxKeys)
 		}
-		if reason == "" {
-			reason = "no proof in this report"
-		}
 		e := certEntry{Network: p.Name(), Engine: engine, Family: p.Family, Nodes: p.Nodes(), Mode: "none", Reason: reason}
 		report.Entries = append(report.Entries, e)
 		table.Add(e.Network, e.Family, e.Engine, e.Nodes, e.Mode, "-", "-", "-", "-", "NO PROOF", reason)

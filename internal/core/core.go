@@ -268,8 +268,8 @@ func PredictedRounds(net *product.Network, e sort2d.Engine) int {
 	}
 	r := net.R()
 	if r == 1 {
-		// Odd-even transposition on G: N rounds, of which the odd ones
-		// are empty, and emit nothing, unless N ≥ 3.
+		// Odd-even transposition on G: N rounds, each emitted only when
+		// it has a pair — all of them for N ≥ 3, the first for N = 2.
 		switch n := net.Radix(1); {
 		case n < 2:
 			return 0

@@ -193,36 +193,6 @@ func (p *Network) SetDigit(id, dim, v int) int {
 	return id + (v-old)*s
 }
 
-// DifferingDim returns the one dimension in which the labels of a and b
-// differ, with their symbols there; dim is 0 when a == b or when the
-// labels differ in more than one dimension.
-//
-// No dimension but one is read. If only the symbol of dimension d
-// differs, b−a = (db−da)·Stride(d) with 1 ≤ |db−da| < Radix(d), so
-// Stride(d) ≤ |b−a| < Stride(d+1): the stride bracket of |b−a| names
-// the only candidate. The one check b−a == (db−da)·Stride(d) then
-// proves every other symbol agrees, because b is a with symbol d
-// replaced by db, and a node id is a unique mixed-radix number.
-func (p *Network) DifferingDim(a, b int) (dim, da, db int) {
-	diff := b - a
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff == 0 {
-		return 0, 0, 0
-	}
-	d := p.r
-	for p.stride[d-1] > diff {
-		d--
-	}
-	s, n := p.stride[d-1], p.radix[d-1]
-	da, db = a/s%n, b/s%n
-	if b-a != (db-da)*s {
-		return 0, 0, 0
-	}
-	return d, da, db
-}
-
 // Adjacent reports whether nodes a and b are adjacent (Definition 1).
 func (p *Network) Adjacent(a, b int) bool {
 	if a == b {
@@ -419,7 +389,7 @@ func (p *Network) BlockOffsets(dims []int) []int {
 	}
 	digit, dir := state[:len(dims)], state[len(dims):2*len(dims)]
 	for i := range dir {
-		digit[i], dir[i] = 0, 1
+		dir[i] = 1
 	}
 	for pos := 1; pos < len(off); pos++ {
 		i := 0

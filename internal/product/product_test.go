@@ -271,8 +271,9 @@ func TestBlockOffsets(t *testing.T) {
 	}
 }
 
-// TestDifferingDim checks the stride-bracket test against a digit-by-
-// digit scan on every pair of nodes, homogeneous and heterogeneous.
+// TestDifferingDim checks the label table's stride-bracket test against
+// a digit-by-digit scan on every pair of nodes, homogeneous and
+// heterogeneous.
 func TestDifferingDim(t *testing.T) {
 	for _, p := range []*Network{
 		MustNew(graph.K2(), 5),
@@ -280,6 +281,7 @@ func TestDifferingDim(t *testing.T) {
 		MustNewHetero([]*graph.Graph{graph.Path(4), graph.Cycle(3), graph.K2()}),
 		MustNewHetero([]*graph.Graph{graph.K2(), graph.Path(5), graph.Path(3)}),
 	} {
+		sym := p.Symbols()
 		for a := 0; a < p.Nodes(); a++ {
 			for b := 0; b < p.Nodes(); b++ {
 				want, differing := 0, 0
@@ -292,7 +294,7 @@ func TestDifferingDim(t *testing.T) {
 				if differing != 1 {
 					want = 0
 				}
-				dim, da, db := p.DifferingDim(a, b)
+				dim, da, db := sym.DifferingDim(a, b)
 				if dim != want {
 					t.Fatalf("%s: DifferingDim(%d, %d) = %d, want %d", p.Name(), a, b, dim, want)
 				}

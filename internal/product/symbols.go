@@ -2,8 +2,8 @@ package product
 
 // Symbols is a network's label table: the symbol of every node at every
 // dimension, and the stride bracket of every id difference. It answers
-// DifferingDim with table reads instead of divisions, for a caller that
-// checks many pairs (the phase checker of package simnet builds one per
+// DifferingDim with table reads instead of divisions, for callers that
+// check many pairs (the phase checker of package simnet builds one per
 // network it prices). Building it costs O(r·Nodes()) time and memory,
 // so a Network never builds one itself. It is immutable once built.
 type Symbols struct {
@@ -36,19 +36,23 @@ func (p *Network) Symbols() *Symbols {
 	return t
 }
 
-// DifferingDim is Network.DifferingDim read from the table: the one
-// dimension in which the labels of node ids a and b differ, with their
-// symbols there, or dim 0 when a == b or the labels differ in more than
-// one dimension. The stride bracket of |b−a| names the only candidate
-// dimension d, and b−a == (db−da)·Stride(d) proves that no other symbol
-// differs (see Network.DifferingDim).
+// DifferingDim returns the one dimension in which the labels of node
+// ids a and b differ, with their symbols there; dim is 0 when a == b or
+// when the labels differ in more than one dimension.
+//
+// No dimension but one is read. If only the symbol of dimension d
+// differs, b−a = (db−da)·Stride(d) with 1 ≤ |db−da| < Radix(d), so
+// Stride(d) ≤ |b−a| < Stride(d+1): the stride bracket of |b−a| names
+// the only candidate. The one check b−a == (db−da)·Stride(d) then
+// proves every other symbol agrees, because b is a with symbol d
+// replaced by db, and a node id is a unique mixed-radix number.
 func (t *Symbols) DifferingDim(a, b int) (dim, da, db int) {
 	x := max(b-a, a-b)
 	if x == 0 {
 		return 0, 0, 0
 	}
 	d := int(t.bracket[x])
-	row := t.sym[(d-1)*t.nodes:]
+	row := t.sym[(d-1)*t.nodes : d*t.nodes]
 	da, db = int(row[a]), int(row[b])
 	if b-a != (db-da)*t.stride[d-1] {
 		return 0, 0, 0

@@ -6,10 +6,9 @@ import (
 	"productsort/internal/graph"
 )
 
-// FuzzSymbols holds the label table's Symbols.DifferingDim, and
-// Network.DifferingDim and Network.Digit, to the division reference,
-// (id / Stride(d)) % Radix(d) digit by digit, on random mixed-radix
-// networks: radices 1 to
+// FuzzSymbols holds the label table's DifferingDim, and Network.Digit,
+// to the division reference, (id / Stride(d)) % Radix(d) digit by
+// digit, on random mixed-radix networks: radices 1 to
 // 8 in up to six dimensions, powers of two and not, heterogeneous, with
 // radix-1 dimensions (whose stride repeats the one below). Each input
 // fixes one node a and checks it against every node b, so a == b, pairs
@@ -53,18 +52,13 @@ func FuzzSymbols(f *testing.F) {
 			if differing != 1 {
 				want = 0
 			}
-			for _, f := range []struct {
-				name string
-				diff func(a, b int) (int, int, int)
-			}{{"Symbols", sym.DifferingDim}, {"Network", p.DifferingDim}} {
-				dim, da, db := f.diff(a, b)
-				if dim != want {
-					t.Fatalf("%v: %s.DifferingDim(%d, %d) = %d, want %d", p.Radices(), f.name, a, b, dim, want)
-				}
-				if dim != 0 && (da != digit(a, dim) || db != digit(b, dim)) {
-					t.Fatalf("%v: %s.DifferingDim(%d, %d) symbols (%d, %d), want (%d, %d)",
-						p.Radices(), f.name, a, b, da, db, digit(a, dim), digit(b, dim))
-				}
+			dim, da, db := sym.DifferingDim(a, b)
+			if dim != want {
+				t.Fatalf("%v: DifferingDim(%d, %d) = %d, want %d", p.Radices(), a, b, dim, want)
+			}
+			if dim != 0 && (da != digit(a, dim) || db != digit(b, dim)) {
+				t.Fatalf("%v: DifferingDim(%d, %d) symbols (%d, %d), want (%d, %d)",
+					p.Radices(), a, b, da, db, digit(a, dim), digit(b, dim))
 			}
 		}
 	})

@@ -78,6 +78,10 @@ type candidate struct {
 // deterministic replay applies.
 func buildPool(net *product.Network, plan *faults.Plan) []candidate {
 	n := net.Nodes()
+	var sym *product.Symbols // a dead link's dimension, when the plan has any
+	if plan != nil {
+		sym = net.Symbols()
+	}
 	seen := make(map[[2]int]int, 3*n) // normalized pair -> pool index
 	var pool []candidate
 	add := func(a, b int, snake bool) {
@@ -97,7 +101,7 @@ func buildPool(net *product.Network, plan *faults.Plan) []candidate {
 		}
 		if !snake && plan != nil {
 			// A network edge differs in exactly one dimension.
-			if plan.LinkDead(net.DifferingDim(a, b)) {
+			if plan.LinkDead(sym.DifferingDim(a, b)) {
 				return
 			}
 		}
